@@ -67,6 +67,75 @@ class ScheduleResult:
         return self.total_ops / self.cycles if self.cycles else 0.0
 
 
+#: latency of one dependence chain as (loads, stores, fixed cycles): it
+#: costs ``loads * L + stores * S + fixed`` under load/store latencies L, S
+Chain = Tuple[int, int, int]
+
+
+def _op_chain(fop: FrameOp) -> Chain:
+    """One frame op's latency as a chain triple."""
+    if fop.kind in ("guard", "psi"):
+        return (0, 0, 1)
+    if fop.kind == "undo":
+        return (1, 0, 0)
+    inst = fop.inst
+    if isinstance(inst, Load):
+        return (1, 0, 0)
+    if isinstance(inst, Store):
+        return (0, 1, 0)
+    return (0, 0, max(1, LATENCY[inst.opcode]))
+
+
+def _operands(fop: FrameOp) -> list:
+    """The values a frame op reads on a recurrence chain."""
+    if fop.kind == "op" and fop.inst is not None:
+        return fop.inst.operands
+    if fop.kind == "psi":
+        return [v for _, v in fop.psi.options]
+    if fop.kind == "guard":
+        return [fop.guard.branch.cond]
+    return []
+
+
+def _frontier(chains: List[Chain]) -> Tuple[Chain, ...]:
+    """The chains no other chain dominates componentwise, ascending.
+
+    Latencies are at least one cycle, so a dominated chain is never the
+    longest under any latencies and dropping it is exact.
+    """
+    if len(chains) < 2:
+        return tuple(chains)
+    # in descending order a chain can only be dominated by an earlier one,
+    # and by transitivity by an earlier one that was kept
+    keep: List[Chain] = []
+    for c in sorted(set(chains), reverse=True):
+        if not any(
+            k[0] >= c[0] and k[1] >= c[1] and k[2] >= c[2] for k in keep
+        ):
+            keep.append(c)
+    return tuple(reversed(keep))
+
+
+def _require_acyclic(deps: List[List[int]]) -> None:
+    """Raise ``RuntimeError`` if the dependence graph has a cycle."""
+    waiting = [len(d) for d in deps]
+    users: List[List[int]] = [[] for _ in deps]
+    for i, d in enumerate(deps):
+        for j in d:
+            users[j].append(i)
+    ready = [i for i, n in enumerate(waiting) if n == 0]
+    done = 0
+    while ready:
+        j = ready.pop()
+        done += 1
+        for i in users[j]:
+            waiting[i] -= 1
+            if waiting[i] == 0:
+                ready.append(i)
+    if done != len(deps):
+        raise RuntimeError("cyclic frame dependence graph")
+
+
 class CGRAScheduler:
     """Maps frames onto the CGRA with list scheduling."""
 
@@ -83,14 +152,9 @@ class CGRAScheduler:
 
     # -- dependence graph over frame ops ------------------------------------------
 
-    def _build_deps(self, frame: Frame) -> List[List[int]]:
-        """Per-op dependence lists (indices into frame.ops).
-
-        Values are resolved through the frame's φ-resolution map, so a use of
-        a cancelled φ depends on the op producing the replacement value; ψ
-        ops depend on their predicate and both options; undo-log reads must
-        precede their store (the store in turn waits for the undo read).
-        """
+    @staticmethod
+    def _producers(frame: Frame) -> Tuple[Dict[object, int], Dict[int, int]]:
+        """(value -> producing op index, id(ψ) -> ψ op index)."""
         producer: Dict[object, int] = {}
         psi_index: Dict[int, int] = {}
         for i, fop in enumerate(frame.ops):
@@ -99,6 +163,17 @@ class CGRAScheduler:
             elif fop.kind == "psi":
                 psi_index[id(fop.psi)] = i
                 producer[fop.psi.phi] = i
+        return producer, psi_index
+
+    def _build_deps(self, frame: Frame) -> List[List[int]]:
+        """Per-op dependence lists (indices into frame.ops).
+
+        Values are resolved through the frame's φ-resolution map, so a use of
+        a cancelled φ depends on the op producing the replacement value; ψ
+        ops depend on their predicate and both options; undo-log reads must
+        precede their store (the store in turn waits for the undo read).
+        """
+        producer, psi_index = self._producers(frame)
 
         def resolve(value) -> Optional[int]:
             seen = 0
@@ -113,7 +188,6 @@ class CGRAScheduler:
             return producer.get(value)
 
         deps: List[List[int]] = []
-        last_undo_for_store: Optional[int] = None
         for i, fop in enumerate(frame.ops):
             d: List[int] = []
 
@@ -122,16 +196,8 @@ class CGRAScheduler:
                     d.append(j)
 
             if fop.kind == "op":
-                inst = fop.inst
-                for operand in inst.operands:
+                for operand in fop.inst.operands:
                     add(resolve(operand))
-                if isinstance(inst, Store) and i + 1 < len(frame.ops):
-                    nxt = frame.ops[i + 1]
-                    if nxt.kind == "undo":
-                        # the store waits for its undo-log read (ordering is
-                        # modelled by making the *store* depend on the read;
-                        # the read itself only needs the address)
-                        pass
             elif fop.kind == "undo":
                 # undo reads the old value at the store's address
                 store_inst = fop.inst
@@ -159,19 +225,17 @@ class CGRAScheduler:
                 last_store = i
         return deps
 
+    def _rounded_latencies(self) -> Tuple[int, int]:
+        """(load, store) latency in whole cycles, at least one each."""
+        return (
+            max(1, int(round(self.load_latency))),
+            max(1, int(round(self.store_latency))),
+        )
+
     def _latency(self, fop: FrameOp) -> int:
-        if fop.kind == "guard":
-            return 1
-        if fop.kind == "psi":
-            return 1
-        if fop.kind == "undo":
-            return max(1, int(round(self.load_latency)))
-        inst = fop.inst
-        if isinstance(inst, Load):
-            return max(1, int(round(self.load_latency)))
-        if isinstance(inst, Store):
-            return max(1, int(round(self.store_latency)))
-        return max(1, LATENCY[inst.opcode])
+        loads, stores, fixed = _op_chain(fop)
+        load_cycles, store_cycles = self._rounded_latencies()
+        return loads * load_cycles + stores * store_cycles + fixed
 
     # -- loop-carried recurrence ---------------------------------------------------
 
@@ -186,58 +250,73 @@ class CGRAScheduler:
             seen += 1
         return value
 
-    def _recurrence_ii(
+    def recurrence_summary(
         self,
         frame: Frame,
-        deps: List[List[int]],
         loop_carried: List[Tuple[Value, Value]],
-    ) -> int:
-        """Longest latency cycle through a single loop-carried φ.
+        deps: Optional[List[List[int]]] = None,
+    ) -> Tuple[Chain, ...]:
+        """Latency-symbolic form of the recurrence II.
 
-        For each (entry φ, back-edge def) pair: the longest dependence path
-        from an op consuming the φ to the op producing the def bounds how
-        fast consecutive iterations can be initiated.
+        For each (entry φ, back-edge def) pair, the dependence chains from
+        an op consuming the φ to the op producing the def bound how fast
+        consecutive iterations can be initiated.  Each chain's latency is
+        kept as a ``(loads, stores, fixed)`` triple — undo reads count as
+        loads, guards and ψ ops as one fixed cycle — and only the triples
+        no other triple dominates survive, so the result depends on the
+        frame alone and :meth:`recurrence_from_summary` prices it under
+        any load/store latency.  Raises ``RuntimeError`` on a cyclic
+        dependence graph, as :meth:`schedule` does.
         """
-        producer: Dict[object, int] = {}
+        if deps is None:
+            deps = self._build_deps(frame)
+        _require_acyclic(deps)
+        chains = [_op_chain(fop) for fop in frame.ops]
+        producer = self._producers(frame)[0]
+        # φ -> indices of the ops reading it
+        consumers: Dict[object, List[int]] = {}
         for i, fop in enumerate(frame.ops):
-            if fop.kind == "op" and fop.inst is not None and not fop.inst.type.is_void:
-                producer[fop.inst] = i
-            elif fop.kind == "psi":
-                producer[fop.psi.phi] = i
-
-        worst = 1
+            for v in _operands(fop):
+                value = self._chase(frame, v)
+                if isinstance(value, Phi):
+                    ops = consumers.setdefault(value, [])
+                    if not ops or ops[-1] != i:
+                        ops.append(i)
+        summary: List[Chain] = []
         for phi, def_value in loop_carried:
             def_chased = self._chase(frame, def_value)
             if isinstance(def_chased, PsiOp):
                 def_chased = def_chased.phi
             def_idx = producer.get(def_chased)
-            if def_idx is None:
+            starts = consumers.get(phi)
+            if def_idx is None or not starts or starts[0] > def_idx:
                 continue
-            dist: List[float] = [float("-inf")] * len(frame.ops)
-            for i, fop in enumerate(frame.ops):
-                consumes = False
-                if fop.kind == "op" and fop.inst is not None:
-                    operands = fop.inst.operands
-                elif fop.kind == "psi":
-                    operands = [v for _, v in fop.psi.options]
-                elif fop.kind == "guard":
-                    operands = [fop.guard.branch.cond]
-                else:
-                    operands = []
-                for operand in operands:
-                    if self._chase(frame, operand) is phi:
-                        consumes = True
-                        break
-                base = self._latency(fop) if consumes else float("-inf")
-                carried = max(
-                    (dist[j] for j in deps[i] if j < i), default=float("-inf")
-                )
-                if carried != float("-inf"):
-                    carried += self._latency(fop)
-                dist[i] = max(base, carried)
-            if dist[def_idx] != float("-inf"):
-                worst = max(worst, int(dist[def_idx]))
-        return worst
+            # longest chains from a consumer of the φ to each reached op.
+            # Ops come in dependence order, so one forward sweep settles
+            # each op before its users; the only later-op dependence (a
+            # store waiting on its undo read) is not yet in ``longest``
+            # when its store is reached, so it never extends a chain.
+            longest: Dict[int, Tuple[Chain, ...]] = {}
+            start_set = set(starts)
+            for i in range(starts[0], def_idx + 1):
+                reach = [t for j in deps[i] if j in longest for t in longest[j]]
+                if i in start_set:
+                    reach.append((0, 0, 0))  # a chain starts at this op
+                if reach:
+                    a, b, c = chains[i]
+                    longest[i] = tuple(
+                        (x + a, y + b, z + c) for x, y, z in _frontier(reach)
+                    )
+            summary.extend(longest.get(def_idx, ()))
+        return _frontier(summary)
+
+    def recurrence_from_summary(self, summary: Tuple[Chain, ...]) -> int:
+        """The recurrence II of a :meth:`recurrence_summary` under this
+        scheduler's load/store latencies (at least 1)."""
+        load_cycles, store_cycles = self._rounded_latencies()
+        return max(
+            [1] + [a * load_cycles + b * store_cycles + c for a, b, c in summary]
+        )
 
     # -- scheduling ------------------------------------------------------------------
 
@@ -336,7 +415,9 @@ class CGRAScheduler:
             math.ceil(n / min(cfg.fu_count, cfg.issue_width)),
             math.ceil(result.mem_ops / cfg.memory_ports),
         )
-        result.recurrence_ii = self._recurrence_ii(frame, deps, loop_carried or [])
+        result.recurrence_ii = self.recurrence_from_summary(
+            self.recurrence_summary(frame, loop_carried or [], deps)
+        )
         # Frames larger than the fabric are modulo-scheduled: each FU rotates
         # through ceil(ops/fu_count) operations per iteration, which is
         # exactly what resource_ii already charges.

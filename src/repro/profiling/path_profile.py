@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..interp.events import Tracer
 from ..ir.block import BasicBlock
@@ -33,6 +33,24 @@ class PathProfile:
     _decoded: Dict[int, List[BasicBlock]] = field(
         default_factory=dict, compare=False, repr=False
     )
+    # per-path recurrence summaries (braid effective-II): config-independent
+    # integer tuples, or a build failure, built once per profile; never
+    # pickled, so profile artifacts keep their bytes
+    _recurrence: Dict[int, object] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_recurrence"]
+        return state
+
+    def __setstate__(self, state):
+        # setattr interns the names as default unpickling does, so a
+        # loaded profile pickles to the same bytes again
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._recurrence = {}
 
     @property
     def executed_paths(self) -> int:
@@ -61,6 +79,17 @@ class PathProfile:
                          help="Ball-Larus path decodes served by the memo",
                          function=self.function.name)
         return blocks
+
+    def recurrence_summary(
+        self, path_id: int, build: Callable[[], object]
+    ) -> object:
+        """The recurrence summary of ``path_id``'s frame: ``build()`` on
+        first use, then kept for the profile's lifetime, so every grid
+        point of a sweep over an in-memory profile shares it."""
+        entry = self._recurrence.get(path_id)
+        if entry is None:
+            entry = self._recurrence[path_id] = build()
+        return entry
 
 
 class PathProfiler(Tracer):

@@ -156,6 +156,15 @@ def _freeze(attr: Dict[str, List[float]]) -> Dict[str, Tuple[float, float]]:
     return {cls: (v[0], v[1]) for cls, v in attr.items()}
 
 
+@dataclass(frozen=True)
+class _SummaryFailure:
+    """A braid constituent whose recurrence summary could not be built;
+    cached like a summary so every evaluation that meets it counts it."""
+
+    error: str  # exception type name
+    message: str
+
+
 @dataclass
 class _FrameCostModel:
     """Per-(workload, frame) cost constants shared by the attribution
@@ -420,57 +429,54 @@ class OffloadSimulator:
         predication gates untaken arms, so an iteration flowing down the hot
         (short-chain) arm does not serialise behind the cold arm's chain.
         We weight each constituent path's recurrence by its frequency.
-        Memoized per (frame, CGRA config): the constituent-path schedules
-        this rebuilds are the most expensive part of a braid evaluation.
+
+        A constituent's recurrence depends on the configuration only
+        through the rounded load/store latencies, so its frame and
+        latency-symbolic summary are built once per (profile, path) and
+        kept on the profile; each configuration only evaluates the
+        summaries.  Also memoized per (frame, CGRA config).
         """
         if frame.region.kind != "braid" or len(frame.region.source_paths) < 2:
             return float(sched.initiation_interval)
 
         def compute() -> float:
-            from ..frames.frame import build_frame as _build_frame
-            from ..regions.path_region import path_to_region as _path_to_region
-            from ..profiling.ranking import RankedPath as _RankedPath
-
-            total_freq = 0
-            weighted = 0.0
-            for pid in frame.region.source_paths:
-                freq = profile.counts.get(pid, 0)
-                if freq <= 0:
-                    continue
-                try:
-                    blocks = profile.decode(pid)
-                    rp = _RankedPath(
-                        path_id=pid, blocks=blocks, freq=freq,
-                        ops=count_ops(blocks), weight=0, coverage=0.0,
+            with _obs_span("effective_ii"):
+                total_freq = 0
+                weighted = 0.0
+                for pid in frame.region.source_paths:
+                    freq = profile.counts.get(pid, 0)
+                    if freq <= 0:
+                        continue
+                    summary = profile.recurrence_summary(
+                        pid,
+                        lambda: self._constituent_summary(
+                            profile, frame.region.function, pid, freq,
+                            scheduler,
+                        ),
                     )
-                    pframe = _build_frame(
-                        _path_to_region(frame.region.function, rp)
-                    )
-                    psched = scheduler.schedule(
-                        pframe, loop_carried=self._loop_carried(pframe)
-                    )
-                    weighted += freq * psched.recurrence_ii
-                    total_freq += freq
-                except Exception as exc:
-                    # constituent falls back to the whole-region II — count
-                    # it so schedule regressions are visible, not silent
-                    if _obs_enabled():
-                        _obs_counter(
-                            "sim.effective_ii_fallbacks", 1,
-                            help="braid constituent paths that failed to "
-                                 "re-schedule for the pipelined II",
-                            error=type(exc).__name__,
+                    if isinstance(summary, _SummaryFailure):
+                        # constituent falls back to the whole-region II —
+                        # count it on every evaluation so schedule
+                        # regressions are visible, not silent
+                        if _obs_enabled():
+                            _obs_counter(
+                                "sim.effective_ii_fallbacks", 1,
+                                help="braid constituent paths that failed to "
+                                     "re-schedule for the pipelined II",
+                                error=summary.error,
+                            )
+                        logger.debug(
+                            "effective-II fallback: constituent path %d of %s "
+                            "failed to schedule: %s",
+                            pid, frame.region.function.name, summary.message,
                         )
-                    logger.debug(
-                        "effective-II fallback: constituent path %d of %s "
-                        "failed to schedule: %s",
-                        pid, frame.region.function.name, exc,
-                    )
-                    continue
-            if total_freq == 0:
-                return float(sched.initiation_interval)
-            avg_recurrence = weighted / total_freq
-            return float(max(sched.resource_ii, avg_recurrence))
+                        continue
+                    weighted += freq * scheduler.recurrence_from_summary(summary)
+                    total_freq += freq
+                if total_freq == 0:
+                    return float(sched.initiation_interval)
+                avg_recurrence = weighted / total_freq
+                return float(max(sched.resource_ii, avg_recurrence))
 
         if self.memo is None:
             return compute()
@@ -478,6 +484,30 @@ class OffloadSimulator:
             "effective_ii", frame, self._scheduler_fingerprint(scheduler),
             compute,
         )
+
+    def _constituent_summary(self, profile: PathProfile, function, pid: int,
+                             freq: int, scheduler):
+        """Recurrence summary of one braid constituent path's frame, or a
+        :class:`_SummaryFailure` when the frame cannot be built or
+        scheduled."""
+        # imported at call time, so a wrapper installed on
+        # repro.frames.frame.build_frame sees every constituent build
+        from ..frames.frame import build_frame as _build_frame
+        from ..regions.path_region import path_to_region as _path_to_region
+        from ..profiling.ranking import RankedPath as _RankedPath
+
+        try:
+            blocks = profile.decode(pid)
+            rp = _RankedPath(
+                path_id=pid, blocks=blocks, freq=freq,
+                ops=count_ops(blocks), weight=0, coverage=0.0,
+            )
+            pframe = _build_frame(_path_to_region(function, rp))
+            return scheduler.recurrence_summary(
+                pframe, self._loop_carried(pframe)
+            )
+        except Exception as exc:
+            return _SummaryFailure(type(exc).__name__, str(exc))
 
     @staticmethod
     def _loop_carried(frame: Frame):
