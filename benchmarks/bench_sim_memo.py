@@ -1,16 +1,13 @@
 """Simulation-time benchmark: run-length trace kernels + simulation memo.
 
 Measures, with real wall clocks and the artifact cache disabled, what the
-two new perf layers buy:
+two perf layers buy:
 
 * **per-workload** — the three-strategy simulation bill (path-oracle,
   path-history, braid) under the reference configuration
-  (``trace_kernels="events"``, memo off) vs the shipped one
-  (``trace_kernels="rle"``, memo on), best of ``_REPEATS`` cold runs
-  each, with the outcomes checked identical;
-* **per-stage** — cold one-shot times for the memoizable sub-simulations
-  (memory calibration, host path costs) summed over the suite: these are
-  what the memo lets the three strategies pay once instead of thrice;
+  (:class:`~repro.sim.EventOracleSimulator`, memo off) vs the shipped
+  one (:class:`~repro.sim.OffloadSimulator`, memo on), best of
+  ``_REPEATS`` cold runs each, with the outcomes checked identical;
 * **suite-level** — cold full-suite wall clock in the shipped
   configuration, plus a warm artifact-cache pass whose speedup is gated
   against the floor recorded in the committed ``BENCH_sim.json``
@@ -26,7 +23,7 @@ import os
 import time
 
 from repro.options import PipelineOptions
-from repro.sim import KERNELS_EVENTS, KERNELS_RLE, OffloadSimulator
+from repro.sim import EventOracleSimulator, OffloadSimulator
 from repro.workloads.base import clear_profile_cache
 
 from .conftest import load_bench_json, save_result, update_bench_json
@@ -85,12 +82,9 @@ def test_sim_memo_speedup(suite):
     for w in suite:
         analysis = analyses[w.name]
         ref_t, ref_out = _best_of(
-            lambda: OffloadSimulator(memo=False, trace_kernels=KERNELS_EVENTS),
-            analysis,
+            lambda: EventOracleSimulator(memo=False), analysis,
         )
-        fast_t, fast_out = _best_of(
-            lambda: OffloadSimulator(trace_kernels=KERNELS_RLE), analysis,
-        )
+        fast_t, fast_out = _best_of(OffloadSimulator, analysis)
         # a wrong-but-fast simulator is worthless
         assert [vars(a) for a in fast_out] == [vars(b) for b in ref_out]
         per_workload.append({
@@ -99,19 +93,6 @@ def test_sim_memo_speedup(suite):
             "fast_seconds": fast_t,
             "speedup": ref_t / fast_t,
         })
-
-    # per-stage breakdown: what one cold pass over the suite spends in the
-    # memoizable sub-simulations (paid 3x without the memo, 1x with it)
-    stage = {"calibrate_seconds": 0.0, "path_costs_seconds": 0.0}
-    for w in suite:
-        profiled = analyses[w.name].profiled
-        sim = OffloadSimulator(memo=False)
-        t0 = time.perf_counter()
-        cal = sim.calibrate(profiled.trace)
-        stage["calibrate_seconds"] += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        sim.path_costs(profiled.paths, cal.host_load_latency)
-        stage["path_costs_seconds"] += time.perf_counter() - t0
 
     # suite-level wall clocks: cold (no artifact cache), then cold + warm
     # against a scratch cache for the gated warm-path speedup
@@ -140,7 +121,6 @@ def test_sim_memo_speedup(suite):
         "suite_size": len(suite),
         "repeats": _REPEATS,
         "per_workload": per_workload,
-        "per_stage_cold": stage,
         "workloads_at_least_%gx" % _SPEEDUP_BAR: n_fast,
         "cold_suite_seconds": cold_suite,
         "warm_suite_seconds": warm_suite,
@@ -149,8 +129,8 @@ def test_sim_memo_speedup(suite):
     })
 
     lines = [
-        "three-strategy simulation time, reference (events, no memo) vs "
-        "shipped (rle + memo); best of %d cold runs" % _REPEATS,
+        "three-strategy simulation time, reference (event oracle, no "
+        "memo) vs shipped (rle + memo); best of %d cold runs" % _REPEATS,
         "",
     ]
     for row in sorted(per_workload, key=lambda r: -r["speedup"]):
@@ -163,9 +143,6 @@ def test_sim_memo_speedup(suite):
         ">= %.0fx on %d/%d workloads (gate: at least %d)"
         % (_SPEEDUP_BAR, n_fast, len(suite),
            int(len(suite) * _SUITE_FRACTION + 0.5)),
-        "memoizable stages, cold, suite total: calibrate %.2f s, "
-        "path costs %.2f s" % (
-            stage["calibrate_seconds"], stage["path_costs_seconds"]),
         "cold suite %.2f s; warm artifact cache %.2f s (%.1fx, floor %.1fx)"
         % (cold_suite, warm_suite, warm_speedup, warm_floor),
     ]

@@ -134,12 +134,6 @@ class RunPredictorEvaluation:
     true_negatives: int = 0
     false_negatives: int = 0
 
-    #: the same segments as parallel (pids, invoke, lengths) columns —
-    #: arrays or lists — populated by the array-kernel replays so the
-    #: columnar census fold can skip the per-segment conversion.  Class
-    #: attribute default: absent unless a kernel provides it.
-    segment_columns = None
-
     @property
     def precision(self) -> float:
         d = self.true_positives + self.false_positives
@@ -221,176 +215,3 @@ def evaluate_predictor_runs(
             account(invoke, offloadable, tail)
             emit(pid, invoke, tail)
     return ev
-
-
-def _oracle_runs_array(runs, target_paths, predictor, np, columns=None):
-    """Closed-form oracle replay over run columns.
-
-    The oracle is stateless and history-free: every event of a run gets
-    the same decision (``pid in predictor.targets``), so each maximal
-    run collapses to one segment and the accuracy census to masked
-    length sums.  Returns ``None`` when the runs are not maximal
-    (adjacent equal path ids) — then segment merging reappears and the
-    sequential fold handles it.
-
-    ``columns`` is the (pids, lengths) column view of ``runs`` when the
-    caller already has it (:meth:`~repro.sim.trace_kernels.RLETrace.
-    columns` caches it per workload) — it skips the one remaining
-    Python-level pass over the run list.
-    """
-    if columns is not None:
-        pids, lens = columns
-        keep = lens > 0
-        if not bool(keep.all()):
-            pids, lens = pids[keep], lens[keep]
-        n = len(lens)
-        if n == 0:
-            return RunPredictorEvaluation()
-    else:
-        runs = [(pid, length) for pid, length in runs if length > 0]
-        if not runs:
-            return RunPredictorEvaluation()
-        n = len(runs)
-        flat = np.fromiter(
-            (x for run in runs for x in run), dtype=np.int64, count=2 * n
-        ).reshape(n, 2)
-        pids = flat[:, 0]
-        lens = flat[:, 1]
-    if n > 1 and bool((pids[1:] == pids[:-1]).any()):
-        return None
-
-    def column(ids):
-        if not ids:
-            return np.empty(0, dtype=np.int64)
-        return np.fromiter(ids, dtype=np.int64, count=len(ids))
-
-    invoke = np.isin(pids, column(predictor.targets))
-    offloadable = np.isin(pids, column(target_paths))
-    ev = RunPredictorEvaluation()
-    ev.true_positives = int(lens[invoke & offloadable].sum())
-    ev.false_positives = int(lens[invoke & ~offloadable].sum())
-    ev.false_negatives = int(lens[~invoke & offloadable].sum())
-    ev.true_negatives = int(lens[~invoke & ~offloadable].sum())
-    ev.segments = list(zip(pids.tolist(), invoke.tolist(), lens.tolist()))
-    ev.segment_columns = (pids, invoke, lens)
-    return ev
-
-
-def _history_runs_inlined(runs, target_paths, predictor, history_length):
-    """Specialised :func:`evaluate_predictor_runs` for the 2-bit table.
-
-    Same explicit-prefix/closed-tail structure, but with the predictor's
-    ``predict``/``update`` dispatch inlined against local bindings of
-    its table and thresholds — the batched pure-Python tier for the
-    predictor whose sequential table state defeats columnar replay.
-    """
-    ev = RunPredictorEvaluation()
-    # parallel segment columns with in-place merge: the columnar census
-    # fold downstream consumes them directly, and appending to three
-    # lists beats re-building a (pid, invoke, len) tuple on every merge
-    seg_pids: list = []
-    seg_invs: list = []
-    seg_lens: list = []
-    history: deque = deque(maxlen=history_length)
-    explicit_cap = history_length + _SATURATION_STEPS
-    table = predictor.table
-    init_counter = predictor.init_counter
-    invoke_threshold = predictor.invoke_threshold
-    tp = fp = tn = fn = 0
-
-    for pid, length in runs:
-        offloadable = pid in target_paths
-        explicit = min(length, explicit_cap)
-        for _ in range(explicit):
-            key = tuple(history)
-            c = table.get(key, init_counter)
-            invoke = c >= invoke_threshold
-            if invoke:
-                if offloadable:
-                    tp += 1
-                else:
-                    fp += 1
-            elif offloadable:
-                fn += 1
-            else:
-                tn += 1
-            if seg_pids and seg_pids[-1] == pid and seg_invs[-1] == invoke:
-                seg_lens[-1] += 1
-            else:
-                seg_pids.append(pid)
-                seg_invs.append(invoke)
-                seg_lens.append(1)
-            table[key] = min(3, c + 1) if offloadable else max(0, c - 1)
-            history.append(pid)
-        tail = length - explicit
-        if tail > 0:
-            invoke = (
-                table.get(tuple(history), init_counter) >= invoke_threshold
-            )
-            if invoke:
-                if offloadable:
-                    tp += tail
-                else:
-                    fp += tail
-            elif offloadable:
-                fn += tail
-            else:
-                tn += tail
-            if seg_pids and seg_pids[-1] == pid and seg_invs[-1] == invoke:
-                seg_lens[-1] += tail
-            else:
-                seg_pids.append(pid)
-                seg_invs.append(invoke)
-                seg_lens.append(tail)
-    ev.segments = list(zip(seg_pids, seg_invs, seg_lens))
-    ev.segment_columns = (seg_pids, seg_invs, seg_lens)
-    ev.true_positives = tp
-    ev.false_positives = fp
-    ev.true_negatives = tn
-    ev.false_negatives = fn
-    return ev
-
-
-def evaluate_predictor_runs_array(
-    runs: Sequence[Tuple[int, int]],
-    target_paths: Set[int],
-    predictor,
-    history_length: int = 3,
-    columns=None,
-) -> RunPredictorEvaluation:
-    """Array-kernel replay of an RLE path trace through a predictor.
-
-    Returns exactly what :func:`evaluate_predictor_runs` returns (the
-    trace-kernel property tests enforce equality) but picks the fastest
-    evaluation shape per predictor type:
-
-    * :class:`OraclePredictor` — fully closed form over (pid, length)
-      columns: stateless decisions make every run one segment and the
-      accuracy census four masked sums.
-    * :class:`HistoryPredictor` — the sequential run fold with the
-      table dispatch inlined (per-key saturating state is inherently
-      sequential; the run fold is already O(#runs)).
-    * anything else — delegates to the generic run fold.
-
-    Without numpy (or with :data:`~repro.sim.array_kernels.
-    FORCE_PYTHON_ENV` set) the generic/inlined folds *are* the batched
-    pure-Python fallback.
-
-    ``columns`` is an optional pre-built (pids, lengths) column view of
-    ``runs`` (see :meth:`~repro.sim.trace_kernels.RLETrace.columns`);
-    the oracle path uses it to skip rebuilding the columns per call.
-    """
-    from ..sim.array_kernels import get_numpy
-
-    np = get_numpy()
-    if np is not None and type(predictor) is OraclePredictor:
-        ev = _oracle_runs_array(runs, target_paths, predictor, np, columns)
-        if ev is not None:
-            return ev
-    if type(predictor) is HistoryPredictor:
-        return _history_runs_inlined(
-            runs, target_paths, predictor, history_length
-        )
-    return evaluate_predictor_runs(
-        runs, target_paths, predictor, history_length
-    )

@@ -28,9 +28,8 @@ Python API uses.  Suite sweeps are fail-safe: ``--timeout``,
 ``--retries`` and ``--fail-fast`` control the retry/quarantine policy
 (quarantined workloads render as ``failed:<kind>`` rows), and
 ``--fault-plan plan.json`` injects a deterministic chaos plan
-(docs/resilience.md).  ``--trace-kernels events`` selects the
-event-by-event reference accounting and ``--no-sim-memo`` disables the
-cross-strategy simulation memo — both bitwise-neutral, perf-only knobs
+(docs/resilience.md).  ``--no-sim-memo`` disables the cross-strategy
+simulation memo — a bitwise-neutral, perf-only knob
 (docs/performance.md).
 
 Suite sweeps are also *crash-safe*: ``--journal-dir DIR`` (or

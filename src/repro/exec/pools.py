@@ -596,7 +596,7 @@ class ProcessPool(Pool):
 
     This is the fix for the old executor's per-sweep costs: workers are
     forked once (inheriting every already-loaded module, so the
-    interpreter/numpy import bill is paid zero extra times), stay warm
+    import bill is paid zero extra times), stay warm
     across tasks, and receive submissions in batches over their pipe.
     Each worker reports ``("start", ticket)`` before executing, giving
     the parent exact knowledge of *which* task a dead worker was running

@@ -89,12 +89,6 @@ class PipelineOptions:
                      retrying/quarantining.
     ``fault_plan``   a :class:`~repro.resilience.FaultPlan` (or a path to
                      its JSON form) injected into the run — chaos testing.
-    ``trace_kernels`` offload-accounting kernels: ``"rle"`` (closed-form
-                     run folds, the default), ``"events"`` (the
-                     event-by-event reference path) or ``"array"``
-                     (columnar batch kernels; numpy when available,
-                     batched pure Python otherwise).  All modes give
-                     bitwise-identical outcomes, property-tested.
     ``no_sim_memo``  disable the cross-strategy simulation memo (every
                      strategy recomputes calibration/path costs/schedules).
     ``journal_dir``  write a crash-safe run journal for suite sweeps
@@ -146,7 +140,6 @@ class PipelineOptions:
     retries: int = 2
     fail_fast: bool = False
     fault_plan: "Optional[object]" = None  # FaultPlan | str path to JSON
-    trace_kernels: str = "rle"
     no_sim_memo: bool = False
     journal_dir: Optional[str] = None
     run_id: Optional[str] = None
@@ -430,15 +423,6 @@ class PipelineOptions:
             metavar="PATH",
             help="inject the deterministic fault plan described by this "
             "JSON file (chaos testing; see docs/resilience.md)",
-        )
-        parser.add_argument(
-            "--trace-kernels",
-            choices=("rle", "events", "array"),
-            default=cls.trace_kernels,
-            help="offload-accounting kernels: closed-form run folds "
-            "('rle', default), the event-by-event reference path "
-            "('events'), or columnar batch kernels ('array'; numpy "
-            "when available); outcomes are bitwise-identical",
         )
         parser.add_argument(
             "--no-sim-memo",

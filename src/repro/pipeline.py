@@ -43,7 +43,6 @@ import logging
 import os
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -60,7 +59,7 @@ from .exec import worker as _exec_worker
 from .exec.pools import SerialPool
 from .frames.frame import Frame, build_frame
 from .obs.instruments import publish_workload_evaluation
-from .options import PipelineOptions, validate_jobs, validate_pool
+from .options import PipelineOptions, validate_pool
 from .profiling.ranking import RankedPath, rank_paths
 from .resilience import faults as _faults
 from .resilience.faults import (
@@ -88,18 +87,12 @@ from .resilience.shutdown import (
 )
 from .regions.braid import Braid, build_braids
 from .regions.path_region import path_to_region
-from .sim.array_kernels import backend_name
 from .sim.config import DEFAULT_CONFIG, SystemConfig
 from .sim.memo import SimulationMemo
 from .sim.offload import OffloadOutcome, OffloadSimulator
-from .sim.trace_kernels import KERNEL_MODE_LABELS, KERNELS_ARRAY
 from .workloads.base import ProfiledWorkload, Workload, profile_workload
 
 log = logging.getLogger(__name__)
-
-#: distinguishes "caller passed jobs explicitly" (deprecated) from the
-#: default of deferring to ``PipelineOptions``
-_UNSET = object()
 
 
 @dataclass
@@ -243,7 +236,7 @@ class WorkloadEvaluation:
     """Step 3 products: the Fig. 9 / Fig. 10 data points.
 
     Every field is a flat summary dataclass, so evaluations pickle cheaply
-    — that is what lets ``evaluate_all(jobs=N)`` ship them between worker
+    — that is what lets a ``jobs=N`` sweep ship them between worker
     processes and the artifact cache persist them verbatim.
     """
 
@@ -296,7 +289,6 @@ class NeedlePipeline:
         self.simulator = OffloadSimulator(
             self.config,
             memo=False if self.sim_memo is None else self.sim_memo,
-            trace_kernels=self.options.trace_kernels,
         )
         self._analyses: Dict[str, WorkloadAnalysis] = {}
         self._evaluations: Dict[str, WorkloadEvaluation] = {}
@@ -364,19 +356,6 @@ class NeedlePipeline:
                       time.perf_counter() - t0,
                       help="wall time to produce one evaluation",
                       workload=workload.name)
-            # recorded here as well as in the simulator so cache-served
-            # evaluations still state which kernel tier is configured
-            obs.gauge("sim.kernel_mode", 1.0,
-                      help="which trace-kernel tier and backend produced "
-                           "this simulation (value is always 1; the "
-                           "labels carry the information)",
-                      workload=workload.name,
-                      mode=KERNEL_MODE_LABELS[self.simulator.trace_kernels],
-                      backend=(
-                          backend_name()
-                          if self.simulator.trace_kernels == KERNELS_ARRAY
-                          else "python"
-                      ))
             publish_workload_evaluation(evaluation)
         self._evaluations[workload.name] = evaluation
         return evaluation
@@ -469,14 +448,14 @@ class NeedlePipeline:
 
     # -- suite sweeps -----------------------------------------------------------------
 
-    def analyse_all(self, workloads, jobs=_UNSET) -> List[WorkloadAnalysis]:
+    def analyse_all(self, workloads) -> List[WorkloadAnalysis]:
         """Analyse a suite; :class:`~repro.options.PipelineOptions`
         decides the pool backend and width (see :meth:`evaluate_all`)."""
         return self._sweep(
-            "analyse", _analyse_worker, self._analyses, workloads, jobs
+            "analyse", _analyse_worker, self._analyses, workloads
         )
 
-    def evaluate_all(self, workloads, jobs=_UNSET) -> List[WorkloadEvaluation]:
+    def evaluate_all(self, workloads) -> List[WorkloadEvaluation]:
         """Evaluate a suite, sharded over the configured worker pool.
 
         ``PipelineOptions(jobs=N, pool=...)`` drives execution: ``pool``
@@ -488,9 +467,6 @@ class NeedlePipeline:
         pool only changes *where* a workload is computed.  Invalid
         ``jobs`` values (< 1) warn and fall back to serial.
 
-        Passing ``jobs=`` here directly is deprecated — configure the
-        pipeline's options instead.
-
         A workload that keeps failing (exception, timeout, worker crash)
         is retried per :class:`~repro.options.PipelineOptions` and then
         quarantined: its slot in the returned list holds a
@@ -499,21 +475,10 @@ class NeedlePipeline:
         :class:`~repro.resilience.WorkloadExecutionError`.
         """
         return self._sweep(
-            "evaluate", _evaluate_worker, self._evaluations, workloads, jobs
+            "evaluate", _evaluate_worker, self._evaluations, workloads
         )
 
     # -- fan-out helpers ----------------------------------------------------
-
-    def _resolve_jobs(self, jobs, method: str) -> Optional[int]:
-        if jobs is _UNSET:
-            return self.options.normalized_jobs()
-        warnings.warn(
-            "%s_all(jobs=N) is deprecated; configure the sweep with "
-            "PipelineOptions(jobs=..., pool=...) instead" % method,
-            DeprecationWarning,
-            stacklevel=4,
-        )
-        return validate_jobs(jobs)
 
     def _execution_plan(self, jobs: Optional[int], n_todo: int):
         """Resolve ``(backend name, pool width)`` for a sweep with
@@ -536,9 +501,9 @@ class NeedlePipeline:
             return "serial", 1
         return backend, min(jobs, n_todo)
 
-    def _sweep(self, method, worker_fn, memo: Dict, workloads, jobs) -> List:
+    def _sweep(self, method, worker_fn, memo: Dict, workloads) -> List:
         workloads = list(workloads)
-        jobs = self._resolve_jobs(jobs, method)
+        jobs = self.options.normalized_jobs()
         # journaling (and therefore resume) applies to evaluation sweeps:
         # those are the long batch jobs whose partial results are worth
         # keeping; analyse memos are a cheap byproduct of evaluation
@@ -765,7 +730,7 @@ class NeedlePipeline:
             pool=backend,
             policy=self.options.failure_policy(),
             task_args=(self.config, cache_root, collect,
-                       self.options.trace_kernels, self.options.no_sim_memo),
+                       self.options.no_sim_memo),
             plan=self._fault_plan(),
             key_fn=lambda w: w.name,
             on_result=_absorb,
@@ -851,7 +816,6 @@ _WORKER_TLS = threading.local()
 def _worker_pipeline(
     config: SystemConfig,
     cache_root: Optional[str],
-    trace_kernels: str = "rle",
     no_sim_memo: bool = False,
 ) -> NeedlePipeline:
     """The warm per-worker pipeline, rebuilt only when the sweep
@@ -866,7 +830,6 @@ def _worker_pipeline(
     key = (
         config_fingerprint(config) if config is not None else None,
         cache_root,
-        trace_kernels,
         bool(no_sim_memo),
     )
     if getattr(_WORKER_TLS, "key", None) == key:
@@ -875,7 +838,6 @@ def _worker_pipeline(
     opts = PipelineOptions(
         config=config,
         no_cache=cache is None,
-        trace_kernels=trace_kernels,
         no_sim_memo=no_sim_memo,
     )
     pipe = NeedlePipeline(config, cache=cache, options=opts)
@@ -911,7 +873,7 @@ def _consult_worker_faults(name: str) -> None:
 
 
 def _run_worker(method, workload, config, cache_root, collect: bool,
-                trace_kernels: str = "rle", no_sim_memo: bool = False,
+                no_sim_memo: bool = False,
                 plan: Optional[FaultPlan] = None, attempt: int = 0):
     """Run one workload in a pool worker, optionally collecting obs data
     into a private registry whose snapshot rides back with the result.
@@ -927,7 +889,7 @@ def _run_worker(method, workload, config, cache_root, collect: bool,
     _faults.install(plan, attempt=attempt)
     try:
         _consult_worker_faults(workload.name)
-        pipe = _worker_pipeline(config, cache_root, trace_kernels, no_sim_memo)
+        pipe = _worker_pipeline(config, cache_root, no_sim_memo)
         try:
             if not collect:
                 result = getattr(pipe, method)(workload)
@@ -958,13 +920,12 @@ def _analyse_worker(
     config: SystemConfig,
     cache_root: Optional[str],
     collect: bool = False,
-    trace_kernels: str = "rle",
     no_sim_memo: bool = False,
     plan: Optional[FaultPlan] = None,
     attempt: int = 0,
 ):
     return _run_worker("analyse", workload, config, cache_root, collect,
-                       trace_kernels, no_sim_memo, plan, attempt)
+                       no_sim_memo, plan, attempt)
 
 
 def _evaluate_worker(
@@ -972,13 +933,12 @@ def _evaluate_worker(
     config: SystemConfig,
     cache_root: Optional[str],
     collect: bool = False,
-    trace_kernels: str = "rle",
     no_sim_memo: bool = False,
     plan: Optional[FaultPlan] = None,
     attempt: int = 0,
 ):
     return _run_worker("evaluate", workload, config, cache_root, collect,
-                       trace_kernels, no_sim_memo, plan, attempt)
+                       no_sim_memo, plan, attempt)
 
 
 __all__ = [

@@ -8,6 +8,7 @@ banked L2 over DRAM for the host, while the accelerator port bypasses the L1
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -83,13 +84,18 @@ class BankedL2:
 
     def __init__(self, hierarchy: MemoryHierarchyConfig):
         self.hierarchy = hierarchy
-        per_bank = CacheConfig(
+        per_bank = self.bank_config(hierarchy)
+        self.banks = [Cache(per_bank) for _ in range(hierarchy.l2_banks)]
+
+    @staticmethod
+    def bank_config(hierarchy: MemoryHierarchyConfig) -> CacheConfig:
+        """One bank's geometry: the L2 capacity split evenly over banks."""
+        return CacheConfig(
             size_bytes=hierarchy.l2.size_bytes // hierarchy.l2_banks,
             associativity=hierarchy.l2.associativity,
             line_bytes=hierarchy.l2.line_bytes,
             latency=hierarchy.l2.latency,
         )
-        self.banks = [Cache(per_bank) for _ in range(hierarchy.l2_banks)]
 
     def bank_for(self, addr: int) -> Cache:
         line = addr // self.hierarchy.l2.line_bytes
@@ -244,16 +250,11 @@ class MemorySystem:
         """Replay an (opcode, address) stream; returns average latencies."""
         access, finish = self._compile_port(port)
         load_lat = load_n = store_lat = store_n = 0
-        l1_n = l2_n = dram_n = 0
+        levels = [0, 0, 0]
         for opcode, addr in stream:
             is_store = opcode == "store"
             lat, level = access(addr, is_store)
-            if level == 0:
-                l1_n += 1
-            elif level == 1:
-                l2_n += 1
-            else:
-                dram_n += 1
+            levels[level] += 1
             if is_store:
                 store_lat += lat
                 store_n += 1
@@ -261,13 +262,7 @@ class MemorySystem:
                 load_lat += lat
                 load_n += 1
         finish()
-        return StreamProfile(
-            avg_load_latency=(load_lat / load_n) if load_n else 0.0,
-            avg_store_latency=(store_lat / store_n) if store_n else 0.0,
-            loads=load_n,
-            stores=store_n,
-            level_counts={"l1": l1_n, "l2": l2_n, "dram": dram_n},
-        )
+        return _stream_profile(load_lat, load_n, store_lat, store_n, levels)
 
 
 @dataclass
@@ -281,24 +276,115 @@ class StreamProfile:
     level_counts: Dict[str, int] = field(default_factory=dict)
 
 
+def _stream_profile(load_lat: int, loads: int, store_lat: int, stores: int,
+                    levels) -> StreamProfile:
+    """A :class:`StreamProfile` from integer latency sums and the
+    (l1, l2, dram) access counts — one division per average, so every
+    producer of the same sums returns the same floats."""
+    return StreamProfile(
+        avg_load_latency=(load_lat / loads) if loads else 0.0,
+        avg_store_latency=(store_lat / stores) if stores else 0.0,
+        loads=loads,
+        stores=stores,
+        level_counts={"l1": levels[0], "l2": levels[1], "dram": levels[2]},
+    )
+
+
 def profile_stream_dual(
     hierarchy: Optional[MemoryHierarchyConfig], stream
 ) -> Tuple[StreamProfile, StreamProfile]:
-    """Replay one (opcode, address) stream through a host-port and an
-    accel-port :class:`MemorySystem` in a single pass.
+    """Profiles of one (opcode, address) stream through a host-port and an
+    accel-port :class:`MemorySystem`, both starting cold.
 
-    Each port owns its own MemorySystem, so their cache states are
-    disjoint and the interleaved walk produces exactly the profiles two
-    sequential :meth:`MemorySystem.profile_stream` replays would — the
-    stream (usually the longest array in a profiled workload) is just
-    traversed once instead of twice.
+    Field for field what two separate :meth:`MemorySystem.profile_stream`
+    replays (``"host"`` then ``"accel"``) return.  Streams whose caches
+    never evict — every suite stream on the default hierarchy — take the
+    first-touch closed form; the rest take the exact interleaved replay.
     """
-    host = MemorySystem(hierarchy)
-    accel = MemorySystem(hierarchy)
-    h_access, h_finish = host._compile_port("host")
-    a_access, a_finish = accel._compile_port("accel")
-    h_load_lat = h_load_n = h_store_lat = h_store_n = 0
-    a_load_lat = a_load_n = a_store_lat = a_store_n = 0
+    hier = hierarchy or MemoryHierarchyConfig()
+    if not isinstance(stream, (list, tuple)):
+        stream = list(stream)
+    profiles = _first_touch_dual(hier, stream)
+    if profiles is None:
+        profiles = _replay_dual(hier, stream)
+    return profiles
+
+
+def _first_touch_dual(
+    hier: MemoryHierarchyConfig, stream
+) -> Optional[Tuple[StreamProfile, StreamProfile]]:
+    """Closed form of :func:`profile_stream_dual`, or ``None`` when it
+    would not be exact.
+
+    Both ports start from empty caches, and an LRU set that sees at most
+    ``associativity`` distinct lines over the whole stream never evicts.
+    With one line size for both levels, "hit" is then exactly "not the
+    first access to this line":
+
+    * host port: L1 hit iff the line was touched before.  L1 misses are
+      first touches, so the L2 sees each distinct line once and every L1
+      miss goes to DRAM, whatever the L2 geometry.
+    * accel port: nothing inserts into its L1, so the coherence probe
+      never fires and the port is a pure banked L2 — hit iff not a first
+      touch, provided no (bank, set) sees more distinct lines than the
+      L2 associativity.
+    * dirty bits and writebacks change cache statistics only, never hit,
+      miss or latency, so loads and stores classify alike.
+
+    The latency sums are integers divided once, as in the replay, so the
+    averages are bit-identical.
+    """
+    line_bytes = hier.l1.line_bytes
+    if hier.l2.line_bytes != line_bytes:
+        return None
+    # walked backwards, each line's entry is overwritten last by its
+    # first access: distinct lines -> opcode of the first touch
+    first_op: Dict[int, str] = {}
+    stores = 0
+    for opcode, addr in reversed(stream):
+        first_op[addr // line_bytes] = opcode
+        if opcode == "store":
+            stores += 1
+    l1_sets = hier.l1.sets
+    l1_lines = Counter(line % l1_sets for line in first_op)
+    if max(l1_lines.values(), default=0) > hier.l1.associativity:
+        return None
+    banks = hier.l2_banks
+    bank_sets = BankedL2.bank_config(hier).sets
+    l2_lines = Counter((line % banks, line % bank_sets) for line in first_op)
+    if max(l2_lines.values(), default=0) > hier.l2.associativity:
+        return None
+
+    loads = len(stream) - stores
+    distinct = len(first_op)
+    first_stores = list(first_op.values()).count("store")
+    first_loads = distinct - first_stores
+    l1_lat = hier.l1.latency
+    l2_lat = hier.l2.latency
+    miss = l2_lat + hier.dram_latency
+    host = _stream_profile(
+        first_loads * (l1_lat + miss) + (loads - first_loads) * l1_lat, loads,
+        first_stores * (l1_lat + miss) + (stores - first_stores) * l1_lat,
+        stores, (len(stream) - distinct, 0, distinct),
+    )
+    accel = _stream_profile(
+        first_loads * miss + (loads - first_loads) * l2_lat, loads,
+        first_stores * miss + (stores - first_stores) * l2_lat, stores,
+        (0, len(stream) - distinct, distinct),
+    )
+    return host, accel
+
+
+def _replay_dual(
+    hier: MemoryHierarchyConfig, stream
+) -> Tuple[StreamProfile, StreamProfile]:
+    """Exact replay of one stream through a host-port and an accel-port
+    :class:`MemorySystem` in a single interleaved pass (each port owns
+    its own caches, so the walk equals two sequential replays)."""
+    h_access, h_finish = MemorySystem(hier)._compile_port("host")
+    a_access, a_finish = MemorySystem(hier)._compile_port("accel")
+    h_load_lat = h_store_lat = a_load_lat = a_store_lat = 0
+    load_n = store_n = 0
     h_levels = [0, 0, 0]
     a_levels = [0, 0, 0]
     for opcode, addr in stream:
@@ -309,120 +395,15 @@ def profile_stream_dual(
         a_levels[a_level] += 1
         if is_store:
             h_store_lat += lat
-            h_store_n += 1
             a_store_lat += a_lat
-            a_store_n += 1
+            store_n += 1
         else:
             h_load_lat += lat
-            h_load_n += 1
             a_load_lat += a_lat
-            a_load_n += 1
+            load_n += 1
     h_finish()
     a_finish()
-    host_profile = StreamProfile(
-        avg_load_latency=(h_load_lat / h_load_n) if h_load_n else 0.0,
-        avg_store_latency=(h_store_lat / h_store_n) if h_store_n else 0.0,
-        loads=h_load_n,
-        stores=h_store_n,
-        level_counts={"l1": h_levels[0], "l2": h_levels[1], "dram": h_levels[2]},
+    return (
+        _stream_profile(h_load_lat, load_n, h_store_lat, store_n, h_levels),
+        _stream_profile(a_load_lat, load_n, a_store_lat, store_n, a_levels),
     )
-    accel_profile = StreamProfile(
-        avg_load_latency=(a_load_lat / a_load_n) if a_load_n else 0.0,
-        avg_store_latency=(a_store_lat / a_store_n) if a_store_n else 0.0,
-        loads=a_load_n,
-        stores=a_store_n,
-        level_counts={"l1": a_levels[0], "l2": a_levels[1], "dram": a_levels[2]},
-    )
-    return host_profile, accel_profile
-
-
-def profile_stream_dual_array(
-    hierarchy: Optional[MemoryHierarchyConfig], stream
-) -> Tuple[StreamProfile, StreamProfile]:
-    """Closed-form array replay of :func:`profile_stream_dual`.
-
-    Exactness argument.  Both ports start from empty caches and share one
-    line size, and an LRU set that sees at most ``associativity``
-    *distinct* lines over the whole stream never evicts — so in that
-    regime "hit" is exactly "not the first access to this line":
-
-    * host port: L1 hit ⟺ the line was touched before.  L1 misses are
-      first touches, so the L2 (and DRAM) see each distinct line exactly
-      once — every L1 miss goes to DRAM regardless of L2 geometry.
-    * accel port: its :class:`MemorySystem` L1 is never filled (nothing
-      inserts through the accel port), so the coherence probe never
-      fires and the port is a pure banked L2 — hit ⟺ not a first touch,
-      provided no combined (bank, set) exceeds the L2 associativity.
-    * dirty bits and writebacks change statistics only, never hit/miss
-      or latency, so loads and stores classify identically.
-
-    The per-set distinct-line counts are checked up front; any overflow
-    (possible for adversarial streams, never observed on the suite)
-    falls back to the exact sequential replay, as does the pure-Python
-    backend — either way the returned profiles are bit-identical to
-    :func:`profile_stream_dual` (integer latency sums, same divisions).
-    """
-    from .array_kernels import get_numpy
-
-    np = get_numpy()
-    hier = hierarchy or MemoryHierarchyConfig()
-    if np is None or hier.l1.line_bytes != hier.l2.line_bytes:
-        return profile_stream_dual(hierarchy, stream)
-    if not isinstance(stream, (list, tuple)):
-        stream = list(stream)
-    n = len(stream)
-    if n == 0:
-        return profile_stream_dual(hierarchy, stream)
-
-    addrs = np.fromiter((addr for _, addr in stream), np.int64, count=n)
-    is_store = np.fromiter(
-        (op == "store" for op, _ in stream), bool, count=n
-    )
-    lines = addrs // hier.l1.line_bytes
-    _, first_idx = np.unique(lines, return_index=True)
-    distinct = lines[first_idx]
-
-    # closed form is valid only while no set can ever evict
-    l1_per_set = np.bincount(distinct % hier.l1.sets)
-    if l1_per_set.size and int(l1_per_set.max()) > hier.l1.associativity:
-        return profile_stream_dual(hierarchy, stream)
-    per_bank_sets = (hier.l2.size_bytes // hier.l2_banks) // (
-        hier.l2.associativity * hier.l2.line_bytes
-    )
-    l2_set = (distinct % hier.l2_banks) * per_bank_sets + (
-        distinct % per_bank_sets
-    )
-    l2_per_set = np.bincount(l2_set)
-    if l2_per_set.size and int(l2_per_set.max()) > hier.l2.associativity:
-        return profile_stream_dual(hierarchy, stream)
-
-    first = np.zeros(n, dtype=bool)
-    first[first_idx] = True
-    l1_lat = hier.l1.latency
-    l2_lat = hier.l2.latency
-    host_lat = np.where(first, l1_lat + l2_lat + hier.dram_latency, l1_lat)
-    accel_lat = np.where(first, l2_lat + hier.dram_latency, l2_lat)
-
-    loads = ~is_store
-    n_stores = int(is_store.sum())
-    n_loads = n - n_stores
-    n_distinct = int(first_idx.size)
-    h_load_lat = int(host_lat[loads].sum())
-    h_store_lat = int(host_lat[is_store].sum())
-    a_load_lat = int(accel_lat[loads].sum())
-    a_store_lat = int(accel_lat[is_store].sum())
-    host_profile = StreamProfile(
-        avg_load_latency=(h_load_lat / n_loads) if n_loads else 0.0,
-        avg_store_latency=(h_store_lat / n_stores) if n_stores else 0.0,
-        loads=n_loads,
-        stores=n_stores,
-        level_counts={"l1": n - n_distinct, "l2": 0, "dram": n_distinct},
-    )
-    accel_profile = StreamProfile(
-        avg_load_latency=(a_load_lat / n_loads) if n_loads else 0.0,
-        avg_store_latency=(a_store_lat / n_stores) if n_stores else 0.0,
-        loads=n_loads,
-        stores=n_stores,
-        level_counts={"l1": 0, "l2": n - n_distinct, "dram": n_distinct},
-    )
-    return host_profile, accel_profile

@@ -24,27 +24,21 @@ Two keying tiers:
   attempt already computed.
 * **identity keys** — with no artifact cache the memo falls back to
   keying by object identity (the trace / profile / frame instance), which
-  still gives full cross-strategy sharing within a pipeline.  The
-  vectorized OOO walk keeps two identity-only tables of its own, both
-  anchored on the profile: ``"ooo_columns"`` (compiled
-  :class:`~repro.sim.ooo_columns.CompiledPath` programs, keyed by the
-  host config and rounded fixed latency — rep counts deliberately
-  excluded, programs are rep-count independent) and ``"lane_tier"``
-  (the memoized walk-tier decision, so geometry heuristics are derived
-  once per (workload, config) rather than per call).
+  still gives full cross-strategy sharing within a pipeline.  Schedules,
+  the braid effective II and the run-length trace view are always
+  identity-keyed.
 
 The memo is picklable via :meth:`snapshot`/:meth:`merge` (content entries
 only), and pool workers ship their snapshots back with each result the
 same way obs registry snapshots travel, so the parent's memo warms up as
 a sharded sweep progresses.
 
-Kernel modes and keys: the ``trace_kernels`` mode ("rle", "events",
-"array") is deliberately *absent* from every memo key.  All kernel tiers
-produce bitwise-identical calibrations, path-cost tables and outcomes
-(property-tested three ways), so entries computed under one mode are
-valid under any other — a cache-served run therefore reports the mode it
-*would* have used via the ``sim.kernel_mode`` gauge, while the numbers
-themselves are mode-independent by construction.
+Nothing about *how* a value was computed enters a key.  Calibration
+takes the first-touch closed form or the exact replay
+(:func:`~repro.sim.cache.profile_stream_dual`), and both give the same
+bits.  :class:`~repro.sim.offload.EventOracleSimulator` differs from
+production only in the census fold, which is never memoized, so it can
+share every table.
 """
 
 from __future__ import annotations

@@ -10,18 +10,18 @@ undo-log rollback, and the host re-execution of the actual path.
 
 Host path costs come from the OOO model with loop-carried pipelining
 captured by amortising over repeated executions; memory latencies for both
-sides come from replaying the recorded address stream through the cache
+sides come from profiling the recorded address stream through the cache
 hierarchy (host port vs. uncore accelerator port) in one dual-port pass.
 
 Two performance layers keep whole-suite sweeps cheap without changing a
 single simulated number:
 
 * **run-length trace kernels** — the trace accounting folds an integer
-  :class:`~repro.sim.trace_kernels.ChargeCensus` instead of walking the
-  event stream, and the census comes from either the O(#runs) RLE kernel
-  (default) or the O(#events) reference kernel
-  (``trace_kernels="events"``); both produce the same census, so the
-  shared census→cycles/energy fold is bitwise-identical by construction;
+  :class:`~repro.sim.trace_kernels.ChargeCensus` from the O(#runs) RLE
+  kernel instead of walking the event stream;
+  :class:`EventOracleSimulator` computes the same census event by event
+  (the reference tests compare against), so the shared
+  census→cycles/energy fold is bitwise-identical by construction;
 * **simulation memo** — calibration, per-path host costs, CGRA schedules
   and the braid's effective II are memoized per (input, config slice) in
   a :class:`~repro.sim.memo.SimulationMemo`, so the three strategies the
@@ -64,19 +64,13 @@ from ..obs.timeline import TimelineEvent
 from ..profiling.ranking import count_ops
 from ..interp.events import FunctionTrace
 from ..profiling.path_profile import PathProfile
-from .array_kernels import backend_name, census_from_segments_array
-from .cache import profile_stream_dual, profile_stream_dual_array
+from .cache import profile_stream_dual
 from .config import DEFAULT_CONFIG, SystemConfig
 from .core_ooo import OOOModel, OOOResult
-from .ooo_columns import simulate_paths_tiered
 from .energy import EnergyModel
 from .memo import Calibration, SimulationMemo, content_key
 from .trace_kernels import (
-    KERNEL_MODE_LABELS,
-    KERNEL_MODES,
-    KERNELS_ARRAY,
-    KERNELS_EVENTS,
-    KERNELS_RLE,
+    ChargeCensus,
     census_from_events,
     census_from_segments,
     iter_segment_charges,
@@ -156,6 +150,13 @@ def _freeze(attr: Dict[str, List[float]]) -> Dict[str, Tuple[float, float]]:
     return {cls: (v[0], v[1]) for cls, v in attr.items()}
 
 
+def _predictor(kind: str, targets: Set[int]):
+    """A fresh invocation predictor: ``"oracle"`` or the history table."""
+    from ..accel.invocation import HistoryPredictor, OraclePredictor
+
+    return OraclePredictor(targets) if kind == "oracle" else HistoryPredictor()
+
+
 @dataclass(frozen=True)
 class _SummaryFailure:
     """A braid constituent whose recurrence summary could not be built;
@@ -193,22 +194,15 @@ class _FrameCostModel:
 class OffloadSimulator:
     """Simulates host-only and Needle-offloaded execution of one workload.
 
-    ``memo``           a shared :class:`~repro.sim.memo.SimulationMemo`
-                       (``None`` = a fresh private one; ``False`` =
-                       disable memoization — every call recomputes).
-    ``trace_kernels``  ``"rle"`` (closed-form run folds, the default),
-                       ``"events"`` (the event-by-event reference path)
-                       or ``"array"`` (columnar batch kernels — numpy
-                       when available, batched pure Python otherwise).
-                       All three produce bitwise-identical outcomes;
-                       memo entries are therefore shared across modes.
+    ``memo``  a shared :class:`~repro.sim.memo.SimulationMemo` (``None``
+              = a fresh private one; ``False`` = disable memoization —
+              every call recomputes).
     """
 
     def __init__(
         self,
         config: Optional[SystemConfig] = None,
         memo: "Optional[SimulationMemo | bool]" = None,
-        trace_kernels: str = KERNELS_RLE,
     ):
         self.config = config or DEFAULT_CONFIG
         self.energy_model = EnergyModel(self.config.energy, self.config.cgra)
@@ -218,12 +212,6 @@ class OffloadSimulator:
             self.memo = SimulationMemo()
         else:
             self.memo = memo
-        if trace_kernels not in KERNEL_MODES:
-            raise ValueError(
-                "trace_kernels must be one of %r, got %r"
-                % (KERNEL_MODES, trace_kernels)
-            )
-        self.trace_kernels = trace_kernels
 
     # -- memory latency calibration ------------------------------------------------
 
@@ -234,14 +222,15 @@ class OffloadSimulator:
     ) -> Calibration:
         """Memory calibration of one workload, both ports at once.
 
-        A single dual-port pass over the recorded address stream yields
-        average load latencies *and* the per-level access censuses (the
-        simulated cache hit/miss numbers the obs layer reports); L1/L2
-        hit latencies when there is no stream.  Memoized per (workload,
-        memory config) — persistently through the artifact cache when
-        ``artifact_key`` pins the workload's content — so the three
-        offload strategies and any sweep point that keeps the memory
-        hierarchy fixed share one replay.
+        One dual-port profile of the recorded address stream
+        (:func:`~repro.sim.cache.profile_stream_dual`) yields average load
+        latencies *and* the per-level access censuses (the simulated cache
+        hit/miss numbers the obs layer reports); L1/L2 hit latencies when
+        there is no stream.  Memoized per (workload, memory config) —
+        persistently through the artifact cache when ``artifact_key``
+        pins the workload's content — so the three offload strategies and
+        any sweep point that keeps the memory hierarchy fixed share one
+        profile.
         """
 
         def compute() -> Calibration:
@@ -251,12 +240,7 @@ class OffloadSimulator:
             host_levels: Dict[str, int] = {}
             accel_levels: Dict[str, int] = {}
             if trace is not None and trace.memory:
-                profiler = (
-                    profile_stream_dual_array
-                    if self.trace_kernels == KERNELS_ARRAY
-                    else profile_stream_dual
-                )
-                host_prof, accel_prof = profiler(hier, trace.memory)
+                host_prof, accel_prof = profile_stream_dual(hier, trace.memory)
                 host_levels = dict(host_prof.level_counts)
                 accel_levels = dict(accel_prof.level_counts)
                 if host_prof.loads:
@@ -295,57 +279,16 @@ class OffloadSimulator:
         averaged.  Memoized per (profile, host config, rounded load
         latency) — the OOO model only sees the rounded integer latency,
         so sweep points that round alike share one table.
-
-        Under the array kernel tier the replay dispatches through
-        :func:`~repro.sim.ooo_columns.simulate_paths_tiered`: the
-        vectorized columnar walk, the lockstep batch or the scalar
-        record walk, picked once per (profile, config) by
-        :func:`~repro.sim.ooo_columns.select_lane_tier` and recorded in
-        the ``sim.lane_tier`` obs counter (per simulated path, with the
-        tier, executing backend and heuristic rejection reason).  Every
-        tier returns the same bits, so the choice only moves time.
         """
         fixed_latency = max(1, int(round(host_load_latency)))
         host_cfg = repr(self.config.host)
 
         def compute() -> Dict[int, PathCost]:
             model = OOOModel(self.config.host, fixed_load_latency=fixed_latency)
-            plan = [
-                (
-                    pid,
-                    tuple(profile.decode(pid)),
-                    amortise_reps if count >= amortise_reps else 1,
-                )
-                for pid, count in profile.counts.items()
-            ]
-            if self.trace_kernels == KERNELS_ARRAY:
-                stats: Dict[str, object] = {}
-                results = simulate_paths_tiered(
-                    model, plan,
-                    memo=self.memo, anchor=profile,
-                    anchor_extra=(host_cfg, fixed_latency),
-                    stats=stats,
-                )
-                decision = stats.get("decision")
-                if decision is not None and _obs_enabled():
-                    _obs_counter(
-                        "sim.lane_tier", max(len(plan), 1),
-                        help="simulated paths per OOO walk tier "
-                             "(vector/batch/scalar), labelled with the "
-                             "executing backend and the heuristic "
-                             "rejection reason",
-                        tier=decision.tier,
-                        backend=decision.backend,
-                        reason=decision.reason,
-                    )
-            else:
-                results = {
-                    pid: model.simulate(list(blocks) * reps)
-                    for pid, blocks, reps in plan
-                }
             costs: Dict[int, PathCost] = {}
-            for pid, _blocks, reps in plan:
-                res = results[pid]
+            for pid, count in profile.counts.items():
+                reps = amortise_reps if count >= amortise_reps else 1
+                res = model.simulate(list(profile.decode(pid)) * reps)
                 per_exec = OOOResult()
                 for name in vars(per_exec):
                     setattr(per_exec, name, getattr(res, name) / reps)
@@ -707,6 +650,36 @@ class OffloadSimulator:
             )
         return _freeze(attr)
 
+    def _census(
+        self, workload: str, profile: PathProfile, targets: Set[int], predictor
+    ) -> Tuple[ChargeCensus, float]:
+        """Classify every trace event into an integer :class:`ChargeCensus`
+        and return it with the predictor's precision.
+
+        The O(#runs) fold: the predictor replays the run-length trace
+        into decision segments and each segment collapses in closed form.
+        :class:`EventOracleSimulator` overrides this with the O(#events)
+        reference; both give the same census (property-tested), and
+        :meth:`_attribute` is the only place floats accumulate — so both
+        yield bitwise-identical outcomes by construction.
+        """
+        from ..accel.invocation import evaluate_predictor_runs
+
+        rle = self._rle(profile)
+        if _obs_enabled():
+            _obs_gauge(
+                "trace.rle_ratio", rle.rle_ratio,
+                help="trace runs / trace events (lower = more "
+                     "closed-form fold savings)",
+                workload=workload,
+            )
+        run_eval = evaluate_predictor_runs(rle.runs, targets, predictor)
+        census = census_from_segments(
+            run_eval.segments, targets,
+            self.config.offload.pipelined_invocations,
+        )
+        return census, run_eval.precision
+
     def simulate_offload(
         self,
         workload: str,
@@ -724,25 +697,11 @@ class OffloadSimulator:
         memo's calibration/path-cost entries from in-memory identity keys
         to persistent content keys.
         """
-        # local import: repro.accel depends on repro.sim.config, so the
-        # accel package cannot be imported at sim module-load time
-        from ..accel.cgra import CGRAScheduler
-        from ..accel.invocation import (
-            HistoryPredictor,
-            OraclePredictor,
-            evaluate_predictor,
-            evaluate_predictor_runs,
-            evaluate_predictor_runs_array,
-        )
-
         with _obs_span("simulate_offload", workload=workload,
                        kind=frame.region.kind, predictor=predictor_kind):
             return self._simulate_offload(
                 workload, profile, frame, predictor_kind, trace, coverage,
                 artifact_key,
-                CGRAScheduler, HistoryPredictor, OraclePredictor,
-                evaluate_predictor, evaluate_predictor_runs,
-                evaluate_predictor_runs_array,
             )
 
     def _simulate_offload(
@@ -750,31 +709,15 @@ class OffloadSimulator:
         workload: str,
         profile: PathProfile,
         frame: Frame,
-        predictor_kind,
-        trace,
-        coverage,
-        artifact_key,
-        CGRAScheduler,
-        HistoryPredictor,
-        OraclePredictor,
-        evaluate_predictor,
-        evaluate_predictor_runs,
-        evaluate_predictor_runs_array,
+        predictor_kind: str,
+        trace: Optional[FunctionTrace],
+        coverage: Optional[float],
+        artifact_key: Optional[str],
     ) -> OffloadOutcome:
-        if _obs_enabled():
-            _obs_gauge(
-                "sim.kernel_mode", 1.0,
-                help="which trace-kernel tier and backend produced this "
-                     "simulation (value is always 1; the labels carry "
-                     "the information)",
-                workload=workload,
-                mode=KERNEL_MODE_LABELS[self.trace_kernels],
-                backend=(
-                    backend_name()
-                    if self.trace_kernels == KERNELS_ARRAY
-                    else "python"
-                ),
-            )
+        # local import: repro.accel depends on repro.sim.config, so the
+        # accel package cannot be imported at sim module-load time
+        from ..accel.cgra import CGRAScheduler
+
         cal = self.calibrate(trace, artifact_key=artifact_key)
         costs = self.path_costs(
             profile, cal.host_load_latency, artifact_key=artifact_key
@@ -783,51 +726,9 @@ class OffloadSimulator:
             profile, costs
         )
         cm = self._cost_model(profile, frame, cal, CGRAScheduler)
-
-        targets = cm.targets
-        if predictor_kind == "oracle":
-            predictor = OraclePredictor(targets)
-        else:
-            predictor = HistoryPredictor()
-
-        # Classify every trace event into an integer ChargeCensus, via the
-        # O(#runs) RLE kernel, the columnar array kernels, or the
-        # O(#events) reference kernel.  All produce the same census
-        # (property-tested), and the shared fold below is the only place
-        # floats accumulate — so every kernel mode yields bitwise-
-        # identical outcomes by construction.
-        pipelined_cfg = self.config.offload.pipelined_invocations
-        if self.trace_kernels == KERNELS_EVENTS:
-            evaluation = evaluate_predictor(profile.trace, targets, predictor)
-            census = census_from_events(
-                profile.trace, evaluation.decisions, targets, pipelined_cfg
-            )
-            precision = evaluation.precision
-        else:
-            rle = self._rle(profile)
-            if _obs_enabled():
-                _obs_gauge(
-                    "trace.rle_ratio", rle.rle_ratio,
-                    help="trace runs / trace events (lower = more "
-                         "closed-form fold savings)",
-                    workload=workload,
-                )
-            if self.trace_kernels == KERNELS_ARRAY:
-                run_eval = evaluate_predictor_runs_array(
-                    rle.runs, targets, predictor, columns=rle.columns()
-                )
-                census = census_from_segments_array(
-                    run_eval.segments, targets, pipelined_cfg,
-                    columns=run_eval.segment_columns,
-                )
-            else:
-                run_eval = evaluate_predictor_runs(
-                    rle.runs, targets, predictor
-                )
-                census = census_from_segments(
-                    run_eval.segments, targets, pipelined_cfg
-                )
-            precision = run_eval.precision
+        census, precision = self._census(
+            workload, profile, cm.targets, _predictor(predictor_kind, cm.targets)
+        )
 
         # The reported totals are *defined as* the canonical fold of the
         # attribution — conservation against the ledger by construction.
@@ -880,11 +781,7 @@ class OffloadSimulator:
         reported ``needle_cycles``.
         """
         from ..accel.cgra import CGRAScheduler
-        from ..accel.invocation import (
-            HistoryPredictor,
-            OraclePredictor,
-            evaluate_predictor_runs,
-        )
+        from ..accel.invocation import evaluate_predictor_runs
 
         cal = self.calibrate(trace, artifact_key=artifact_key)
         costs = self.path_costs(
@@ -892,12 +789,10 @@ class OffloadSimulator:
         )
         cm = self._cost_model(profile, frame, cal, CGRAScheduler)
         targets = cm.targets
-        if predictor_kind == "oracle":
-            predictor = OraclePredictor(targets)
-        else:
-            predictor = HistoryPredictor()
-        rle = self._rle(profile)
-        run_eval = evaluate_predictor_runs(rle.runs, targets, predictor)
+        run_eval = evaluate_predictor_runs(
+            self._rle(profile).runs, targets,
+            _predictor(predictor_kind, targets),
+        )
 
         pipelined_cfg = self.config.offload.pipelined_invocations
         events: List[TimelineEvent] = []
@@ -942,4 +837,26 @@ class OffloadSimulator:
         return events
 
 
-__all__ = ["Calibration", "OffloadOutcome", "OffloadSimulator", "PathCost"]
+class EventOracleSimulator(OffloadSimulator):
+    """Reference twin of :class:`OffloadSimulator` for tests and
+    benchmarks: the census comes from replaying the predictor and
+    classifying the trace one event at a time."""
+
+    def _census(self, workload, profile, targets, predictor):
+        from ..accel.invocation import evaluate_predictor
+
+        evaluation = evaluate_predictor(profile.trace, targets, predictor)
+        census = census_from_events(
+            profile.trace, evaluation.decisions, targets,
+            self.config.offload.pipelined_invocations,
+        )
+        return census, evaluation.precision
+
+
+__all__ = [
+    "Calibration",
+    "EventOracleSimulator",
+    "OffloadOutcome",
+    "OffloadSimulator",
+    "PathCost",
+]

@@ -15,8 +15,10 @@ each path id), and a single shared fold (:meth:`ChargeCensus` consumers
 in :mod:`repro.sim.offload`) turns the census into cycles and energy with
 one deterministic summation order.  Equal censuses therefore give
 bitwise-equal floats; the property tests in
-``tests/sim/test_trace_kernels.py`` enforce census equality across the
-suite and under seeded fault plans.
+``tests/sim/test_trace_kernels.py`` enforce census equality on random
+traces, and the event-by-event
+:class:`~repro.sim.offload.EventOracleSimulator` matches production
+outcomes on a suite slice, cleanly and under an injected worker crash.
 """
 
 from __future__ import annotations
@@ -24,20 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
-
-#: kernel mode names (selectable via PipelineOptions.trace_kernels)
-KERNELS_RLE = "rle"
-KERNELS_EVENTS = "events"
-KERNELS_ARRAY = "array"
-KERNEL_MODES = (KERNELS_RLE, KERNELS_EVENTS, KERNELS_ARRAY)
-
-#: mode -> label for the ``sim.kernel_mode`` gauge (the RLE tier reports
-#: as "runs": the gauge names what iterates, not the encoding)
-KERNEL_MODE_LABELS = {
-    KERNELS_RLE: "runs",
-    KERNELS_EVENTS: "events",
-    KERNELS_ARRAY: "array",
-}
 
 
 @dataclass(frozen=True)
@@ -71,27 +59,6 @@ class RLETrace:
             n_runs, n_events, longest = stats.get(pid, (0, 0, 0))
             stats[pid] = (n_runs + 1, n_events + length, max(longest, length))
         return stats
-
-    def columns(self):
-        """(pids, lengths) int64 columns of the run list, or ``None``
-        under the pure-Python backend.
-
-        Cached per backend on the instance (the trace is memoized and
-        shared across the three offload strategies, so the conversion
-        happens once per workload, not once per kernel call).  The cache
-        is keyed by backend name because the kernel-equality tests flip
-        backends on one process via ``FORCE_PYTHON_ENV``.
-        """
-        from .array_kernels import backend_name, runs_to_columns
-
-        key = backend_name()
-        cached = self.__dict__.get("_columns_cache")
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        cols = runs_to_columns(self.runs)
-        # frozen dataclass: write the cache through __dict__ directly
-        self.__dict__["_columns_cache"] = (key, cols)
-        return cols
 
 
 def run_length_encode(trace: Sequence[int]) -> RLETrace:
@@ -154,8 +121,9 @@ def census_from_events(
 
     This is the exact control flow of the original accounting loop in
     ``OffloadSimulator._simulate_offload`` with the float accumulation
-    factored out; kept as the ``trace_kernels="events"`` reference
-    implementation the property tests cross-check against.
+    factored out; kept as the reference the property tests and
+    :class:`~repro.sim.offload.EventOracleSimulator` cross-check the
+    run fold against.
     """
     census = ChargeCensus()
     in_run = False
@@ -260,11 +228,6 @@ def census_from_segments(
 
 __all__ = [
     "ChargeCensus",
-    "KERNELS_ARRAY",
-    "KERNELS_EVENTS",
-    "KERNELS_RLE",
-    "KERNEL_MODES",
-    "KERNEL_MODE_LABELS",
     "RLETrace",
     "SegmentCharge",
     "census_from_events",

@@ -133,74 +133,3 @@ def test_merge_results(counted_loop):
     merged = res.merge(res)
     assert merged.cycles == 2 * res.cycles
     assert merged.instructions == 2 * res.instructions
-
-
-# -- lane batching and the periodic steady-state closure ---------------------
-
-import pytest
-
-from repro.sim import core_ooo
-from repro.sim.core_ooo import simulate_path_reps, simulate_paths_batch
-from repro.workloads import get as get_workload
-from repro.workloads.base import profile_workload
-
-
-def _bits(res):
-    return vars(res).copy()
-
-
-@pytest.fixture(scope="module")
-def real_paths():
-    """Decoded block paths of two structurally different workloads."""
-    out = []
-    for name in ("dwt53", "429.mcf"):
-        prof = profile_workload(get_workload(name)).paths
-        for pid in prof.counts:
-            out.append(tuple(prof.decode(pid)))
-    return out
-
-
-def test_path_reps_matches_explicit_repetition(real_paths):
-    # the steady-state closure must be invisible: same OOOResult, bit for
-    # bit, whether the remaining reps were walked or extrapolated
-    model = OOOModel()
-    ref = OOOModel()
-    for blocks in real_paths:
-        for reps in (1, 2, 4, 7):
-            fast = simulate_path_reps(model, blocks, reps)
-            slow = ref.simulate(list(blocks) * reps)
-            assert _bits(fast) == _bits(slow)
-
-
-def test_path_reps_zero_reps_and_empty_path():
-    model = OOOModel()
-    assert _bits(simulate_path_reps(model, (), 3)) == _bits(model.simulate([]))
-
-
-def test_path_reps_refuses_memory_model():
-    m, fn = _chain_module(4)
-    trace = _trace_of(m, fn, [1])
-    model = OOOModel(memory_system=MemorySystem())
-    with pytest.raises(ValueError):
-        simulate_path_reps(model, tuple(b for b in trace.blocks if b), 2)
-
-
-def test_batch_dispatch_matches_scalar_oracle(real_paths, monkeypatch):
-    # force the lane-batched tier to actually engage (production geometry
-    # often falls back to the scalar tier) and check it against plain
-    # repetition lane by lane
-    monkeypatch.setattr(core_ooo, "BATCH_MIN_EFFECTIVE_LANES", 0)
-    monkeypatch.setattr(core_ooo, "BATCH_MIN_REP_AMORTISATION", 0)
-    model = OOOModel()
-    ref = OOOModel()
-    plan = [
-        (i, blocks, reps)
-        for i, blocks in enumerate(real_paths[:12])
-        for reps in (1, 4)
-    ]
-    # keys must be unique per lane
-    plan = [((i, reps), blocks, reps) for i, (_, blocks, reps) in enumerate(
-        (k, b, r) for k, b, r in plan)]
-    results = simulate_paths_batch(model, plan)
-    for key, blocks, reps in plan:
-        assert _bits(results[key]) == _bits(ref.simulate(list(blocks) * reps))

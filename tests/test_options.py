@@ -29,11 +29,10 @@ def test_validate_jobs_warns_and_falls_back_to_serial(bad):
         assert validate_jobs(bad) is None
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_evaluate_all_with_invalid_jobs_runs_serially():
-    pipeline = NeedlePipeline()
+    pipeline = NeedlePipeline(options=PipelineOptions(jobs=-3))
     with pytest.warns(UserWarning, match="jobs=-3 is invalid"):
-        rows = pipeline.evaluate_all([get("dwt53")], jobs=-3)
+        rows = pipeline.evaluate_all([get("dwt53")])
     assert len(rows) == 1 and rows[0].name == "dwt53"
 
 

@@ -85,10 +85,11 @@ def test_env_var_steers_backend_selection(monkeypatch):
     assert pipe._execution_plan(4, 4) == ("process", 4)
 
 
-def test_jobs_kwarg_is_deprecated():
-    pipe = NeedlePipeline(options=PipelineOptions(no_cache=True))
-    with pytest.warns(DeprecationWarning, match="PipelineOptions"):
-        rows = pipe.evaluate_all(_suite(["dwt53"]), jobs=1)
+def test_jobs_option_of_one_sweeps_inline():
+    pipe = NeedlePipeline(options=PipelineOptions(no_cache=True, jobs=1))
+    assert pipe._execution_plan(pipe.options.normalized_jobs(), 3) == (
+        "serial", 1)
+    rows = pipe.evaluate_all(_suite(["dwt53"]))
     assert rows[0].name == "dwt53"
 
 
