@@ -120,8 +120,7 @@ def _measure_spawn_import(jobs: int):
 def test_pool_workers_stay_warm():
     """3x as many tasks as workers never touch more than ``jobs`` pids —
     the warm-worker property the scaling numbers depend on."""
-    pids = set(run_failsafe(_pid_task, list(range(3 * _JOBS)),
-                            jobs=_JOBS, pool="process"))
+    pids = set(run_failsafe(_pid_task, list(range(3 * _JOBS)), jobs=_JOBS))
     assert len(pids) <= _JOBS
     assert os.getpid() not in pids
 
@@ -146,7 +145,7 @@ def test_pipeline_scaling(tmp_path_factory, suite):
     t0 = time.perf_counter()
     par_evs = NeedlePipeline(
         cache=ArtifactCache(cache_dir),
-        options=PipelineOptions(jobs=_JOBS, pool="process"),
+        options=PipelineOptions(jobs=_JOBS),
     ).evaluate_all(suite)
     parallel = time.perf_counter() - t0
 

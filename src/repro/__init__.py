@@ -25,9 +25,12 @@ working but may be rearranged between versions.
     rows = evaluate_suite(jobs=4, cache_dir="/tmp/needle-cache")
     print(obs.export.render_metrics(None))
 
-    # the same sweep on a specific execution backend — results are
-    # bitwise-identical across serial, process and thread pools
-    rows = evaluate_suite(jobs=4, pool="thread")
+    # the same sweep with a JSONL event log of its lifecycle; jobs > 1
+    # fans out over warm worker processes, jobs=1 runs inline, and the
+    # results are bitwise-identical either way
+    from repro import PipelineOptions
+    opts = PipelineOptions(jobs=4, events_out="events.jsonl")
+    rows = evaluate_suite(options=opts)
 """
 
 from typing import List, Optional
@@ -36,15 +39,8 @@ from . import analysis, frames, interp, ir, obs, profiling, regions
 from . import accel, reporting, resilience, sim, transforms, workloads
 from . import exec  # noqa: A004 - the execution-pool subsystem
 from .artifacts import ArtifactCache
-from .exec import (
-    POOL_BACKENDS,
-    Pool,
-    ProcessPool,
-    SerialPool,
-    ThreadPool,
-    make_pool,
-)
-from .options import POOL_CHOICES, PipelineOptions
+from .exec import Pool, ProcessPool, SerialPool
+from .options import PipelineOptions
 from .pipeline import (
     NeedlePipeline,
     WorkloadAnalysis,
@@ -84,8 +80,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "NeedlePipeline",
-    "POOL_BACKENDS",
-    "POOL_CHOICES",
     "PipelineOptions",
     "Pool",
     "ProcessPool",
@@ -93,7 +87,6 @@ __all__ = [
     "SerialPool",
     "SweepDrained",
     "SystemConfig",
-    "ThreadPool",
     "Workload",
     "WorkloadAnalysis",
     "WorkloadEvaluation",
@@ -106,7 +99,6 @@ __all__ = [
     "interp",
     "ir",
     "load_workload",
-    "make_pool",
     "obs",
     "profiling",
     "regions",

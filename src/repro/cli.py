@@ -11,16 +11,13 @@ trace [WORKLOAD]     evaluate with instrumentation on; print the span tree
                      (or --format chrome for a Perfetto-loadable trace)
 report table [W]     paper-style cycle/energy attribution tables (ledger)
 report diff A B      compare two metric snapshots; exit 1 on regression
-top SOURCE           live one-screen view of a running sweep (reads a
-                     --serve-metrics endpoint or a --progress-out file)
 
 ``analyze`` and ``evaluate`` persist profiles and evaluation results in a
 content-addressed artifact cache (default ``~/.cache/repro-needle``, or
 ``$REPRO_CACHE_DIR``), so repeat invocations skip re-profiling; ``--no-cache``
 bypasses it and ``--cache-dir`` relocates it.  ``evaluate --jobs N`` shards
-the suite across N pool workers; ``--pool {serial,process,thread}``
-picks the execution backend (default: warm worker processes, results
-bitwise-identical on every backend).  Every pipeline command accepts
+the suite across N warm worker processes (results bitwise-identical to
+a serial sweep).  Every pipeline command accepts
 ``--metrics`` (print the observability registry afterwards) and
 ``--metrics-out PATH`` (write it as JSON); the flags come from
 :class:`~repro.options.PipelineOptions`, the same options surface the
@@ -28,9 +25,7 @@ Python API uses.  Suite sweeps are fail-safe: ``--timeout``,
 ``--retries`` and ``--fail-fast`` control the retry/quarantine policy
 (quarantined workloads render as ``failed:<kind>`` rows), and
 ``--fault-plan plan.json`` injects a deterministic chaos plan
-(docs/resilience.md).  ``--no-sim-memo`` disables the cross-strategy
-simulation memo — a bitwise-neutral, perf-only knob
-(docs/performance.md).
+(docs/resilience.md).
 
 Suite sweeps are also *crash-safe*: ``--journal-dir DIR`` (or
 ``$REPRO_JOURNAL_DIR``) writes a write-ahead run journal, and
@@ -42,16 +37,12 @@ prints the resume command, and exits with code 75; the
 ``--max-total-failures`` / ``--max-consecutive-failures`` circuit
 breaker aborts a doomed suite early (docs/resilience.md).
 
-Suite sweeps can carry *live telemetry* (docs/observability.md): a
-typed event bus with worker heartbeats and stall detection, exposed via
-``--serve-metrics [HOST:]PORT`` (Prometheus ``/metrics`` + JSON
-``/progress`` + ``/healthz``, loopback-bound by default),
-``--progress-out progress.json`` (atomic snapshots), ``--events-out``
-(gapless JSONL event log) and ``--live`` (in-terminal view).  ``repro
-top SOURCE`` renders the same view from a running sweep's endpoint or
-progress file.  All of it is wall-clock-only: semantic output is
-byte-identical with telemetry on or off.  The global ``--log-level``
-flag (or ``$REPRO_LOG_LEVEL``) configures logging in one place.
+Suite sweeps can keep an *event log* (docs/observability.md):
+``--events-out events.jsonl`` appends the sweep's typed lifecycle
+events (run, task, retry, quarantine, cache and journal) as gapless
+JSONL.  It is wall-clock-only: semantic output is byte-identical with
+the log on or off.  The global ``--log-level`` flag (or
+``$REPRO_LOG_LEVEL``) configures logging in one place.
 """
 
 from __future__ import annotations
@@ -453,16 +444,6 @@ def _cmd_report_diff(args) -> int:
     return result.exit_code
 
 
-def _cmd_top(args) -> int:
-    """Render the live sweep view from an endpoint or progress file."""
-    from .obs.top import run_top
-
-    try:
-        return run_top(args.source, interval=args.interval, once=args.once)
-    except KeyboardInterrupt:
-        return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Needle (HPCA 2017) reproduction CLI"
@@ -597,29 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="show every metric, not just changed ones",
     )
     p.set_defaults(func=_cmd_report_diff)
-
-    p = sub.add_parser(
-        "top",
-        help="live one-screen view of a running sweep",
-    )
-    p.add_argument(
-        "source",
-        help="progress source: a --serve-metrics PORT / HOST:PORT / URL, "
-        "or a --progress-out progress.json path",
-    )
-    p.add_argument(
-        "--interval",
-        type=float,
-        default=1.0,
-        metavar="SEC",
-        help="refresh period in seconds (default: 1.0)",
-    )
-    p.add_argument(
-        "--once",
-        action="store_true",
-        help="render a single frame and exit",
-    )
-    p.set_defaults(func=_cmd_top)
     return parser
 
 

@@ -2,38 +2,30 @@
 
 Separates *what jobs exist* (the fail-safe runner's retry / timeout /
 quarantine / blame logic) from *where they run*.  The protocol is
-:class:`Pool`; the shipped backends are :class:`SerialPool`,
-:class:`ProcessPool` (warm forked workers) and :class:`ThreadPool`,
-selected by name through :func:`make_pool`, ``PipelineOptions.pool`` or
-the CLI's ``--pool`` flag.  :mod:`repro.exec.worker` is the worker-side
-context shim that keeps chaos faults (``worker.crash`` / ``worker.hang``)
-meaningful on every backend.
+:class:`Pool`; the shipped backends are :class:`SerialPool` (inline)
+and :class:`ProcessPool` (warm forked workers).  Pipeline sweeps pick
+between them by ``jobs`` alone: ``jobs > 1`` runs on processes, anything
+else inline.  :mod:`repro.exec.worker` is the worker-side context shim
+that keeps chaos faults (``worker.crash`` / ``worker.hang``) meaningful
+on both backends.
 """
 
 from . import worker
 from .pools import (
-    POOL_BACKENDS,
     Completion,
     Pool,
     PoolBroken,
     ProcessPool,
     SerialPool,
-    ThreadPool,
     WorkerCrashed,
-    default_pool_width,
-    make_pool,
 )
 
 __all__ = [
     "Completion",
-    "POOL_BACKENDS",
     "Pool",
     "PoolBroken",
     "ProcessPool",
     "SerialPool",
-    "ThreadPool",
     "WorkerCrashed",
-    "default_pool_width",
-    "make_pool",
     "worker",
 ]

@@ -1,4 +1,4 @@
-"""Backend-agnostic worker pools: serial, warm processes, threads.
+"""Backend-agnostic worker pools: inline serial or warm processes.
 
 The fail-safe suite runner (:func:`repro.resilience.runner.run_failsafe`)
 used to be hardwired to a :class:`concurrent.futures.ProcessPoolExecutor`
@@ -13,7 +13,8 @@ implements it.
     for c in pool.wait(timeout=0.5):      # [Completion(ticket, ...)]
         ...
     pool.running()                        # {ticket: started_monotonic}
-    pool.evict(ticket)                    # kill/abandon just that task
+    pool.on_start = hook                  # hook(ticket) as each task starts
+    pool.evict(ticket)                    # kill/drop just that task
     pool.reset()                          # careful-mode: drop everything
     pool.close(graceful=True)
 
@@ -28,14 +29,10 @@ Backends:
   time, not queue time — and when a worker dies the parent knows exactly
   which task it was running and blames only that one, instead of the
   whole-pool ``BrokenProcessPool`` teardown the old executor forced.
-* :class:`ThreadPool` — warm daemon threads.  Python-level semantics
-  (timeouts via abandonment, simulated crashes, thread-scoped obs and
-  fault state) are identical to the process backend; CPU-bound pure
-  Python does not scale across threads, but GIL-releasing work does.
 
-All three deliver the same observable behaviour for the same task list,
+Both deliver the same observable behaviour for the same task list,
 which is what lets the suite assert byte-identical evaluation records,
-obs registries and attribution ledgers across ``--pool`` choices.
+obs registries and attribution ledgers for serial and ``jobs=N`` sweeps.
 """
 
 from __future__ import annotations
@@ -44,12 +41,9 @@ import collections
 import itertools
 import multiprocessing
 import multiprocessing.connection
-import os
-import queue
-import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .. import obs
 from . import worker as worker_context
@@ -57,19 +51,12 @@ from .worker import WorkerCrashed
 
 __all__ = [
     "Completion",
-    "POOL_BACKENDS",
     "Pool",
     "PoolBroken",
     "ProcessPool",
     "SerialPool",
-    "ThreadPool",
     "WorkerCrashed",
-    "default_pool_width",
-    "make_pool",
 ]
-
-#: backend names accepted by :func:`make_pool`
-POOL_BACKENDS = ("serial", "process", "thread")
 
 #: tasks a worker may hold at once (1 running + the rest queued locally,
 #: so a worker that finishes never idles waiting for the parent's next
@@ -99,14 +86,6 @@ class Completion:
         return self.error is None
 
 
-def default_pool_width() -> int:
-    """Worker count when the caller named a backend but not ``jobs``."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return max(1, os.cpu_count() or 1)
-
-
 class Pool:
     """Abstract worker pool: submit tasks, collect completions.
 
@@ -121,9 +100,14 @@ class Pool:
     * :meth:`running` maps tickets to the monotonic time their task
       actually *started executing* (not when it was submitted), which is
       what per-attempt deadlines are measured against.
-    * :meth:`evict` abandons one task: kill the process / abandon the
-      thread running it, silently requeue any other tasks that worker
-      held, and never deliver a completion for the evicted ticket.
+    * :attr:`on_start`, when set, is called with each ticket the moment
+      its task starts — before the task body runs on the serial backend,
+      as the worker's start notice arrives on the process backend — so
+      a start is reported even when the task also finishes within the
+      same :meth:`wait`.
+    * :meth:`evict` abandons one task: kill the process running it,
+      silently requeue any other tasks that worker held, and never
+      deliver a completion for the evicted ticket.
     * :meth:`reset` drops all queued and running work (careful-mode
       entry); the caller resubmits what it still wants.
     """
@@ -136,9 +120,8 @@ class Pool:
         self.jobs = max(1, int(jobs) if jobs is not None else 1)
         self._tickets = itertools.count()
         self._started: Dict[int, float] = {}
-        #: seconds between worker heartbeats; None = heartbeats off
-        self.heartbeat_period: Optional[float] = None
-        self._heartbeats: Dict[int, tuple] = {}
+        #: called with each ticket as its task starts executing
+        self.on_start: Optional[Callable[[int], None]] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -173,29 +156,12 @@ class Pool:
     def reset(self) -> None:
         raise NotImplementedError
 
-    # -- heartbeats --------------------------------------------------------
-
-    def set_heartbeat(self, period: Optional[float]) -> None:
-        """Ask workers to report (task, phase, elapsed) every ``period``
-        seconds.  Call before :meth:`start`.  Silently ignored on
-        non-preemptive backends — a serial "worker" is the caller, so
-        there is nobody to hear the beat (and nothing to do about a
-        stall anyway).
-        """
-        if period and period > 0 and self.preemptive:
-            self.heartbeat_period = float(period)
-
-    def heartbeats(self) -> Dict[int, tuple]:
-        """Latest heartbeat per running ticket:
-        ``{ticket: (seen_monotonic, payload, worker_name)}``.
-
-        ``payload`` is the worker's report — ``{"elapsed": s, "phase":
-        name}``.  Entries disappear when their task completes or its
-        worker is retired, so a ticket present here is believed alive.
-        """
-        return dict(self._heartbeats)
-
     # -- shared helpers ----------------------------------------------------
+
+    def _note_start(self, ticket: int) -> None:
+        self._started[ticket] = time.monotonic()
+        if self.on_start is not None:
+            self.on_start(ticket)
 
     def _note_respawn(self) -> None:
         if obs.enabled():
@@ -240,7 +206,7 @@ class SerialPool(Pool):
         if not self._backlog:
             return []
         ticket, fn, args = self._backlog.popleft()
-        self._started[ticket] = time.monotonic()
+        self._note_start(ticket)
         worker_context.enter("serial", can_preempt=False)
         try:
             result = fn(*args)
@@ -260,274 +226,6 @@ class SerialPool(Pool):
         self._started.clear()
 
 
-# -- worker-side heartbeat reporter ------------------------------------------
-
-
-class _Beat:
-    """Worker-side heartbeat: a daemon thread beside the task loop.
-
-    The loop marks the running ticket with :meth:`begin`/:meth:`end`;
-    every ``period`` seconds the beat thread emits ``(ticket,
-    {"elapsed", "phase"})`` through the pool's normal result channel.
-    ``phase`` is whatever the task last declared via
-    :func:`repro.exec.worker.set_phase` ("run" until it says
-    otherwise).  Emission failures stop the beat silently — a broken
-    channel means the parent is gone and the worker is about to die
-    anyway.
-    """
-
-    def __init__(self, period: float, emit) -> None:
-        self._period = period
-        self._emit = emit
-        self._lock = threading.Lock()
-        self._ticket: Optional[int] = None
-        self._since = 0.0
-        self.phase = "run"
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-pool-beat", daemon=True)
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def begin(self, ticket: int) -> None:
-        with self._lock:
-            self._ticket = ticket
-            self._since = time.monotonic()
-            self.phase = "run"
-        worker_context.attach_beat(self)
-
-    def end(self) -> None:
-        worker_context.attach_beat(None)
-        with self._lock:
-            self._ticket = None
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self._period):
-            with self._lock:
-                ticket = self._ticket
-                if ticket is None:
-                    continue
-                payload = {
-                    "elapsed": round(time.monotonic() - self._since, 3),
-                    "phase": self.phase,
-                }
-            try:
-                self._emit(ticket, payload)
-            except Exception:
-                return
-
-    def stop(self) -> None:
-        self._stop.set()
-
-
-# -- threads -----------------------------------------------------------------
-
-
-def _thread_worker_main(name: str, inbox, results,
-                        heartbeat: Optional[float] = None) -> None:
-    worker_context.enter("thread", can_preempt=True)
-    beat = None
-    if heartbeat:
-        beat = _Beat(heartbeat, lambda ticket, payload: results.put(
-            ("heartbeat", name, ticket, payload)))
-        beat.start()
-    while True:
-        msg = inbox.get()
-        if msg is None:
-            if beat is not None:
-                beat.stop()
-            return
-        ticket, fn, args = msg
-        results.put(("start", name, ticket, None))
-        if beat is not None:
-            beat.begin(ticket)
-        try:
-            value = fn(*args)
-        except Exception as exc:
-            results.put(("error", name, ticket, exc))
-        else:
-            results.put(("ok", name, ticket, value))
-        finally:
-            if beat is not None:
-                beat.end()
-
-
-class _ThreadWorker:
-    __slots__ = ("name", "thread", "inbox", "assigned", "current")
-
-
-class ThreadPool(Pool):
-    """Warm daemon worker threads.
-
-    Eviction abandons the whole thread (Python threads cannot be
-    killed): the worker is dropped from the live set so anything it
-    still reports is discarded, its queued tasks are requeued onto a
-    fresh thread, and — being a daemon — a permanently hung thread
-    cannot block interpreter exit.
-    """
-
-    name = "thread"
-
-    def __init__(self, jobs: Optional[int] = None):
-        super().__init__(jobs)
-        self._results: queue.SimpleQueue = queue.SimpleQueue()
-        self._workers: List[_ThreadWorker] = []
-        self._live: Dict[str, _ThreadWorker] = {}
-        self._backlog: collections.deque = collections.deque()
-        self._owner: Dict[int, _ThreadWorker] = {}
-        self._seq = itertools.count()
-
-    def start(self) -> None:
-        while len(self._workers) < self.jobs:
-            self._workers.append(self._spawn())
-
-    def _spawn(self) -> _ThreadWorker:
-        w = _ThreadWorker()
-        w.name = "thread-%d" % next(self._seq)
-        w.inbox = queue.SimpleQueue()
-        w.assigned = {}
-        w.current = None
-        w.thread = threading.Thread(
-            target=_thread_worker_main,
-            args=(w.name, w.inbox, self._results, self.heartbeat_period),
-            name="repro-pool-%s" % w.name,
-            daemon=True,
-        )
-        w.thread.start()
-        self._live[w.name] = w
-        return w
-
-    def _load(self, w: _ThreadWorker) -> int:
-        return len(w.assigned)
-
-    def _flush(self) -> None:
-        while self._backlog and self._workers:
-            w = min(self._workers, key=self._load)
-            if self._load(w) >= _PREFETCH:
-                return
-            item = self._backlog.popleft()
-            w.assigned[item[0]] = item
-            self._owner[item[0]] = w
-            w.inbox.put(item)
-
-    def submit(self, fn, args=(), key: str = "") -> int:
-        ticket = next(self._tickets)
-        self._backlog.append((ticket, fn, args))
-        return ticket
-
-    def wait(self, timeout: Optional[float] = None) -> List[Completion]:
-        self._flush()
-        comps: List[Completion] = []
-        started = 0
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            if comps or started:
-                # a start notification wakes the caller so it can put a
-                # deadline on the newly running task; drain what's left
-                # without blocking
-                try:
-                    msg = self._results.get_nowait()
-                except queue.Empty:
-                    break
-            else:
-                remaining = (None if deadline is None
-                             else deadline - time.monotonic())
-                if remaining is not None and remaining <= 0:
-                    break
-                try:
-                    msg = self._results.get(timeout=remaining)
-                except queue.Empty:
-                    break
-            started += self._dispatch(msg, comps)
-        if comps:
-            self._flush()
-        return comps
-
-    def _dispatch(self, msg, comps: List[Completion]) -> int:
-        """Apply one worker message; returns 1 for a start notification."""
-        kind, name, ticket, payload = msg
-        w = self._live.get(name)
-        if w is None:
-            return 0  # abandoned worker still talking: drop it
-        if kind == "start":
-            w.current = ticket
-            self._started[ticket] = time.monotonic()
-            return 1
-        if kind == "heartbeat":
-            self._heartbeats[ticket] = (time.monotonic(), payload, name)
-            return 0
-        w.assigned.pop(ticket, None)
-        if w.current == ticket:
-            w.current = None
-        self._started.pop(ticket, None)
-        self._owner.pop(ticket, None)
-        self._heartbeats.pop(ticket, None)
-        if kind == "ok":
-            comps.append(Completion(ticket, result=payload, worker=name))
-        else:
-            comps.append(Completion(ticket, error=payload, worker=name))
-        return 0
-
-    def _abandon(self, w: _ThreadWorker, drop: Optional[int]) -> None:
-        """Stop listening to ``w``; requeue all but the ``drop`` ticket."""
-        self._live.pop(w.name, None)
-        if w in self._workers:
-            self._workers.remove(w)
-        try:
-            while True:
-                w.inbox.get_nowait()
-        except queue.Empty:
-            pass
-        w.inbox.put(None)  # whenever the stall ends, the thread exits
-        requeue = []
-        for ticket, item in w.assigned.items():
-            self._owner.pop(ticket, None)
-            self._started.pop(ticket, None)
-            self._heartbeats.pop(ticket, None)
-            if ticket != drop:
-                requeue.append(item)
-        self._backlog.extendleft(reversed(requeue))
-
-    def evict(self, ticket: int) -> None:
-        w = self._owner.get(ticket)
-        if w is None:
-            self._backlog = collections.deque(
-                t for t in self._backlog if t[0] != ticket)
-            return
-        self._abandon(w, drop=ticket)
-        self._workers.append(self._spawn())
-        self._note_respawn()
-
-    def reset(self) -> None:
-        for w in list(self._workers):
-            self._abandon(w, drop=None)
-        self._backlog.clear()
-        self._owner.clear()
-        self._started.clear()
-        self._heartbeats.clear()
-        self.start()
-
-    def close(self, graceful: bool = True) -> None:
-        for w in self._workers:
-            if not graceful:
-                try:
-                    while True:
-                        w.inbox.get_nowait()
-                except queue.Empty:
-                    pass
-            w.inbox.put(None)
-        if graceful:
-            for w in self._workers:
-                w.thread.join(timeout=2.0)
-        self._workers = []
-        self._live.clear()
-        self._backlog.clear()
-        self._owner.clear()
-        self._started.clear()
-        self._heartbeats.clear()
-
-
 # -- processes ---------------------------------------------------------------
 
 
@@ -541,23 +239,12 @@ def _send_safe(send, kind: str, ticket: int, payload) -> None:
             "unpicklable task %s payload: %r" % (kind, exc))))
 
 
-def _process_worker_main(conn, name: str,
-                         heartbeat: Optional[float] = None) -> None:
+def _process_worker_main(conn, name: str) -> None:
     worker_context.enter("process", can_preempt=True)
-    # once heartbeats exist the pipe is written from two threads (the
-    # task loop and the beat thread); Connection.send is not atomic
-    # across threads, so all writes go through one lock
-    send_lock = threading.Lock()
-
-    def send(msg) -> None:
-        with send_lock:
-            conn.send(msg)
-
-    beat = None
-    if heartbeat:
-        beat = _Beat(heartbeat, lambda ticket, payload: send(
-            ("heartbeat", ticket, payload)))
-        beat.start()
+    # a forked worker inherits the driver's ambient event bus; publishing
+    # into that copy would append duplicate ``seq`` numbers to the
+    # driver's log, so the log stays the driver's alone
+    obs.events.uninstall()
     while True:
         try:
             msg = conn.recv()
@@ -567,22 +254,17 @@ def _process_worker_main(conn, name: str,
             return
         for ticket, fn, args in msg:
             try:
-                send(("start", ticket))
+                conn.send(("start", ticket))
             except (BrokenPipeError, OSError):
                 return
-            if beat is not None:
-                beat.begin(ticket)
             try:
                 value = fn(*args)
             except Exception as exc:
                 payload, kind = exc, "error"
             else:
                 payload, kind = value, "ok"
-            finally:
-                if beat is not None:
-                    beat.end()
             try:
-                _send_safe(send, kind, ticket, payload)
+                _send_safe(conn.send, kind, ticket, payload)
             except (BrokenPipeError, OSError):
                 return
 
@@ -633,7 +315,7 @@ class ProcessPool(Pool):
             w.conn = parent_conn
             w.proc = self._ctx.Process(
                 target=_process_worker_main,
-                args=(child_conn, w.name, self.heartbeat_period),
+                args=(child_conn, w.name),
                 name="repro-pool-%s" % w.name,
                 daemon=True,
             )
@@ -721,17 +403,13 @@ class ProcessPool(Pool):
         kind, ticket = msg[0], msg[1]
         if kind == "start":
             w.current = ticket
-            self._started[ticket] = time.monotonic()
+            self._note_start(ticket)
             return 1
-        if kind == "heartbeat":
-            self._heartbeats[ticket] = (time.monotonic(), msg[2], w.name)
-            return 0
         w.assigned.pop(ticket, None)
         if w.current == ticket:
             w.current = None
         self._started.pop(ticket, None)
         self._owner.pop(ticket, None)
-        self._heartbeats.pop(ticket, None)
         payload = msg[2]
         if kind == "ok":
             comps.append(Completion(ticket, result=payload, worker=w.name))
@@ -767,7 +445,6 @@ class ProcessPool(Pool):
         for ticket, item in w.assigned.items():
             self._owner.pop(ticket, None)
             self._started.pop(ticket, None)
-            self._heartbeats.pop(ticket, None)
             if ticket == drop:
                 continue
             if ticket == blame and not w.killing:
@@ -814,7 +491,6 @@ class ProcessPool(Pool):
         self._backlog.clear()
         self._owner.clear()
         self._started.clear()
-        self._heartbeats.clear()
         self._spill = []
         self.start()
 
@@ -846,25 +522,4 @@ class ProcessPool(Pool):
         self._backlog.clear()
         self._owner.clear()
         self._started.clear()
-        self._heartbeats.clear()
         self._spill = []
-
-
-# -- factory -----------------------------------------------------------------
-
-
-def make_pool(backend, jobs: Optional[int] = None) -> Pool:
-    """Build a pool for ``backend`` (a name from :data:`POOL_BACKENDS`,
-    or an already-constructed :class:`Pool`, returned as-is)."""
-    if isinstance(backend, Pool):
-        return backend
-    name = str(backend)
-    if name == "serial":
-        return SerialPool()
-    if name == "process":
-        return ProcessPool(jobs)
-    if name == "thread":
-        return ThreadPool(jobs)
-    raise ValueError(
-        "unknown pool backend %r (choose from: %s)"
-        % (backend, ", ".join(POOL_BACKENDS)))

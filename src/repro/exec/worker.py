@@ -3,20 +3,20 @@
 Task code occasionally needs to know how it is being run — most
 importantly the chaos sites: a ``worker.crash`` fault must take a real
 process down with ``os._exit`` (so the parent exercises its dead-worker
-blame path), but the serial and thread backends share the caller's
-interpreter, where ``os._exit`` would kill the whole test run.  Each
-pool marks its workers with :func:`enter` and task code asks this module
-instead of guessing:
+blame path), but the serial backend shares the caller's interpreter,
+where ``os._exit`` would kill the whole test run.  Each pool marks its
+workers with :func:`enter` and task code asks this module instead of
+guessing:
 
 * :func:`crash` — die the way this worker kind dies: ``os._exit`` in a
   process worker, a raised :class:`WorkerCrashed` (same message, same
   quarantine record) everywhere else.
-* :func:`preemptive` — can the parent kill/abandon this worker from the
+* :func:`preemptive` — can the parent kill this worker from the
   outside?  ``False`` for the serial backend, where a simulated hang
   would block forever and is therefore skipped.
 
-The context is thread-local, so thread-pool workers and the parent
-thread coexist in one interpreter without confusion.
+The context is thread-local, so a serial sweep driven from one thread
+never changes what another thread sees.
 """
 
 from __future__ import annotations
@@ -26,14 +26,11 @@ import threading
 
 __all__ = [
     "WorkerCrashed",
-    "attach_beat",
     "crash",
-    "current",
     "enter",
     "kind",
     "leave",
     "preemptive",
-    "set_phase",
 ]
 
 
@@ -42,9 +39,9 @@ class WorkerCrashed(RuntimeError):
 
     Constructed by the process backend when it finds a worker dead
     beneath a running task, and raised inline by :func:`crash` on the
-    backends that cannot lose a real process.  Both paths produce the
-    same message, which is what keeps quarantine records byte-identical
-    across backends.
+    serial backend, which cannot lose a real process.  Both paths
+    produce the same message, which is what keeps quarantine records
+    byte-identical across backends.
     """
 
     def __init__(self, exit_code=None):
@@ -56,9 +53,8 @@ class WorkerCrashed(RuntimeError):
 
 
 class _Context(threading.local):
-    kind = "none"          # none | serial | thread | process
+    kind = "none"          # none | serial | process
     preemptive = False
-    beat = None            # the pool's heartbeat reporter, when enabled
 
 
 _CTX = _Context()
@@ -74,28 +70,6 @@ def leave() -> None:
     """Clear the worker context for the current thread."""
     _CTX.kind = "none"
     _CTX.preemptive = False
-    _CTX.beat = None
-
-
-def attach_beat(beat) -> None:
-    """Bind (or clear, with ``None``) this thread's heartbeat reporter.
-
-    Called by the pool worker loops when heartbeats are enabled; task
-    code never calls this directly — it uses :func:`set_phase`.
-    """
-    _CTX.beat = beat
-
-
-def set_phase(phase: str) -> None:
-    """Label what the current task is doing in its heartbeats.
-
-    Purely cosmetic telemetry for `repro top`'s phase column: a no-op
-    unless this thread is a pool worker with heartbeats enabled, so
-    stage code can call it unconditionally.
-    """
-    beat = _CTX.beat
-    if beat is not None:
-        beat.phase = str(phase)
 
 
 def kind() -> str:
@@ -103,17 +77,12 @@ def kind() -> str:
     return _CTX.kind
 
 
-def current():
-    """(kind, preemptive) for the current thread."""
-    return _CTX.kind, _CTX.preemptive
-
-
 def preemptive() -> bool:
-    """Can this worker be killed or abandoned from the outside?
+    """Can this worker be killed from the outside?
 
-    ``True`` for process workers (killable) and thread workers
-    (abandonable); ``False`` for serial execution and ordinary
-    non-worker code, where a deliberate stall could never be recovered.
+    ``True`` for process workers; ``False`` for serial execution and
+    ordinary non-worker code, where a deliberate stall could never be
+    recovered.
     """
     return _CTX.preemptive
 
@@ -122,9 +91,9 @@ def crash(exit_code: int = 13):
     """Die the way this worker kind dies.
 
     Process workers exit hard — no cleanup, no exception, the parent
-    finds the corpse and blames the running task.  Serial and thread
-    workers raise :class:`WorkerCrashed` instead, which their pools
-    convert into the identical crash completion.
+    finds the corpse and blames the running task.  Serial workers raise
+    :class:`WorkerCrashed` instead, which the runner charges exactly
+    like the process backend's crash completion.
     """
     if _CTX.kind == "process":
         os._exit(int(exit_code))

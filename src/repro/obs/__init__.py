@@ -52,8 +52,8 @@ from .spans import NOOP_SPAN, SpanContext, SpanNode
 _ENABLED = False
 _REGISTRY = MetricsRegistry()
 # Per-thread registry overlay: inside :func:`scoped` a thread publishes
-# into its own private registry (thread-pool workers run one task each
-# this way) while every other thread keeps seeing the global one.
+# into its own private registry (pool workers run each task this way)
+# while every other thread keeps seeing the global one.
 _TLS = threading.local()
 
 
@@ -118,10 +118,10 @@ def scoped(collect: bool = True):
     Yields the private :class:`MetricsRegistry`.  Used by pool workers:
     whatever the worker inherited is set aside, the task publishes into
     a clean registry, and the caller snapshots it for the trip back to
-    the parent.  The swap is *thread-local*, so thread-pool workers each
-    scope their own task without disturbing the parent thread (the
-    enable flag stays global — workers only collect when the parent
-    already does, so toggling it is idempotent across threads).
+    the parent.  The swap is *thread-local*, so a scoped task never
+    disturbs what other threads see (the enable flag stays global —
+    workers only collect when the parent already does, so toggling it
+    is idempotent across threads).
     """
     global _ENABLED
     fresh = MetricsRegistry()

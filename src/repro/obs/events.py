@@ -1,46 +1,43 @@
-"""Typed, bounded in-process event bus: the live layer under `repro.obs`.
+"""Typed in-process event bus and its JSONL audit log (`--events-out`).
 
 Every other observability surface in this repo — metric registries, the
 attribution ledger, Chrome-trace timelines — is an *end-of-run
 snapshot*.  The event bus is the complement: a stream of small, typed
-lifecycle events (`run_started`, `task_scheduled`, `worker_heartbeat`,
-…) published while a sweep runs, consumed by the live progress
-aggregator (:mod:`repro.obs.live`), the opt-in HTTP endpoint
-(:mod:`repro.obs.http`) and an optional JSONL sink on disk.
+lifecycle events (`run_started`, `task_scheduled`, `task_started`, …)
+published while a sweep runs and appended to a JSONL sink on disk, the
+run's audit trail.
 
 Design constraints, in order:
 
 * **Must not perturb semantic output.**  Publishing is wall-clock-only
   bookkeeping; nothing downstream of the bus feeds back into
   evaluation records, semantic metrics or the ledger.  The tests
-  enforce byte-identity with the bus on and off, on every pool backend.
+  enforce byte-identity with the bus on and off, on both pool backends.
 * **Cheap when off.**  The module-level :func:`publish` helper is the
   instrumentation surface; with no bus installed it is one attribute
   read and one ``None`` test — the same no-op discipline as
   :func:`repro.obs.counter`.
-* **Bounded.**  The in-memory ring keeps the last ``capacity`` events;
-  a mis-sized consumer can never balloon driver memory.  The JSONL sink
-  (when attached) receives *every* event, so the on-disk log is the
-  complete, gapless record even after the ring wraps.
 * **Typed.**  :func:`EventBus.publish` rejects unknown kinds loudly —
-  the schema below is the contract `progress.json` and `repro top`
-  build on, not a free-form logging channel.
+  the schema below is the log's contract, not a free-form logging
+  channel.
 
 Sequence numbers are monotonic and gapless per bus (hence per run):
-consumers can detect loss, and the JSONL log replays in exact
-publication order.
+readers can detect loss, and the JSONL log replays in exact
+publication order.  :func:`event_log` is the one-call way to record a
+sweep: it installs a bus logging to a file and closes the log with a
+``run_finished`` event.
 """
 
 from __future__ import annotations
 
-import collections
 import io
 import itertools
 import json
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, Optional
 
 # -- the event vocabulary ----------------------------------------------------
 
@@ -52,8 +49,6 @@ TASK_STARTED = "task_started"
 TASK_FINISHED = "task_finished"
 RETRY = "retry"
 QUARANTINED = "quarantined"
-WORKER_HEARTBEAT = "worker_heartbeat"
-WORKER_STALLED = "worker_stalled"
 CACHE_HIT = "cache_hit"
 CACHE_MISS = "cache_miss"
 JOURNAL_RECORD = "journal_record"
@@ -69,15 +64,10 @@ KINDS = frozenset((
     TASK_FINISHED,
     RETRY,
     QUARANTINED,
-    WORKER_HEARTBEAT,
-    WORKER_STALLED,
     CACHE_HIT,
     CACHE_MISS,
     JOURNAL_RECORD,
 ))
-
-#: default ring capacity; the JSONL sink is unbounded regardless
-DEFAULT_CAPACITY = 4096
 
 
 class UnknownEventKind(ValueError):
@@ -131,28 +121,21 @@ class Event:
 
 
 class EventBus:
-    """Thread-safe bounded event stream with subscribers and a JSONL sink.
+    """Thread-safe typed event stream with a JSONL sink.
 
-    Publication order is total: the lock serialises ``seq`` assignment,
-    ring append, sink write and subscriber callbacks, so every consumer
-    observes the same gapless sequence.  Subscribers must therefore be
-    fast and must never publish back into the bus (that would deadlock
-    by design — the aggregator folds, it does not speak).
+    Publication order is total: the lock serialises ``seq`` assignment
+    and the sink write, so the log holds one gapless sequence however
+    many threads publish.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, run_id: str = "",
+    def __init__(self, run_id: str = "",
                  clock: Callable[[], float] = time.time):
         self.run_id = run_id
-        self.capacity = max(1, int(capacity))
         self._clock = clock
         self._lock = threading.Lock()
         self._seq = itertools.count()
-        self._ring: collections.deque = collections.deque(maxlen=self.capacity)
-        self._subscribers: List[Callable[[Event], None]] = []
         self._sink: Optional[io.TextIOBase] = None
         self._sink_owned = False
-        #: total events ever published (>= len(ring) once the ring wraps)
-        self.published = 0
 
     # -- sink ----------------------------------------------------------------
 
@@ -166,17 +149,6 @@ class EventBus:
             else:
                 self._sink = target
                 self._sink_owned = False
-
-    # -- subscribers ---------------------------------------------------------
-
-    def subscribe(self, callback: Callable[[Event], None]) -> None:
-        with self._lock:
-            self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[Event], None]) -> None:
-        with self._lock:
-            if callback in self._subscribers:
-                self._subscribers.remove(callback)
 
     # -- publication ---------------------------------------------------------
 
@@ -199,39 +171,15 @@ class EventBus:
                 key=key,
                 data=data,
             )
-            self._ring.append(event)
-            self.published += 1
             if self._sink is not None:
                 try:
                     self._sink.write(event.to_json() + "\n")
                     self._sink.flush()
                 except (OSError, ValueError):
                     # a dead sink must never take the sweep down; drop
-                    # it and keep the in-memory stream alive
+                    # it and keep publishing
                     self._sink = None
-            subscribers = list(self._subscribers)
-        for callback in subscribers:
-            try:
-                callback(event)
-            except Exception:
-                # live telemetry is best-effort by contract: a broken
-                # consumer loses its own view, never the run
-                pass
         return event
-
-    # -- reading -------------------------------------------------------------
-
-    def events(self, since: Optional[int] = None) -> List[Event]:
-        """Snapshot of the retained ring, optionally only ``seq > since``."""
-        with self._lock:
-            if since is None:
-                return list(self._ring)
-            return [e for e in self._ring if e.seq > since]
-
-    def last_seq(self) -> int:
-        """Highest sequence number published so far (-1 when empty)."""
-        with self._lock:
-            return self._ring[-1].seq if self._ring else -1
 
     def close(self) -> None:
         with self._lock:
@@ -263,7 +211,7 @@ def uninstall(previous: Optional[EventBus] = None) -> None:
 
 
 def active() -> Optional[EventBus]:
-    """The ambient bus, or ``None`` when live telemetry is off."""
+    """The ambient bus, or ``None`` when no event log is being kept."""
     return _ACTIVE
 
 
@@ -280,10 +228,37 @@ def publish(kind: str, key: str = "", /, **data) -> Optional[Event]:
     return bus.publish(kind, key, **data)
 
 
+@contextmanager
+def event_log(target, run_id: str = "") -> Iterator[EventBus]:
+    """Record everything published inside the block to ``target``.
+
+    ``target`` is anything :meth:`EventBus.attach_jsonl` accepts.  The
+    bus is ambient for the duration of the block.  On exit the log is
+    closed with ``run_finished``, whose ``status`` says how the block
+    ended: ``finished`` on a clean return, ``drained`` on a graceful
+    shutdown (:class:`~repro.resilience.SweepDrained` is a
+    ``KeyboardInterrupt``), ``aborted`` on anything else.  Then the
+    previous ambient bus is restored and the sink closed.
+    """
+    bus = EventBus(run_id=run_id)
+    bus.attach_jsonl(target)
+    previous = install(bus)
+    status = "aborted"
+    try:
+        yield bus
+        status = "finished"
+    except KeyboardInterrupt:
+        status = "drained"
+        raise
+    finally:
+        bus.publish(RUN_FINISHED, run_id, status=status)
+        uninstall(previous)
+        bus.close()
+
+
 __all__ = [
     "CACHE_HIT",
     "CACHE_MISS",
-    "DEFAULT_CAPACITY",
     "Event",
     "EventBus",
     "JOURNAL_RECORD",
@@ -297,9 +272,8 @@ __all__ = [
     "TASK_SCHEDULED",
     "TASK_STARTED",
     "UnknownEventKind",
-    "WORKER_HEARTBEAT",
-    "WORKER_STALLED",
     "active",
+    "event_log",
     "install",
     "publish",
     "uninstall",

@@ -145,9 +145,7 @@ def to_prometheus(source=None) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-#: canonical name for the scrape-facing exporter (the HTTP endpoint and
-#: CLI call this); kept alongside ``to_prometheus`` for symmetry with
-#: ``to_json``
+#: alias of ``to_prometheus``, named like the ``render_*`` views
 render_prometheus = to_prometheus
 
 

@@ -9,46 +9,20 @@ shows up in both automatically.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass, fields
 from typing import Optional
 
 from .artifacts import ArtifactCache
-from .exec.pools import POOL_BACKENDS
 from .sim.config import SystemConfig
-
-#: valid ``pool`` values: ``auto`` (processes when the sweep is
-#: parallel, inline serial otherwise) plus every real backend
-POOL_CHOICES = ("auto",) + POOL_BACKENDS
-
-
-def validate_pool(pool: Optional[str]) -> str:
-    """Normalise a pool-backend request.
-
-    ``None`` defers to ``$REPRO_POOL`` (how the CI matrix forces every
-    backend through the full test suite) and then to ``"auto"``.
-    Unknown names raise a ``ValueError`` naming the valid choices, so a
-    typo fails loudly before any worker is spawned.
-    """
-    if pool is None:
-        pool = os.environ.get("REPRO_POOL") or "auto"
-    pool = str(pool).strip().lower()
-    if pool not in POOL_CHOICES:
-        raise ValueError(
-            "unknown pool backend %r (choose from: %s)"
-            % (pool, ", ".join(POOL_CHOICES))
-        )
-    return pool
 
 
 def validate_jobs(jobs: Optional[int]) -> Optional[int]:
     """Normalise a ``jobs`` request.
 
     ``None`` and ``1`` mean serial; values below 1 are invalid — rather
-    than handing them to ``ProcessPoolExecutor`` (which would raise a
-    cryptic ``ValueError`` mid-sweep) we warn clearly and fall back to
-    serial execution.
+    than sizing a :class:`~repro.exec.ProcessPool` from them we warn
+    clearly and fall back to serial execution.
     """
     if jobs is None:
         return None
@@ -68,12 +42,9 @@ class PipelineOptions:
     """Everything configurable about a pipeline run.
 
     ``config``       Table V system parameters (``None`` = paper default).
-    ``jobs``         worker-pool width for suite sweeps (``None``/1 = serial).
-    ``pool``         execution backend for suite sweeps: ``serial``,
-                     ``process`` (warm forked workers), ``thread``, or
-                     ``None``/``auto`` (``$REPRO_POOL`` if set, else
-                     processes when ``jobs > 1``).  Results are
-                     bitwise-identical on every backend.
+    ``jobs``         worker-process count for suite sweeps (``None``/1 =
+                     serial, inline).  Results are bitwise-identical
+                     either way.
     ``cache_dir``    artifact cache root (``None`` = ``$REPRO_CACHE_DIR`` or
                      ``~/.cache/repro-needle``).
     ``no_cache``     bypass the persistent artifact cache entirely.
@@ -89,8 +60,6 @@ class PipelineOptions:
                      retrying/quarantining.
     ``fault_plan``   a :class:`~repro.resilience.FaultPlan` (or a path to
                      its JSON form) injected into the run — chaos testing.
-    ``no_sim_memo``  disable the cross-strategy simulation memo (every
-                     strategy recomputes calibration/path costs/schedules).
     ``journal_dir``  write a crash-safe run journal for suite sweeps
                      under this directory (``None`` = ``$REPRO_JOURNAL_DIR``
                      if set, else no journal).  See docs/resilience.md.
@@ -106,31 +75,15 @@ class PipelineOptions:
                      this many failed attempts in total (``None`` = off).
     ``max_consecutive_failures`` circuit breaker: abort after this many
                      consecutive failed attempts (``None`` = off).
-    ``serve_metrics`` serve ``/metrics`` (Prometheus), ``/progress``
-                     (JSON) and ``/healthz`` over HTTP while the sweep
-                     runs (``"[HOST:]PORT"``; binds 127.0.0.1 unless a
-                     host is given).
-    ``progress_out`` atomically rewrite a live ``progress.json``
-                     snapshot at this path during the sweep (what
-                     ``repro top`` reads without the endpoint).
-    ``events_out``   append every telemetry event to this JSONL file
-                     (complete, gapless, replayable).
-    ``live``         repaint a one-screen live progress view on stderr
-                     while the sweep runs.
-    ``heartbeat``    worker heartbeat period in seconds for live
-                     telemetry (preemptive pools only).
-    ``stall_after``  flag a worker silent this long as stalled
-                     (``None`` = 5x the heartbeat period).
-
-    The ``serve_metrics``/``progress_out``/``events_out``/``live`` group
-    is wall-clock-only telemetry: semantic output — evaluation records,
-    semantic metrics, the attribution ledger — is byte-identical with it
-    on or off.
+    ``events_out``   append every sweep event to this JSONL file
+                     (complete, gapless, replayable).  Wall-clock-only:
+                     semantic output — evaluation records, semantic
+                     metrics, the attribution ledger — is byte-identical
+                     with it on or off.
     """
 
     config: Optional[SystemConfig] = None
     jobs: Optional[int] = None
-    pool: Optional[str] = None
     cache_dir: Optional[str] = None
     no_cache: bool = False
     metrics: bool = False
@@ -140,62 +93,28 @@ class PipelineOptions:
     retries: int = 2
     fail_fast: bool = False
     fault_plan: "Optional[object]" = None  # FaultPlan | str path to JSON
-    no_sim_memo: bool = False
     journal_dir: Optional[str] = None
     run_id: Optional[str] = None
     resume: Optional[str] = None
     drain_timeout: float = 10.0
     max_total_failures: Optional[int] = None
     max_consecutive_failures: Optional[int] = None
-    serve_metrics: Optional[str] = None
-    progress_out: Optional[str] = None
     events_out: Optional[str] = None
-    live: bool = False
-    heartbeat: float = 1.0
-    stall_after: Optional[float] = None
 
     # -- derived views -----------------------------------------------------
 
     @property
     def wants_metrics(self) -> bool:
-        """Does this run need instrumentation turned on?
-
-        The live endpoint implies it: ``/metrics`` scrapes the registry,
-        so serving without collecting would expose an empty page.
-        """
+        """Does this run need instrumentation turned on?"""
         return (
             self.metrics
             or self.metrics_out is not None
             or self.timeline_out is not None
-            or self.serve_metrics is not None
         )
-
-    @property
-    def wants_telemetry(self) -> bool:
-        """Should sweeps run inside a live telemetry session?"""
-        return (
-            self.serve_metrics is not None
-            or self.progress_out is not None
-            or self.events_out is not None
-            or self.live
-        )
-
-    @property
-    def heartbeat_period(self) -> Optional[float]:
-        """Heartbeat period to arm on the pool, or ``None`` when live
-        telemetry is off (heartbeats only exist to feed the bus)."""
-        if not self.wants_telemetry:
-            return None
-        period = float(self.heartbeat)
-        return period if period > 0 else None
 
     def normalized_jobs(self) -> Optional[int]:
         """``jobs`` validated for pool use (warns + serial on bad input)."""
         return validate_jobs(self.jobs)
-
-    def normalized_pool(self) -> str:
-        """``pool`` resolved against ``$REPRO_POOL`` and validated."""
-        return validate_pool(self.pool)
 
     def build_cache(self) -> Optional[ArtifactCache]:
         """The artifact cache this run should use (``None`` when bypassed)."""
@@ -260,16 +179,9 @@ class PipelineOptions:
                 type=int,
                 default=None,
                 metavar="N",
-                help="shard the suite across N pool workers",
-            )
-            parser.add_argument(
-                "--pool",
-                choices=POOL_CHOICES,
-                default=None,
-                help="suite-sweep execution backend (default: $REPRO_POOL "
-                "if set, else 'auto' = warm worker processes when "
-                "--jobs > 1); results are bitwise-identical on every "
-                "backend",
+                help="shard the suite across N warm worker processes "
+                "(default: serial, inline); results are bitwise-identical "
+                "either way",
             )
             parser.add_argument(
                 "--journal-dir",
@@ -322,48 +234,11 @@ class PipelineOptions:
                 "attempts with no success in between",
             )
             parser.add_argument(
-                "--serve-metrics",
-                default=None,
-                metavar="[HOST:]PORT",
-                help="serve /metrics (Prometheus), /progress (JSON) and "
-                "/healthz over HTTP while the sweep runs; binds "
-                "127.0.0.1 unless HOST is given",
-            )
-            parser.add_argument(
-                "--progress-out",
-                default=None,
-                metavar="PATH",
-                help="atomically rewrite a live progress.json snapshot "
-                "at PATH during the sweep (readable by 'repro top')",
-            )
-            parser.add_argument(
                 "--events-out",
                 default=None,
                 metavar="PATH",
-                help="append every telemetry event to PATH as JSONL "
+                help="append every sweep event to PATH as JSONL "
                 "(complete and gapless; replayable)",
-            )
-            parser.add_argument(
-                "--live",
-                action="store_true",
-                help="repaint a one-screen live progress view on stderr "
-                "while the sweep runs",
-            )
-            parser.add_argument(
-                "--heartbeat",
-                type=float,
-                default=cls.heartbeat,
-                metavar="SEC",
-                help="worker heartbeat period for live telemetry "
-                "(default: %gs; preemptive pools only)" % cls.heartbeat,
-            )
-            parser.add_argument(
-                "--stall-after",
-                type=float,
-                default=None,
-                metavar="SEC",
-                help="flag a worker silent for SEC seconds as stalled "
-                "(default: 5x the heartbeat period)",
             )
         parser.add_argument(
             "--cache-dir",
@@ -424,12 +299,6 @@ class PipelineOptions:
             help="inject the deterministic fault plan described by this "
             "JSON file (chaos testing; see docs/resilience.md)",
         )
-        parser.add_argument(
-            "--no-sim-memo",
-            action="store_true",
-            help="disable the cross-strategy simulation memo (recompute "
-            "calibration, path costs and schedules per strategy)",
-        )
 
     @classmethod
     def from_args(cls, args) -> "PipelineOptions":
@@ -444,4 +313,4 @@ class PipelineOptions:
         return cls(**kwargs)
 
 
-__all__ = ["POOL_CHOICES", "PipelineOptions", "validate_jobs", "validate_pool"]
+__all__ = ["PipelineOptions", "validate_jobs"]

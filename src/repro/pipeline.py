@@ -13,13 +13,12 @@ behind Figs. 9 and 10, plus the HLS feasibility estimate of §VI.
 
 Suite sweeps scale two ways:
 
-* ``PipelineOptions(jobs=N, pool=...)`` shards the suite across a
-  :mod:`repro.exec` worker pool — warm forked processes by default,
-  threads or inline-serial by choice (``--pool`` / ``$REPRO_POOL``);
-  results come back in deterministic suite order regardless of which
-  worker finished first, and are bitwise-identical across backends.
-  Evaluation records are flat, picklable summaries, and workers ship
-  *delta* memo snapshots, so per-task transport stays compact.
+* ``PipelineOptions(jobs=N)`` with ``N > 1`` shards the suite across a
+  :class:`~repro.exec.ProcessPool` of warm forked workers; results come
+  back in deterministic suite order regardless of which worker finished
+  first, and are bitwise-identical to a serial sweep.  Evaluation
+  records are flat, picklable summaries, and workers ship *delta* memo
+  snapshots, so per-task transport stays compact.
 * an optional :class:`~repro.artifacts.ArtifactCache` persists profiles
   and evaluation summaries on disk keyed by (IR text, run args, config,
   format version), so a second CLI/bench/test run skips re-profiling
@@ -59,7 +58,7 @@ from .exec import worker as _exec_worker
 from .exec.pools import SerialPool
 from .frames.frame import Frame, build_frame
 from .obs.instruments import publish_workload_evaluation
-from .options import PipelineOptions, validate_pool
+from .options import PipelineOptions
 from .profiling.ranking import RankedPath, rank_paths
 from .resilience import faults as _faults
 from .resilience.faults import (
@@ -282,14 +281,8 @@ class NeedlePipeline:
         # one simulation memo per pipeline: the three strategies of each
         # evaluation share calibration/path-cost/schedule sub-simulations,
         # and (with an artifact cache) the tables persist across runs
-        self.sim_memo: Optional[SimulationMemo] = (
-            None if self.options.no_sim_memo
-            else SimulationMemo(cache=self.cache)
-        )
-        self.simulator = OffloadSimulator(
-            self.config,
-            memo=False if self.sim_memo is None else self.sim_memo,
-        )
+        self.sim_memo = SimulationMemo(cache=self.cache)
+        self.simulator = OffloadSimulator(self.config, memo=self.sim_memo)
         self._analyses: Dict[str, WorkloadAnalysis] = {}
         self._evaluations: Dict[str, WorkloadEvaluation] = {}
 
@@ -449,23 +442,20 @@ class NeedlePipeline:
     # -- suite sweeps -----------------------------------------------------------------
 
     def analyse_all(self, workloads) -> List[WorkloadAnalysis]:
-        """Analyse a suite; :class:`~repro.options.PipelineOptions`
-        decides the pool backend and width (see :meth:`evaluate_all`)."""
+        """Analyse a suite; ``PipelineOptions.jobs`` decides whether it
+        fans out (see :meth:`evaluate_all`)."""
         return self._sweep(
             "analyse", _analyse_worker, self._analyses, workloads
         )
 
     def evaluate_all(self, workloads) -> List[WorkloadEvaluation]:
-        """Evaluate a suite, sharded over the configured worker pool.
+        """Evaluate a suite, sharded over warm worker processes when
+        ``PipelineOptions.jobs > 1`` and inline otherwise.
 
-        ``PipelineOptions(jobs=N, pool=...)`` drives execution: ``pool``
-        names a :mod:`repro.exec` backend (``serial`` | ``process`` |
-        ``thread``; default ``auto`` = warm worker processes when
-        ``jobs > 1``), overridable per-environment via ``$REPRO_POOL``.
-        Rows come back in suite order and are bitwise-identical on every
-        backend: workers run the same deterministic pipeline, and the
-        pool only changes *where* a workload is computed.  Invalid
-        ``jobs`` values (< 1) warn and fall back to serial.
+        Rows come back in suite order and are bitwise-identical either
+        way: workers run the same deterministic pipeline, and the pool
+        only changes *where* a workload is computed.  Invalid ``jobs``
+        values (< 1) warn and fall back to serial.
 
         A workload that keeps failing (exception, timeout, worker crash)
         is retried per :class:`~repro.options.PipelineOptions` and then
@@ -484,22 +474,13 @@ class NeedlePipeline:
         """Resolve ``(backend name, pool width)`` for a sweep with
         ``n_todo`` not-yet-memoised workloads.
 
-        ``jobs`` decides *whether* to pool — ``None``/``1`` (and a sweep
-        with at most one workload to run) stay inline-serial, keeping
-        the documented contract whatever the backend.  ``pool`` decides
-        *where* pooled sweeps run: ``auto`` means warm worker processes,
-        and a forced ``serial`` routes even ``jobs=N`` sweeps through
-        the in-line backend (how the CI matrix proves backend
-        equivalence).
+        ``None``/``1`` jobs, and a sweep with at most one workload to
+        run, stay inline-serial; anything wider runs on warm worker
+        processes, clamped to the work available.
         """
-        backend = validate_pool(self.options.pool)
         if jobs is None or jobs <= 1 or n_todo <= 1:
             return "serial", 1
-        if backend == "auto":
-            backend = "process"
-        if backend == "serial":
-            return "serial", 1
-        return backend, min(jobs, n_todo)
+        return "process", min(jobs, n_todo)
 
     def _sweep(self, method, worker_fn, memo: Dict, workloads) -> List:
         workloads = list(workloads)
@@ -519,34 +500,29 @@ class NeedlePipeline:
             journal.scheduled([w.name for w in todo])
             drain = DrainController(timeout=self.options.drain_timeout)
             signal_scope = drain_on_signals(drain)
-        # live telemetry rides alongside the sweep: a bus + aggregator
-        # (+ optional HTTP endpoint / terminal view) that observe
-        # scheduling without touching it — semantic output is
-        # byte-identical with the session on or off
-        telemetry = contextlib.nullcontext()
-        if self.options.wants_telemetry:
-            from .obs.live import TelemetrySession
-
-            telemetry = TelemetrySession.from_options(
-                self.options,
-                run_id=journal.run_id if journal is not None
-                else (self.options.run_id or ""))
+        # the event log rides alongside the sweep: it observes scheduling
+        # without touching it — semantic output is byte-identical with
+        # the log on or off
+        event_log = contextlib.nullcontext()
+        run_id = journal.run_id if journal is not None \
+            else (self.options.run_id or "")
+        if self.options.events_out is not None:
+            event_log = obs.events.event_log(
+                self.options.events_out, run_id=run_id)
         try:
-            with telemetry as session:
-                if session is not None:
-                    session.bus.publish(
-                        obs.events.RUN_STARTED, key=session.run_id,
-                        run_id=session.run_id, stage=method,
+            with event_log as bus:
+                if bus is not None:
+                    bus.publish(
+                        obs.events.RUN_STARTED, run_id,
+                        run_id=run_id, stage=method,
                         total=len(workloads), todo=len(todo),
                         backend=backend, jobs=width)
                     # workloads already memoised (journal resume or a
                     # prior in-process sweep) count as completed from
-                    # the start — cumulative progress, not this
-                    # process's share
+                    # the start
                     for w in workloads:
                         if w.name in memo:
-                            session.bus.publish(
-                                obs.events.RUN_RESUMED, key=w.name)
+                            bus.publish(obs.events.RUN_RESUMED, w.name)
                 with signal_scope:
                     if backend == "serial":
                         fresh = self._run_serial(
@@ -557,7 +533,7 @@ class NeedlePipeline:
                             workloads=len(workloads)
                         ):
                             fresh = self._fan_out(
-                                worker_fn, todo, backend, width,
+                                worker_fn, todo, width,
                                 journal=journal, drain=drain)
         except SweepDrained as exc:
             if journal is not None:
@@ -632,8 +608,7 @@ class NeedlePipeline:
             if isinstance(result, WorkloadFailure):
                 continue
             memo[name] = result
-            if memo_snap is not None and self.sim_memo is not None:
-                self.sim_memo.merge(memo_snap)
+            self.sim_memo.merge(memo_snap)
             if obs.enabled():
                 if snap is not None:
                     # pooled runs journal the worker's whole registry
@@ -661,7 +636,7 @@ class NeedlePipeline:
                     drain=None) -> List:
         """Serial sweep through the fail-safe runner on a
         :class:`~repro.exec.SerialPool` — the same retry/quarantine/blame
-        contract as every other backend (timeouts excepted: a thread
+        contract as the process backend (timeouts excepted: a thread
         cannot interrupt itself).  Tasks call the *bound* pipeline
         methods, so profiles, evaluations and memo tables land directly
         in this pipeline with no snapshot round-trip."""
@@ -696,20 +671,18 @@ class NeedlePipeline:
             on_result=on_result,
             on_event=journal.lifecycle if journal is not None else None,
             drain=drain,
-            heartbeat=self.options.heartbeat_period,
-            stall_after=self.options.stall_after,
         )
 
-    def _fan_out(self, worker, workloads, backend: str, width: int,
+    def _fan_out(self, worker, workloads, width: int,
                  journal=None, drain=None) -> List:
-        """Shard over a fail-safe worker pool; workers return ``(result,
-        obs snapshot-or-None, memo delta-or-None)``.  Snapshots are
-        folded in as each worker finishes — a later failure can no longer
-        drop metrics or memo entries that were already collected — and
-        failed workloads come back as :class:`WorkloadFailure` records in
-        their suite slot.  With a journal attached, each row is persisted
-        and its ``completed`` record fsynced the moment it lands, from
-        any backend."""
+        """Shard over a fail-safe pool of ``width`` worker processes;
+        workers return ``(result, obs snapshot-or-None, memo delta)``.
+        Snapshots are folded in as each worker finishes — a later
+        failure can no longer drop metrics or memo entries that were
+        already collected — and failed workloads come back as
+        :class:`WorkloadFailure` records in their suite slot.  With a
+        journal attached, each row is persisted and its ``completed``
+        record fsynced the moment it lands."""
         cache_root = self.cache.root if self.cache is not None else None
         collect = obs.enabled()
 
@@ -717,8 +690,7 @@ class NeedlePipeline:
             _result, snap, memo_snap = row
             if snap is not None:
                 obs.merge(snap)
-            if memo_snap is not None and self.sim_memo is not None:
-                self.sim_memo.merge(memo_snap)
+            self.sim_memo.merge(memo_snap)
             if journal is not None:
                 key = journal.store_payload(workload.name, row)
                 journal.completed(workload.name, key)
@@ -727,17 +699,13 @@ class NeedlePipeline:
             worker,
             workloads,
             jobs=width,
-            pool=backend,
             policy=self.options.failure_policy(),
-            task_args=(self.config, cache_root, collect,
-                       self.options.no_sim_memo),
+            task_args=(self.config, cache_root, collect),
             plan=self._fault_plan(),
             key_fn=lambda w: w.name,
             on_result=_absorb,
             on_event=journal.lifecycle if journal is not None else None,
             drain=drain,
-            heartbeat=self.options.heartbeat_period,
-            stall_after=self.options.stall_after,
         )
         return [
             row if isinstance(row, WorkloadFailure) else row[0] for row in rows
@@ -757,17 +725,15 @@ def evaluate_suite(
     retries: Optional[int] = None,
     fail_fast: bool = False,
     fault_plan: Optional[FaultPlan] = None,
-    pool: Optional[str] = None,
 ) -> List[WorkloadEvaluation]:
     """One-call evaluation of the suite (or a named subset of it).
 
     The supported public entry point for "give me the Fig. 9/10 numbers":
     resolves workload names, honours the artifact cache and worker-pool
-    sharding (``jobs`` wide on the ``pool`` backend — ``serial`` |
-    ``process`` | ``thread``, default automatic), and returns evaluations
-    in suite order.  Keyword arguments are shorthands for the matching
-    :class:`~repro.options.PipelineOptions` fields; pass ``options`` to
-    control everything at once.
+    sharding (``jobs`` warm worker processes when ``jobs > 1``), and
+    returns evaluations in suite order.  Keyword arguments are
+    shorthands for the matching :class:`~repro.options.PipelineOptions`
+    fields; pass ``options`` to control everything at once.
 
     The sweep is fail-safe: a workload that keeps failing is retried
     (``retries``, per-attempt ``timeout`` on preemptive pools) and then
@@ -784,8 +750,7 @@ def evaluate_suite(
     from . import workloads as workload_registry
 
     opts = options or PipelineOptions(
-        config=config, jobs=jobs, cache_dir=cache_dir, pool=pool,
-        timeout=timeout,
+        config=config, jobs=jobs, cache_dir=cache_dir, timeout=timeout,
         retries=retries if retries is not None else PipelineOptions.retries,
         fail_fast=fail_fast, fault_plan=fault_plan,
     )
@@ -807,8 +772,8 @@ def evaluate_suite(
 
 # -- pool workers (module level: must be picklable by reference) ----------------
 
-#: per-worker-thread pipeline cache: a warm pool worker keeps one
-#: pipeline alive across tasks (imports done, caches primed) instead of
+#: per-worker pipeline cache: a warm pool worker keeps one pipeline
+#: alive across tasks (imports done, caches primed) instead of
 #: rebuilding it per workload — the bulk of the old ``--jobs`` overhead
 _WORKER_TLS = threading.local()
 
@@ -816,30 +781,22 @@ _WORKER_TLS = threading.local()
 def _worker_pipeline(
     config: SystemConfig,
     cache_root: Optional[str],
-    no_sim_memo: bool = False,
 ) -> NeedlePipeline:
     """The warm per-worker pipeline, rebuilt only when the sweep
     configuration changes.
 
-    Keyed thread-locally, so process workers (one main thread each) and
-    thread workers (many per interpreter) both get exactly one pipeline
-    per worker.  Reuse is safe because results are content-keyed and
-    deterministic; per-task record memos are cleared by the caller so a
-    retried task always recomputes.
+    Reuse is safe because results are content-keyed and deterministic;
+    per-task record memos are cleared by the caller so a retried task
+    always recomputes.
     """
     key = (
         config_fingerprint(config) if config is not None else None,
         cache_root,
-        bool(no_sim_memo),
     )
     if getattr(_WORKER_TLS, "key", None) == key:
         return _WORKER_TLS.pipeline
     cache = ArtifactCache(cache_root) if cache_root is not None else None
-    opts = PipelineOptions(
-        config=config,
-        no_cache=cache is None,
-        no_sim_memo=no_sim_memo,
-    )
+    opts = PipelineOptions(config=config, no_cache=cache is None)
     pipe = NeedlePipeline(config, cache=cache, options=opts)
     _WORKER_TLS.pipeline = pipe
     _WORKER_TLS.key = key
@@ -873,7 +830,6 @@ def _consult_worker_faults(name: str) -> None:
 
 
 def _run_worker(method, workload, config, cache_root, collect: bool,
-                no_sim_memo: bool = False,
                 plan: Optional[FaultPlan] = None, attempt: int = 0):
     """Run one workload in a pool worker, optionally collecting obs data
     into a private registry whose snapshot rides back with the result.
@@ -889,7 +845,7 @@ def _run_worker(method, workload, config, cache_root, collect: bool,
     _faults.install(plan, attempt=attempt)
     try:
         _consult_worker_faults(workload.name)
-        pipe = _worker_pipeline(config, cache_root, no_sim_memo)
+        pipe = _worker_pipeline(config, cache_root)
         try:
             if not collect:
                 result = getattr(pipe, method)(workload)
@@ -901,10 +857,7 @@ def _run_worker(method, workload, config, cache_root, collect: bool,
                                 worker=str(os.getpid()))
                     result = getattr(pipe, method)(workload)
                     snap = reg.snapshot()
-            memo_snap = (
-                pipe.sim_memo.drain() if pipe.sim_memo is not None else None
-            )
-            return result, snap, memo_snap
+            return result, snap, pipe.sim_memo.drain()
         finally:
             # record memos are per-task: a retry must recompute (its
             # fault sites consulted afresh), and a warm worker must not
@@ -920,12 +873,11 @@ def _analyse_worker(
     config: SystemConfig,
     cache_root: Optional[str],
     collect: bool = False,
-    no_sim_memo: bool = False,
     plan: Optional[FaultPlan] = None,
     attempt: int = 0,
 ):
     return _run_worker("analyse", workload, config, cache_root, collect,
-                       no_sim_memo, plan, attempt)
+                       plan, attempt)
 
 
 def _evaluate_worker(
@@ -933,12 +885,11 @@ def _evaluate_worker(
     config: SystemConfig,
     cache_root: Optional[str],
     collect: bool = False,
-    no_sim_memo: bool = False,
     plan: Optional[FaultPlan] = None,
     attempt: int = 0,
 ):
     return _run_worker("evaluate", workload, config, cache_root, collect,
-                       no_sim_memo, plan, attempt)
+                       plan, attempt)
 
 
 __all__ = [

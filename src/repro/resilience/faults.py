@@ -238,11 +238,11 @@ def corrupt_value(value, spec: FaultSpec):
 
 # -- ambient installation ----------------------------------------------------
 #
-# Installation is *per thread*: each thread-pool worker installs the
-# injector for its own task attempt without clobbering its neighbours
-# (process workers each own a whole interpreter, so they get the same
-# behaviour for free).  A process-wide count of installed injectors
-# keeps the disabled-path cost at one integer test.
+# Installation is *per thread*: a task attempt installs its injector
+# without clobbering any other thread's (process workers each own a
+# whole interpreter, so they get the same behaviour for free).  A
+# process-wide count of installed injectors keeps the disabled-path
+# cost at one integer test.
 
 _TLS = threading.local()
 _INSTALLED_COUNT = 0
@@ -255,7 +255,7 @@ def enabled() -> bool:
     The production answer is ``False``, and the global count test is the
     entire disabled-path cost: only when some thread has an injector do
     we pay the thread-local lookup.  (The count alone would be wrong —
-    an abandoned hung worker keeps its injector until its sleep ends.)"""
+    another thread's injector is not this thread's.)"""
     return _INSTALLED_COUNT > 0 and getattr(_TLS, "injector", None) is not None
 
 

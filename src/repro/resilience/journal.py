@@ -316,8 +316,8 @@ class RunJournal:
             obs.counter("resilience.journal_records", 1,
                         help="records appended to the run journal",
                         event=event)
-        # live telemetry: surface journal activity on the ambient event
-        # bus (no-op without one); key prefers the workload a record is
+        # event log: surface journal activity on the ambient event bus
+        # (no-op without one); key prefers the workload a record is
         # about, falling back to the run itself
         bus_events.publish(
             bus_events.JOURNAL_RECORD,

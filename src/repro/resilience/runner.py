@@ -22,9 +22,9 @@ stalls it forever, and one hard-killed child used to break the whole
   sweep moves on.
 
 Where tasks run is the caller's choice: the runner drives any
-:class:`repro.exec.Pool` (``pool="serial" | "process" | "thread"``, a
-backend name or an instance) with identical retry/quarantine/blame
-semantics — the serial backend simply has no preemption, so deadlines
+:class:`repro.exec.Pool` instance (default: a :class:`~repro.exec.ProcessPool`
+``jobs`` wide) with identical retry/quarantine/blame semantics — the
+:class:`~repro.exec.SerialPool` simply has no preemption, so deadlines
 are not enforced there (a thread cannot interrupt itself).
 
 Blame is only ever assigned on evidence (an exception from the task
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..exec.pools import Pool, PoolBroken, WorkerCrashed, make_pool
+from ..exec.pools import Pool, PoolBroken, ProcessPool, WorkerCrashed
 from ..obs import events as bus
 from . import faults as _faults
 from .faults import FaultPlan, _unit
@@ -175,7 +175,7 @@ def run_failsafe(
     items: Sequence,
     *,
     jobs: Optional[int] = None,
-    pool=None,
+    pool: Optional[Pool] = None,
     policy: Optional[FailurePolicy] = None,
     task_args: tuple = (),
     plan: Optional[FaultPlan] = None,
@@ -183,17 +183,13 @@ def run_failsafe(
     on_result: Optional[Callable] = None,
     on_event: Optional[Callable] = None,
     drain: Optional[DrainController] = None,
-    heartbeat: Optional[float] = None,
-    stall_after: Optional[float] = None,
 ) -> List:
     """Run ``task(item, *task_args, plan, attempt)`` for every item.
 
-    ``pool`` selects where tasks run: a backend name from
-    :data:`repro.exec.POOL_BACKENDS`, an already-built
-    :class:`repro.exec.Pool` instance, or ``None`` for the historical
-    default (warm worker processes, ``jobs`` wide).  ``task`` must be a
-    module-level callable for the process backend (it is pickled by
-    reference); the serial and thread backends accept any callable.
+    ``pool`` selects where tasks run: a :class:`repro.exec.Pool`
+    instance, or ``None`` for warm worker processes ``jobs`` wide.
+    ``task`` must be a module-level callable for the process backend (it
+    is pickled by reference); the serial backend accepts any callable.
 
     Returns one entry per item, in item order: the task's return value,
     or a :class:`WorkloadFailure`.  ``on_result`` fires as each success
@@ -213,16 +209,11 @@ def run_failsafe(
     — the pool is closed and the caller thread's ambient fault injector
     is restored.
 
-    ``heartbeat`` (seconds) turns on worker heartbeats where the
-    backend supports them (preemptive pools): each worker reports its
-    running (task, phase, elapsed) on that period, surfaced as
-    ``worker_heartbeat`` events on the ambient event bus.  A worker
-    silent for longer than ``stall_after`` seconds (default 5x the
-    heartbeat period) is flagged once per attempt with a
-    ``worker_stalled`` event and an ``obs.worker_stalled`` counter —
-    advisory visibility that *complements* the hang-deadline eviction
-    above, never replaces it.  All of it is wall-clock telemetry with
-    no influence on scheduling, retries or results.
+    With an ambient event bus installed, the sweep's lifecycle is
+    published to it: ``task_scheduled`` at submission, ``task_started``
+    as the pool reports each start, then ``task_finished``, ``retry``
+    or ``quarantined``.  Publishing is wall-clock bookkeeping with no
+    influence on scheduling, retries or results.
     """
     items = list(items)
     policy = policy or FailurePolicy()
@@ -232,11 +223,11 @@ def run_failsafe(
 
     emit = on_event if on_event is not None else (lambda event, key, **d: None)
 
-    if isinstance(pool, Pool):
+    if pool is not None:
         backend = pool
     else:
         width = max(1, min(jobs if jobs is not None else 1, max(1, len(items))))
-        backend = make_pool(pool if pool is not None else "process", jobs=width)
+        backend = ProcessPool(jobs=width)
 
     pending: Dict[int, _Task] = {}  # ticket -> task
     careful = False  # one-at-a-time after an unattributable pool failure
@@ -304,69 +295,12 @@ def run_failsafe(
 
     deadlines = policy.timeout is not None and backend.preemptive
 
-    # -- live telemetry (advisory; publish() no-ops without a bus) ---------
-    beats_on = bool(heartbeat) and backend.preemptive \
-        and hasattr(backend, "set_heartbeat")
-    if beats_on:
-        backend.set_heartbeat(heartbeat)
-        beats_on = backend.heartbeat_period is not None
-    stall_deadline = None
-    if beats_on:
-        stall_deadline = (float(stall_after) if stall_after
-                          else 5.0 * float(heartbeat))
-    started_pub: set = set()   # tickets whose task_started went out
-    last_beats: Dict[int, float] = {}
-    stalled: set = set()
-
-    def fold_telemetry(now: float) -> None:
-        """Publish task_started / worker_heartbeat / worker_stalled."""
-        running = backend.running()
-        for ticket, started in running.items():
-            t = pending.get(ticket)
-            if t is None or ticket in started_pub:
-                continue
-            started_pub.add(ticket)
+    def started(ticket: int) -> None:
+        t = pending.get(ticket)
+        if t is not None:
             bus.publish(bus.TASK_STARTED, t.key, attempt=t.attempt + 1)
-        if not beats_on:
-            return
-        hb = backend.heartbeats()
-        for ticket, (seen, payload, worker_name) in hb.items():
-            t = pending.get(ticket)
-            if t is None:
-                continue
-            if last_beats.get(ticket) != seen:
-                last_beats[ticket] = seen
-                stalled.discard(ticket)  # a fresh beat clears the flag
-                bus.publish(
-                    bus.WORKER_HEARTBEAT, t.key, worker=worker_name,
-                    task=t.key, phase=payload.get("phase", "run"),
-                    elapsed=payload.get("elapsed", 0.0))
-        for ticket, started in running.items():
-            t = pending.get(ticket)
-            if t is None or ticket in stalled:
-                continue
-            last = max(last_beats.get(ticket, started), started)
-            silent = now - last
-            if silent > stall_deadline:
-                stalled.add(ticket)
-                worker_name = hb[ticket][2] if ticket in hb else ""
-                bus.publish(bus.WORKER_STALLED, t.key, worker=worker_name,
-                            silent_for=round(silent, 3),
-                            attempt=t.attempt + 1)
-                if obs.enabled():
-                    obs.counter("obs.worker_stalled", 1,
-                                help="workers silent past the heartbeat "
-                                     "stall threshold (advisory)")
-                log.warning(
-                    "worker %s silent for %.1fs under task %r "
-                    "(heartbeat %.3gs, stall threshold %.3gs)",
-                    worker_name or "?", silent, t.key,
-                    backend.heartbeat_period, stall_deadline)
 
-    def drop_telemetry(ticket: int) -> None:
-        started_pub.discard(ticket)
-        last_beats.pop(ticket, None)
-        stalled.discard(ticket)
+    backend.on_start = started
 
     ambient = _faults.active()
     backend.start()
@@ -439,12 +373,6 @@ def run_failsafe(
                 if t.ticket is None and t.not_before > now
             ]
             wait_for = max(0.01, min(horizon) - now) if horizon else None
-            if beats_on:
-                # wake at least once per beat period so heartbeats fold
-                # and stalls surface even when nothing completes
-                period = backend.heartbeat_period
-                wait_for = period if wait_for is None \
-                    else min(wait_for, period)
             if drain is not None:
                 # blocking waits are PEP 475-restarted after a signal
                 # handler returns, so an unbounded wait would never
@@ -458,8 +386,6 @@ def run_failsafe(
                 enter_careful(exc)
                 continue
             now = time.monotonic()
-            if bus.active() is not None:
-                fold_telemetry(now)
 
             if not completions:
                 if not deadlines:
@@ -477,7 +403,6 @@ def run_failsafe(
                     for t in expired:
                         ticket, t.ticket = t.ticket, None
                         pending.pop(ticket, None)
-                        drop_telemetry(ticket)
                         # only the wedged task's worker dies; its queued
                         # neighbours are requeued by the pool, uncharged
                         backend.evict(ticket)
@@ -493,7 +418,6 @@ def run_failsafe(
                 if t is None:
                     continue  # stale: lost a race with a timeout charge
                 t.ticket = None
-                drop_telemetry(c.ticket)
                 if c.error is None:
                     results[t.index] = c.result
                     del incomplete[t.index]

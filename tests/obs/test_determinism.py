@@ -2,8 +2,6 @@
 suite was evaluated serially, across a worker pool, or served from the
 artifact cache."""
 
-import os
-
 import pytest
 
 from repro import obs
@@ -49,11 +47,6 @@ def test_cold_and_cache_served_semantic_metrics_identical(tmp_path):
     assert cold == _run()  # and both match a cache-less run
 
 
-@pytest.mark.skipif(
-    os.environ.get("REPRO_POOL") == "serial",
-    reason="worker-side metrics need a pooled backend; "
-    "$REPRO_POOL forces serial",
-)
 def test_parallel_run_collects_operational_metrics_too():
     clear_profile_cache()
     obs.enable(reset=True)

@@ -1,12 +1,13 @@
 """The typed event bus: schema, ordering, JSONL sink, ambient install.
 
-The bus is the spine of live telemetry, so its contracts are locked
-hard: the kind vocabulary is closed, sequence numbers are gapless and
-monotonic per run (even under concurrent publishers), the JSONL log
+The bus is the spine of the sweep event log, so its contracts are
+locked hard: the kind vocabulary is closed, sequence numbers are gapless
+and monotonic per run (even under concurrent publishers), the JSONL log
 round-trips losslessly, and with no ambient bus installed the
 module-level ``publish`` is a no-op that never raises.
 """
 
+import io
 import json
 import threading
 
@@ -16,21 +17,34 @@ from hypothesis import strategies as st
 
 from repro.obs import events as ev
 
+
+def _logged_bus(**kwargs):
+    """A bus whose JSONL sink is an in-memory text buffer."""
+    bus = ev.EventBus(**kwargs)
+    sink = io.StringIO()
+    bus.attach_jsonl(sink)
+    return bus, sink
+
+
+def _logged(sink):
+    return [ev.Event.from_json(line) for line in sink.getvalue().splitlines()]
+
+
 # -- schema -------------------------------------------------------------------
 
 
 def test_kind_vocabulary_is_closed():
-    bus = ev.EventBus()
+    bus, sink = _logged_bus()
     with pytest.raises(ev.UnknownEventKind):
         bus.publish("task_imploded", "x")
-    assert bus.events() == []
+    assert _logged(sink) == []
 
 
 def test_every_declared_kind_publishes():
-    bus = ev.EventBus(run_id="r")
+    bus, sink = _logged_bus(run_id="r")
     for kind in sorted(ev.KINDS):
         bus.publish(kind, "k")
-    assert [e.kind for e in bus.events()] == sorted(ev.KINDS)
+    assert [e.kind for e in _logged(sink)] == sorted(ev.KINDS)
 
 
 # -- round-trips (hypothesis) -------------------------------------------------
@@ -95,20 +109,19 @@ def test_jsonl_log_round_trips(tmp_path_factory, batch):
 
 
 def test_seq_is_gapless_and_monotonic():
-    bus = ev.EventBus()
+    bus, sink = _logged_bus()
     for i in range(50):
         bus.publish(ev.CACHE_HIT, str(i))
-    assert [e.seq for e in bus.events()] == list(range(50))
-    assert bus.last_seq() == 49
+    assert [e.seq for e in _logged(sink)] == list(range(50))
 
 
 def test_seq_gapless_under_concurrent_publishers():
-    bus = ev.EventBus(capacity=10_000)
+    bus, sink = _logged_bus()
     n_threads, per_thread = 8, 200
 
     def hammer(tid):
         for i in range(per_thread):
-            bus.publish(ev.WORKER_HEARTBEAT, "%d-%d" % (tid, i))
+            bus.publish(ev.TASK_FINISHED, "%d-%d" % (tid, i), ok=True)
 
     threads = [
         threading.Thread(target=hammer, args=(t,)) for t in range(n_threads)
@@ -117,49 +130,11 @@ def test_seq_gapless_under_concurrent_publishers():
         t.start()
     for t in threads:
         t.join()
-    seqs = [e.seq for e in bus.events()]
+    seqs = [e.seq for e in _logged(sink)]
     assert seqs == list(range(n_threads * per_thread))
 
 
-def test_since_filters_by_seq():
-    bus = ev.EventBus()
-    for i in range(10):
-        bus.publish(ev.CACHE_MISS, str(i))
-    assert [e.seq for e in bus.events(since=6)] == [7, 8, 9]
-
-
-# -- bounded ring vs complete sink --------------------------------------------
-
-
-def test_ring_is_bounded_but_sink_is_complete(tmp_path):
-    path = tmp_path / "all.jsonl"
-    bus = ev.EventBus(capacity=8)
-    bus.attach_jsonl(str(path))
-    for i in range(100):
-        bus.publish(ev.TASK_FINISHED, str(i), ok=True)
-    bus.close()
-    assert len(bus.events()) == 8
-    assert [e.seq for e in bus.events()] == list(range(92, 100))
-    assert len(path.read_text().splitlines()) == 100
-
-
-# -- subscribers --------------------------------------------------------------
-
-
-def test_subscriber_sees_events_and_exceptions_are_contained():
-    bus = ev.EventBus()
-    seen = []
-
-    def bad(_event):
-        raise RuntimeError("subscriber bug")
-
-    bus.subscribe(bad)
-    bus.subscribe(seen.append)
-    bus.publish(ev.RETRY, "w", attempt=1)
-    assert [e.key for e in seen] == ["w"]
-    bus.unsubscribe(seen.append)
-    bus.publish(ev.RETRY, "x", attempt=2)
-    assert len(seen) == 1
+# -- sink failure -------------------------------------------------------------
 
 
 def test_sink_write_failure_drops_sink_not_sweep(tmp_path):
@@ -168,8 +143,10 @@ def test_sink_write_failure_drops_sink_not_sweep(tmp_path):
     bus.attach_jsonl(str(path))
     bus.publish(ev.CACHE_HIT, "a")
     bus._sink.close()  # simulate the file dying under the bus
-    bus.publish(ev.CACHE_HIT, "b")  # must not raise
-    assert [e.key for e in bus.events()] == ["a", "b"]
+    event = bus.publish(ev.CACHE_HIT, "b")  # must not raise
+    assert (event.key, event.seq) == ("b", 1)
+    assert [ev.Event.from_json(line).key
+            for line in path.read_text().splitlines()] == ["a"]
 
 
 # -- ambient install ----------------------------------------------------------
@@ -181,7 +158,7 @@ def test_module_publish_is_noop_without_a_bus():
 
 
 def test_install_uninstall_nesting():
-    outer, inner = ev.EventBus(), ev.EventBus()
+    (outer, outer_sink), (inner, inner_sink) = _logged_bus(), _logged_bus()
     prev = ev.install(outer)
     assert prev is None
     try:
@@ -194,5 +171,5 @@ def test_install_uninstall_nesting():
     finally:
         ev.uninstall(None)
     assert ev.active() is None
-    assert [e.key for e in inner.events()] == ["inner"]
-    assert [e.key for e in outer.events()] == ["outer"]
+    assert [e.key for e in _logged(inner_sink)] == ["inner"]
+    assert [e.key for e in _logged(outer_sink)] == ["outer"]

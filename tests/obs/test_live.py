@@ -1,197 +1,28 @@
-"""ProgressModel folding, atomic progress files, TelemetrySession."""
+"""`events.event_log`: the session that records one sweep to JSONL."""
 
 import json
-import os
-import threading
 
 from repro.obs import events as ev
-from repro.obs.live import (
-    LiveAggregator,
-    ProgressModel,
-    TelemetrySession,
-    write_progress,
-)
 
 
-def _feed(model, bus):
-    bus.subscribe(model.apply)
-    return bus
-
-
-# -- folding ------------------------------------------------------------------
-
-
-def test_model_folds_a_plain_run():
-    bus = ev.EventBus(run_id="r1")
-    model = ProgressModel()
-    _feed(model, bus)
-
-    bus.publish(ev.RUN_STARTED, "r1", run_id="r1", stage="evaluate",
-                total=3, todo=3, backend="thread", jobs=2)
-    for name in ("a", "b", "c"):
-        bus.publish(ev.TASK_SCHEDULED, name, attempt=1)
-    bus.publish(ev.TASK_STARTED, "a", attempt=1)
-    bus.publish(ev.TASK_FINISHED, "a", ok=True, attempts=1, worker="w0")
-    bus.publish(ev.TASK_STARTED, "b", attempt=1)
-
-    snap = model.snapshot()
-    assert snap["run_id"] == "r1"
-    assert snap["state"] == "running"
-    assert snap["stage"] == "evaluate"
-    assert (snap["total"], snap["done"], snap["queued"]) == (3, 1, 1)
-    assert [r["task"] for r in snap["running"]] == ["b"]
-
-    bus.publish(ev.TASK_FINISHED, "b", ok=True, attempts=1)
-    bus.publish(ev.TASK_STARTED, "c", attempt=1)
-    bus.publish(ev.TASK_FINISHED, "c", ok=True, attempts=1)
-    bus.publish(ev.RUN_FINISHED, "r1", status="finished")
-
-    snap = model.snapshot()
-    assert snap["state"] == "finished"
-    assert snap["done"] == 3
-    assert snap["queued"] == 0 and snap["running"] == []
-    assert snap["last_seq"] == bus.last_seq()
-
-
-def test_resumed_workloads_count_as_cumulative_progress():
-    """A --resume run reports suite-wide progress, not just its share."""
-    bus = ev.EventBus(run_id="r2")
-    model = ProgressModel()
-    _feed(model, bus)
-    bus.publish(ev.RUN_STARTED, "r2", run_id="r2", total=4, todo=2)
-    bus.publish(ev.RUN_RESUMED, "a")
-    bus.publish(ev.RUN_RESUMED, "b")
-    snap = model.snapshot()
-    assert snap["done"] == 2 and snap["resumed"] == 2
-    # resumed completions say nothing about live throughput
-    assert snap["rate_per_second"] is None
-
-    bus.publish(ev.TASK_STARTED, "c", attempt=1)
-    bus.publish(ev.TASK_FINISHED, "c", ok=True)
-    bus.publish(ev.TASK_STARTED, "d", attempt=1)
-    bus.publish(ev.TASK_FINISHED, "d", ok=True)
-    snap = model.snapshot()
-    assert snap["done"] == 4 and snap["resumed"] == 2
-
-
-def test_retry_and_quarantine_bookkeeping():
-    bus = ev.EventBus()
-    model = ProgressModel()
-    _feed(model, bus)
-    bus.publish(ev.RUN_STARTED, "r", total=2, todo=2)
-    bus.publish(ev.TASK_STARTED, "bad", attempt=1)
-    bus.publish(ev.RETRY, "bad", kind="exception", attempt=1)
-    bus.publish(ev.TASK_STARTED, "bad", attempt=2)
-    bus.publish(ev.QUARANTINED, "bad", kind="exception", attempts=2)
-    snap = model.snapshot()
-    assert snap["retries"] == 1
-    assert snap["quarantined"] == ["bad"]
-    assert snap["running"] == []
-
-
-def test_heartbeats_and_stalls_shape_worker_table():
-    bus = ev.EventBus()
-    model = ProgressModel()
-    _feed(model, bus)
-    bus.publish(ev.RUN_STARTED, "r", total=1, todo=1)
-    bus.publish(ev.TASK_STARTED, "slow", attempt=1)
-    bus.publish(ev.WORKER_HEARTBEAT, "slow", worker="proc-1",
-                task="slow", phase="simulate", elapsed=2.5)
-    snap = model.snapshot()
-    (worker,) = snap["workers"]
-    assert worker["worker"] == "proc-1"
-    assert worker["task"] == "slow" and worker["phase"] == "simulate"
-    assert worker["stalled"] is False
-    (running,) = snap["running"]
-    assert running["phase"] == "simulate"
-
-    bus.publish(ev.WORKER_STALLED, "slow", worker="proc-1",
-                silent_for=9.0, attempt=1)
-    snap = model.snapshot()
-    assert snap["stalls"] == 1
-    assert snap["workers"][0]["stalled"] is True
-    # a fresh beat clears the stall flag
-    bus.publish(ev.WORKER_HEARTBEAT, "slow", worker="proc-1",
-                task="slow", phase="simulate", elapsed=11.0)
-    assert model.snapshot()["workers"][0]["stalled"] is False
-
-
-def test_cache_hit_rate():
-    bus = ev.EventBus()
-    model = ProgressModel()
-    _feed(model, bus)
-    for _ in range(3):
-        bus.publish(ev.CACHE_HIT, "profile")
-    bus.publish(ev.CACHE_MISS, "evaluation")
-    cache = model.snapshot()["cache"]
-    assert (cache["hits"], cache["misses"]) == (3, 1)
-    assert cache["hit_rate"] == 0.75
-
-
-def test_model_is_thread_safe_under_concurrent_apply():
-    bus = ev.EventBus(capacity=10_000)
-    model = ProgressModel()
-    _feed(model, bus)
-    bus.publish(ev.RUN_STARTED, "r", total=400, todo=400)
-
-    def work(tid):
-        for i in range(100):
-            key = "t%d-%d" % (tid, i)
-            bus.publish(ev.TASK_STARTED, key, attempt=1)
-            bus.publish(ev.TASK_FINISHED, key, ok=True)
-
-    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert model.snapshot()["done"] == 400
-
-
-# -- progress file ------------------------------------------------------------
-
-
-def test_write_progress_is_atomic_and_leaves_no_temp(tmp_path):
-    path = tmp_path / "progress.json"
-    write_progress(str(path), {"state": "running", "done": 1})
-    write_progress(str(path), {"state": "finished", "done": 2})
-    assert json.loads(path.read_text())["done"] == 2
-    leftovers = [n for n in os.listdir(tmp_path) if n != "progress.json"]
-    assert leftovers == []
-
-
-def test_aggregator_persists_snapshots(tmp_path):
-    path = tmp_path / "progress.json"
-    bus = ev.EventBus(run_id="agg")
-    agg = LiveAggregator(bus, progress_path=str(path), write_interval=0.0)
-    bus.publish(ev.RUN_STARTED, "agg", run_id="agg", total=1, todo=1)
-    bus.publish(ev.TASK_STARTED, "only", attempt=1)
-    bus.publish(ev.TASK_FINISHED, "only", ok=True)
-    bus.publish(ev.RUN_FINISHED, "agg", status="finished")
-    agg.close()
-    snap = json.loads(path.read_text())
-    assert snap["state"] == "finished" and snap["done"] == 1
-    assert snap["run_id"] == "agg"
-
-
-# -- session ------------------------------------------------------------------
+def _log(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 def test_telemetry_session_lifecycle(tmp_path):
-    progress = tmp_path / "progress.json"
-    events = tmp_path / "events.jsonl"
-    session = TelemetrySession(run_id="s1", progress_out=str(progress),
-                               events_out=str(events))
-    with session:
-        assert ev.active() is session.bus
+    path = tmp_path / "events.jsonl"
+    with ev.event_log(str(path), run_id="s1") as bus:
+        assert ev.active() is bus
         ev.publish(ev.RUN_STARTED, "s1", run_id="s1", total=1, todo=1)
         ev.publish(ev.TASK_STARTED, "w", attempt=1)
         ev.publish(ev.TASK_FINISHED, "w", ok=True)
     assert ev.active() is None
-    snap = json.loads(progress.read_text())
-    assert snap["state"] == "finished" and snap["done"] == 1
-    kinds = [json.loads(line)["kind"] for line in events.read_text().splitlines()]
-    assert kinds[-1] == "run_finished"
+    events = _log(path)
+    assert [e["kind"] for e in events] == [
+        "run_started", "task_started", "task_finished", "run_finished"]
+    assert [e["seq"] for e in events] == [0, 1, 2, 3]
+    assert events[-1]["key"] == "s1"
+    assert events[-1]["data"] == {"status": "finished"}
 
 
 def test_telemetry_session_marks_drain_and_abort(tmp_path):
@@ -199,11 +30,13 @@ def test_telemetry_session_marks_drain_and_abort(tmp_path):
         pass
 
     for exc_type, status in ((FakeDrain, "drained"), (ValueError, "aborted")):
-        path = tmp_path / ("p_%s.json" % status)
+        path = tmp_path / ("%s.jsonl" % status)
         try:
-            with TelemetrySession(run_id="x", progress_out=str(path)):
+            with ev.event_log(str(path), run_id="x"):
                 raise exc_type("boom")
         except exc_type:
             pass
-        assert json.loads(path.read_text())["state"] == status
-    assert ev.active() is None
+        (last,) = _log(path)
+        assert last["kind"] == "run_finished"
+        assert last["data"]["status"] == status
+        assert ev.active() is None

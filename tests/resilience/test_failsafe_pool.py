@@ -9,11 +9,11 @@ that rerunning the same seed reproduces the identical outcome.
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
 
+from repro.exec import SerialPool
 from repro.exec import worker as exec_worker
 from repro.pipeline import evaluate_suite
 from repro.resilience import faults
@@ -187,11 +187,10 @@ def _toy_records(pool):
 
 
 def test_failure_records_identical_across_pool_backends():
-    # every backend normalises a dead worker to the same WorkerCrashed
+    # both backends normalise a dead worker to the same WorkerCrashed
     # error, so the full record set is deep-equal — not just equivalent
-    serial = _toy_records("serial")
-    assert _toy_records("thread") == serial
-    assert _toy_records("process") == serial
+    serial = _toy_records(SerialPool())
+    assert _toy_records(None) == serial  # warm worker processes
     good, bad = split_failures(serial)
     assert good == ["ok:a:0", "ok:c:0"]
     assert {f.workload for f in bad} == {"b", "d"}
@@ -205,11 +204,6 @@ def test_failure_records_identical_across_pool_backends():
 SUBSET = ["164.gzip", "429.mcf", "470.lbm", "dwt53"]
 
 
-@pytest.mark.skipif(
-    os.environ.get("REPRO_POOL") == "serial",
-    reason="the hang leg needs a preemptive backend; "
-    "$REPRO_POOL forces serial",
-)
 def test_suite_survives_crash_and_hang_and_replays_identically():
     # the acceptance scenario: one workload hard-kills its worker, a
     # second wedges; the sweep still returns evaluations for the healthy

@@ -5,7 +5,7 @@ The acceptance contract of the resilience tentpole:
 * a sweep hard-killed mid-run (``os._exit`` at the ``journal.crash``
   site, torn record and all) resumes to output *byte-identical* to an
   uninterrupted run — evaluation records, semantic metrics and the
-  attribution ledger — on every pool backend, without re-executing the
+  attribution ledger — on both pool backends, without re-executing the
   workloads that already completed;
 * SIGINT drains a pooled sweep within the drain deadline, exits with
   :data:`EXIT_DRAINED` and prints a resume command that works;
@@ -47,7 +47,7 @@ from repro.resilience.shutdown import (
 from repro.workloads import get
 from repro.workloads.base import clear_profile_cache
 
-from tests.test_pools import FAST, SUBSET, _flatten
+from tests.test_pools import FAST, JOBS, SUBSET, _flatten
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(repro.__file__), ".."))
 
@@ -89,7 +89,8 @@ from repro.pipeline import NeedlePipeline
 from repro.resilience.faults import SITE_JOURNAL_CRASH, FaultPlan, FaultSpec
 from repro.workloads import get
 
-pool, journal_dir, names = sys.argv[1], sys.argv[2], sys.argv[3].split(",")
+jobs, journal_dir = int(sys.argv[1]), sys.argv[2]
+names = sys.argv[3].split(",")
 obs.enable(reset=True)
 # the second `completed` append hard-kills the driver, leaving 7 bytes
 # of the record behind — the torn-tail case resume must survive
@@ -97,7 +98,7 @@ plan = FaultPlan(seed=5, specs=(
     FaultSpec(site=SITE_JOURNAL_CRASH, key="completed", after=1,
               payload={"exit_code": 23, "torn_bytes": 7}),
 ))
-opts = PipelineOptions(no_cache=True, jobs=2, pool=pool, retries=1,
+opts = PipelineOptions(no_cache=True, jobs=jobs, retries=1,
                        journal_dir=journal_dir, run_id="chaos",
                        fault_plan=plan)
 NeedlePipeline(options=opts).evaluate_all([get(n) for n in names])
@@ -109,7 +110,7 @@ def _clean_sweep(pool):
     """(flattened rows, semantic-metrics JSON) for an uninterrupted run."""
     clear_profile_cache()
     obs.enable(reset=True)
-    opts = PipelineOptions(no_cache=True, jobs=2, pool=pool, retries=1)
+    opts = PipelineOptions(no_cache=True, jobs=JOBS[pool], retries=1)
     rows = NeedlePipeline(options=opts).evaluate_all(_suite())
     semantic = export.semantic_json(None)
     obs.disable()
@@ -118,7 +119,7 @@ def _clean_sweep(pool):
 
 
 @pytest.mark.chaos
-@pytest.mark.parametrize("pool", ["serial", "process", "thread"])
+@pytest.mark.parametrize("pool", ["serial", "process"])
 def test_kill_and_resume_is_bitwise_identical(pool, tmp_path):
     clean_rows, clean_semantic = _clean_sweep(pool)
 
@@ -129,7 +130,7 @@ def test_kill_and_resume_is_bitwise_identical(pool, tmp_path):
     # pool workers, which would hold a pipe open and stall the test
     with open(tmp_path / "crash.err", "w") as err:
         proc = subprocess.Popen(
-            [sys.executable, str(script), pool, str(journal_dir),
+            [sys.executable, str(script), str(JOBS[pool]), str(journal_dir),
              ",".join(SUBSET)],
             env=_subprocess_env(), stdout=subprocess.DEVNULL, stderr=err,
             start_new_session=True,
@@ -154,7 +155,7 @@ def test_kill_and_resume_is_bitwise_identical(pool, tmp_path):
     # *what* the sweep computes, not how it was killed)
     clear_profile_cache()
     obs.enable(reset=True)
-    opts = PipelineOptions(no_cache=True, jobs=2, pool=pool, retries=1,
+    opts = PipelineOptions(no_cache=True, jobs=JOBS[pool], retries=1,
                            journal_dir=str(journal_dir), resume="chaos")
     rows = NeedlePipeline(options=opts).evaluate_all(_suite())
     semantic = export.semantic_json(None)
@@ -198,7 +199,7 @@ def test_sigint_drains_within_deadline_and_resume_command_works(tmp_path):
     }))
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "evaluate", ",".join(SUBSET),
-         "--no-cache", "--jobs", "2", "--pool", "process",
+         "--no-cache", "--jobs", "2",
          "--journal-dir", str(journal_dir), "--run-id", "drain1",
          "--drain-timeout", "2", "--retries", "0",
          "--fault-plan", str(plan_path)],

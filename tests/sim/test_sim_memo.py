@@ -159,12 +159,10 @@ def test_rle_ratio_gauge_published():
 
 def test_memo_serial_parallel_and_cached_are_byte_identical(tmp_path):
     suite = _suite(SUBSET)
-    reference = [
-        _flatten(ev)
-        for ev in NeedlePipeline(
-            options=PipelineOptions(no_cache=True, no_sim_memo=True)
-        ).evaluate_all(suite)
-    ]
+    # memo off: every strategy recomputes its sub-simulations
+    pipe = NeedlePipeline(options=PipelineOptions(no_cache=True))
+    pipe.simulator = OffloadSimulator(pipe.config, memo=False)
+    reference = [_flatten(ev) for ev in pipe.evaluate_all(suite)]
 
     memo_serial = NeedlePipeline(
         options=PipelineOptions(no_cache=True)
@@ -191,7 +189,6 @@ def test_parallel_workers_ship_memo_snapshots_back():
     pipe.evaluate_all(_suite(SUBSET))
     # without an artifact cache the only way content entries reach the
     # parent memo is the per-result snapshot merge
-    assert pipe.sim_memo is not None
     assert pipe.sim_memo.snapshot()["content"]
     kinds = {kind for kind, _key in pipe.sim_memo.snapshot()["content"]}
     assert kinds == {CALIBRATION_KIND, PATH_COSTS_KIND}
@@ -217,12 +214,3 @@ def test_persisted_tables_survive_process_boundary(tmp_path):
     assert ev.braid is not None
     assert reg.counter("simcache.misses").value(table="calibration") == 0
     assert reg.counter("simcache.hits").value(table="calibration") >= 3
-
-
-def test_no_sim_memo_option_disables_memo():
-    pipe = NeedlePipeline(options=PipelineOptions(no_cache=True, no_sim_memo=True))
-    assert pipe.sim_memo is None
-    with obs.scoped() as reg:
-        pipe.evaluate(workloads.get(SUBSET[0]))
-    assert reg.counter("simcache.hits").value(table="calibration") == 0
-    assert reg.counter("simcache.misses").value(table="calibration") == 0

@@ -250,18 +250,28 @@ def test_cli_report_diff_missing_snapshot_is_clean(tmp_path):
     assert str(excinfo.value).startswith("error: cannot read snapshot")
 
 
-def test_cli_top_once_from_progress_file(tmp_path, capsys):
-    import json
+def test_cli_has_no_live_view_flags_or_top_command(capsys):
+    import re
 
-    path = tmp_path / "progress.json"
-    path.write_text(json.dumps({
-        "run_id": "r", "state": "finished", "total": 2, "done": 2,
-        "stage": "evaluate",
-    }))
-    assert main(["top", str(path), "--once"]) == 0
-    assert "2/2 (100%)" in capsys.readouterr().out
-    assert main(["top", str(tmp_path / "gone.json"), "--once"]) == 1
-    assert "repro top:" in capsys.readouterr().err
+    import pytest
+
+    # evaluate's flags are exactly the sweep, cache, metrics and
+    # resilience knobs: none picks a pool backend or serves live progress
+    with pytest.raises(SystemExit) as excinfo:
+        main(["evaluate", "--help"])
+    assert excinfo.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == {
+        "--cache-dir", "--drain-timeout", "--events-out", "--fail-fast",
+        "--fault-plan", "--help", "--jobs", "--journal-dir",
+        "--max-consecutive-failures", "--max-total-failures", "--metrics",
+        "--metrics-out", "--no-cache", "--resume", "--retries", "--run-id",
+        "--timeline-out", "--timeout",
+    }
+    with pytest.raises(SystemExit) as excinfo:
+        main(["top", "progress.json"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'top'" in capsys.readouterr().err
 
 
 def test_cli_global_log_level(capsys):

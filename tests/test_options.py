@@ -1,5 +1,5 @@
 """PipelineOptions: the one options surface behind the CLI and the API,
-and the jobs/pool validation fallbacks."""
+and the jobs validation fallback."""
 
 import argparse
 import warnings
@@ -7,12 +7,7 @@ import warnings
 import pytest
 
 from repro.artifacts import ArtifactCache
-from repro.options import (
-    POOL_CHOICES,
-    PipelineOptions,
-    validate_jobs,
-    validate_pool,
-)
+from repro.options import PipelineOptions, validate_jobs
 from repro.pipeline import NeedlePipeline
 from repro.workloads import get
 
@@ -36,31 +31,13 @@ def test_evaluate_all_with_invalid_jobs_runs_serially():
     assert len(rows) == 1 and rows[0].name == "dwt53"
 
 
-def test_validate_pool_defaults_env_and_case(monkeypatch):
-    monkeypatch.delenv("REPRO_POOL", raising=False)
-    assert POOL_CHOICES == ("auto", "serial", "process", "thread")
-    assert validate_pool(None) == "auto"
-    assert validate_pool("Thread") == "thread"
-    monkeypatch.setenv("REPRO_POOL", "thread")
-    assert validate_pool(None) == "thread"
-    assert validate_pool("serial") == "serial"  # explicit beats env
-    assert PipelineOptions(pool="process").normalized_pool() == "process"
-
-
-def test_validate_pool_rejects_unknown_backend_by_name():
-    with pytest.raises(ValueError, match=r"unknown pool backend 'fibers'"):
-        validate_pool("fibers")
-    with pytest.raises(ValueError, match="serial, process, thread"):
-        PipelineOptions(pool="greenlets").normalized_pool()
-
-
 def test_cli_rejects_unknown_pool(capsys):
+    # jobs alone picks the pool, so no backend can be named at all
     from repro.cli import build_parser
 
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["evaluate", "--pool", "fibers"])
-    err = capsys.readouterr().err
-    assert "--pool" in err and "thread" in err
+        build_parser().parse_args(["evaluate", "--pool", "process"])
+    assert "unrecognized arguments: --pool" in capsys.readouterr().err
 
 
 def test_cli_jobs_zero_exits_clean(capsys):
@@ -99,13 +76,13 @@ def test_cli_arguments_round_trip_through_from_args(tmp_path):
     parser = argparse.ArgumentParser()
     PipelineOptions.add_cli_arguments(parser)
     args = parser.parse_args(
-        ["--jobs", "3", "--pool", "thread", "--cache-dir", str(tmp_path),
-         "--no-cache", "--metrics", "--metrics-out", "m.json"]
+        ["--jobs", "3", "--cache-dir", str(tmp_path), "--no-cache",
+         "--metrics", "--metrics-out", "m.json", "--events-out", "e.jsonl"]
     )
     opts = PipelineOptions.from_args(args)
     assert opts == PipelineOptions(
-        jobs=3, pool="thread", cache_dir=str(tmp_path), no_cache=True,
-        metrics=True, metrics_out="m.json",
+        jobs=3, cache_dir=str(tmp_path), no_cache=True,
+        metrics=True, metrics_out="m.json", events_out="e.jsonl",
     )
 
 

@@ -63,8 +63,7 @@ def test_parallel_analyse_matches_serial():
         assert [b.coverage for b in s.braids] == [b.coverage for b in p.braids]
 
 
-def test_jobs_one_and_single_workload_stay_serial(monkeypatch):
-    monkeypatch.delenv("REPRO_POOL", raising=False)
+def test_jobs_one_and_single_workload_stay_serial():
     pipeline = NeedlePipeline()
     assert pipeline._execution_plan(None, 2) == ("serial", 1)
     assert pipeline._execution_plan(1, 2) == ("serial", 1)

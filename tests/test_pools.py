@@ -1,31 +1,27 @@
 """The backend-agnostic pool layer (`repro.exec`).
 
 Locks the tentpole contract of the pool redesign: suite output is
-byte-identical on every backend — evaluation records, semantic metrics
+byte-identical on both backends — evaluation records, semantic metrics
 and the attribution ledger, healthy or under an injected fault plan —
-while warm workers are actually reused, unattributable pool failures
-fall back to counted careful-mode reruns, and crash blame names the
-workload it charged.
+while warm workers are actually reused, every task start is reported
+before its finish, unattributable pool failures fall back to counted
+careful-mode reruns, and crash blame names the workload it charged.
 """
 
+import io
 import json
 import logging
 import os
 import threading
+import time
 
 import pytest
 
 from repro import obs
-from repro.exec import (
-    POOL_BACKENDS,
-    Pool,
-    ProcessPool,
-    SerialPool,
-    ThreadPool,
-    make_pool,
-)
+from repro.exec import ProcessPool, SerialPool
 from repro.exec import worker as exec_worker
 from repro.exec.pools import PoolBroken
+from repro.obs import events as ev
 from repro.obs import export
 from repro.options import PipelineOptions
 from repro.pipeline import NeedlePipeline
@@ -35,6 +31,9 @@ from repro.workloads import get
 from repro.workloads.base import clear_profile_cache
 
 SUBSET = ["164.gzip", "470.lbm", "dwt53"]
+
+#: pool backend -> the ``jobs`` value that selects it
+JOBS = {"serial": 1, "process": 2}
 
 #: fast retry pacing for toy scenarios
 FAST = dict(backoff_base=0.01, backoff_cap=0.05)
@@ -62,27 +61,7 @@ def _flatten(row):
     }
 
 
-# -- construction and selection ------------------------------------------------
-
-
-def test_backend_registry_and_make_pool():
-    assert POOL_BACKENDS == ("serial", "process", "thread")
-    assert isinstance(make_pool("serial", jobs=1), SerialPool)
-    assert isinstance(make_pool("process", jobs=2), ProcessPool)
-    assert isinstance(make_pool("thread", jobs=2), ThreadPool)
-    for backend in POOL_BACKENDS:
-        assert isinstance(make_pool(backend, jobs=2), Pool)
-    with pytest.raises(ValueError, match="unknown pool backend"):
-        make_pool("fibers", jobs=2)
-
-
-def test_env_var_steers_backend_selection(monkeypatch):
-    monkeypatch.setenv("REPRO_POOL", "thread")
-    pipe = NeedlePipeline(options=PipelineOptions(no_cache=True))
-    assert pipe._execution_plan(4, 4) == ("thread", 4)
-    # an explicit option beats the environment
-    pipe = NeedlePipeline(options=PipelineOptions(no_cache=True, pool="process"))
-    assert pipe._execution_plan(4, 4) == ("process", 4)
+# -- selection ----------------------------------------------------------------
 
 
 def test_jobs_option_of_one_sweeps_inline():
@@ -96,12 +75,13 @@ def test_jobs_option_of_one_sweeps_inline():
 # -- cross-backend byte-identity -----------------------------------------------
 
 
-def _sweep(pool, fault_plan=None):
-    """(flattened rows, semantic-metrics JSON) for one pooled sweep."""
+def _sweep(jobs, fault_plan=None):
+    """(flattened rows, semantic-metrics JSON) for one sweep: ``jobs=1``
+    runs inline on the serial pool, ``jobs=2`` on worker processes."""
     clear_profile_cache()
     obs.enable(reset=True)
     opts = PipelineOptions(
-        no_cache=True, jobs=2, pool=pool, retries=1, fault_plan=fault_plan,
+        no_cache=True, jobs=jobs, retries=1, fault_plan=fault_plan,
     )
     rows = NeedlePipeline(options=opts).evaluate_all(_suite())
     semantic = export.semantic_json(None)
@@ -111,13 +91,12 @@ def _sweep(pool, fault_plan=None):
 
 
 def test_evaluations_metrics_and_ledger_identical_across_backends():
-    serial_rows, serial_sem = _sweep("serial")
-    for backend in ("process", "thread"):
-        rows, sem = _sweep(backend)
-        assert rows == serial_rows, backend
-        # semantic_json embeds the attribution ledger, so this is the
-        # metrics *and* ledger byte-identity check in one comparison
-        assert sem == serial_sem, backend
+    serial_rows, serial_sem = _sweep(jobs=1)
+    rows, sem = _sweep(jobs=2)
+    assert rows == serial_rows
+    # semantic_json embeds the attribution ledger, so this is the
+    # metrics *and* ledger byte-identity check in one comparison
+    assert sem == serial_sem
     assert json.loads(serial_sem)["ledger"]["entries"]
 
 
@@ -126,14 +105,13 @@ def test_quarantine_records_identical_across_backends_under_crash_plan():
     plan = FaultPlan(seed=11, specs=(
         FaultSpec(site=SITE_WORKER_CRASH, key="164.gzip", times=-1),
     ))
-    serial_rows, serial_sem = _sweep("serial", fault_plan=plan)
+    serial_rows, serial_sem = _sweep(jobs=1, fault_plan=plan)
     crashed = serial_rows[0]
     assert (crashed["kind"], crashed["attempts"]) == ("crash", 2)
     assert crashed["error"] == "worker exited with code 13"
-    for backend in ("process", "thread"):
-        rows, sem = _sweep(backend, fault_plan=plan)
-        assert rows == serial_rows, backend
-        assert sem == serial_sem, backend
+    rows, sem = _sweep(jobs=2, fault_plan=plan)
+    assert rows == serial_rows
+    assert sem == serial_sem
 
 
 # -- warm worker reuse ---------------------------------------------------------
@@ -144,11 +122,16 @@ def _where(item, plan, attempt):
     return (os.getpid(), threading.get_ident(), exec_worker.kind())
 
 
+def _pool(backend):
+    """A fresh, unstarted pool for ``backend``."""
+    return SerialPool() if backend == "serial" else ProcessPool(jobs=2)
+
+
 @pytest.mark.parametrize("backend,kind", [
-    ("serial", "serial"), ("thread", "thread"), ("process", "process"),
+    ("serial", "serial"), ("process", "process"),
 ])
 def test_workers_stay_warm_across_many_tasks(backend, kind):
-    rows = run_failsafe(_where, list(range(8)), jobs=2, pool=backend)
+    rows = run_failsafe(_where, list(range(8)), jobs=2, pool=_pool(backend))
     assert len(rows) == 8
     assert {k for _p, _t, k in rows} == {kind}
     workers = {(p, t) for p, t, _k in rows}
@@ -159,6 +142,49 @@ def test_workers_stay_warm_across_many_tasks(backend, kind):
         assert os.getpid() not in {p for p, _t, _k in rows}
     else:
         assert {p for p, _t, _k in rows} == {os.getpid()}
+
+
+# -- start notifications ------------------------------------------------------
+
+
+def _entered(item, plan, attempt):
+    """Picklable instant task: the wall-clock time its body began."""
+    return time.time()
+
+
+def _logged_run(backend, n=40):
+    """(task results, logged events) of ``n`` instant tasks on a bus."""
+    sink = io.StringIO()
+    bus = ev.EventBus()
+    bus.attach_jsonl(sink)
+    previous = ev.install(bus)
+    try:
+        rows = run_failsafe(_entered, list(range(n)), jobs=2,
+                            pool=_pool(backend))
+    finally:
+        ev.uninstall(previous)
+    return rows, [ev.Event.from_json(line)
+                  for line in sink.getvalue().splitlines()]
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_every_task_logs_its_start_before_its_finish(backend):
+    # instant tasks start and finish within one wait(): the start must
+    # still be reported, from the pool, ahead of the finish
+    _rows, events = _logged_run(backend)
+    assert [e.seq for e in events] == list(range(len(events)))
+    started = {e.key: e.seq for e in events if e.kind == ev.TASK_STARTED}
+    finished = {e.key: e.seq for e in events if e.kind == ev.TASK_FINISHED}
+    assert len([e for e in events if e.kind == ev.TASK_STARTED]) == 40
+    assert set(started) == set(finished) == {str(i) for i in range(40)}
+    assert all(started[key] < finished[key] for key in finished)
+
+
+def test_serial_start_is_logged_before_the_task_body_runs():
+    rows, events = _logged_run("serial")
+    started = {e.key: e.ts for e in events if e.kind == ev.TASK_STARTED}
+    for i, entered in enumerate(rows):
+        assert started[str(i)] <= entered
 
 
 # -- careful-mode fallback and blame ------------------------------------------
@@ -203,7 +229,7 @@ def _crash_once(item, plan, attempt):
 def test_crash_blame_log_names_the_workload(caplog):
     with caplog.at_level(logging.WARNING, logger="repro.resilience.runner"):
         rows = run_failsafe(
-            _crash_once, ["a", "b"], jobs=2, pool="process",
+            _crash_once, ["a", "b"], jobs=2,
             policy=FailurePolicy(retries=1, **FAST),
         )
     assert rows == ["ok:a:0", "ok:b:1"]

@@ -11,8 +11,6 @@ PUBLIC_API = [
     "FaultPlan",
     "FaultSpec",
     "NeedlePipeline",
-    "POOL_BACKENDS",
-    "POOL_CHOICES",
     "PipelineOptions",
     "Pool",
     "ProcessPool",
@@ -20,7 +18,6 @@ PUBLIC_API = [
     "SerialPool",
     "SweepDrained",
     "SystemConfig",
-    "ThreadPool",
     "Workload",
     "WorkloadAnalysis",
     "WorkloadEvaluation",
@@ -33,7 +30,6 @@ PUBLIC_API = [
     "interp",
     "ir",
     "load_workload",
-    "make_pool",
     "obs",
     "profiling",
     "regions",
