@@ -6,8 +6,8 @@ paper's blackscholes discussion attributes its predictor pathology to.
 """
 
 from repro.frames import build_frame
-from repro.interp import Interpreter, MultiTracer, TraceRecorder
-from repro.profiling import PathProfiler, rank_paths
+from repro.interp import Interpreter
+from repro.profiling import PathProfile, rank_paths
 from repro.regions import path_to_region
 from repro.reporting import format_table
 from repro.sim import OffloadSimulator
@@ -21,10 +21,10 @@ FACTORS = [1, 2, 4]
 
 
 def _profile(module, fn, args):
-    pp = PathProfiler([fn])
-    rec = TraceRecorder([fn])
-    Interpreter(module, tracer=MultiTracer(pp, rec)).run(fn, args)
-    return pp.profile_for(fn), rec.traces[fn]
+    interp = Interpreter(module, record=[fn])
+    interp.run(fn, args)
+    trace = interp.traces[fn]
+    return PathProfile.from_trace(trace), trace
 
 
 def _compute():

@@ -6,8 +6,9 @@ compress codes, memory-heavy DP — which everything downstream (energy
 split, HLS area, FPU contention) depends on.
 """
 
-from repro.interp import Interpreter, OpMixTracer
+from repro.interp import OpMix
 from repro.reporting import format_table
+from repro.workloads import profile_workload
 
 from .conftest import save_result
 
@@ -15,10 +16,7 @@ from .conftest import save_result
 def _compute(suite):
     rows = []
     for w in suite:
-        module, fn, args = w.build()
-        tracer = OpMixTracer([fn])
-        Interpreter(module, tracer=tracer).run(fn, args)
-        mix = tracer.mix_for(fn)
+        mix = OpMix.from_trace(profile_workload(w).trace)
         rows.append(
             (
                 w.name,

@@ -10,9 +10,9 @@ Run:  python examples/compiler_pipeline.py
 """
 
 from repro.frames import build_frame
-from repro.interp import Interpreter, MultiTracer, TraceRecorder
+from repro.interp import Interpreter
 from repro.ir import format_function, parse_module, verify_module
-from repro.profiling import PathProfiler, rank_paths
+from repro.profiling import PathProfile, rank_paths
 from repro.regions import build_braids
 from repro.sim import OffloadSimulator
 from repro.transforms import inline_all, optimize, unroll_hottest_loop
@@ -83,10 +83,10 @@ def main():
     print(format_function(hot))
 
     # profile -> braid -> frame -> simulate
-    profiler = PathProfiler([hot])
-    recorder = TraceRecorder([hot])
-    Interpreter(module, tracer=MultiTracer(profiler, recorder)).run("hot", [500])
-    profile = profiler.profile_for(hot)
+    interp = Interpreter(module, record=[hot])
+    interp.run("hot", [500])
+    trace = interp.traces[hot]
+    profile = PathProfile.from_trace(trace)
     ranked = rank_paths(profile)
     print("\npaths after transforms: %d executed" % profile.executed_paths)
     for p in ranked[:3]:
@@ -96,7 +96,7 @@ def main():
     braid = build_braids(hot, ranked)[0]
     frame = build_frame(braid.region)
     outcome = OffloadSimulator().simulate_offload(
-        "pipeline-demo", profile, frame, "oracle", recorder.traces[hot],
+        "pipeline-demo", profile, frame, "oracle", trace,
         coverage=braid.coverage,
     )
     print("\nbraid: %d paths, %.1f%% coverage, frame %d ops / %d guards"

@@ -9,8 +9,8 @@ Run:  python examples/custom_kernel_dsl.py
 """
 
 from repro.frames import build_frame
-from repro.interp import Interpreter, MultiTracer, TraceRecorder
-from repro.profiling import PathProfiler, rank_paths
+from repro.interp import Interpreter
+from repro.profiling import PathProfile, rank_paths
 from repro.regions import build_braids
 from repro.sim import OffloadSimulator
 from repro.workloads import (
@@ -54,10 +54,10 @@ def main():
         return_var="pix",
     )
 
-    profiler = PathProfiler([fn])
-    recorder = TraceRecorder([fn])
-    Interpreter(module, tracer=MultiTracer(profiler, recorder)).run(fn, [1024])
-    profile = profiler.profile_for(fn)
+    interp = Interpreter(module, record=[fn])
+    interp.run(fn, [1024])
+    trace = interp.traces[fn]
+    profile = PathProfile.from_trace(trace)
     ranked = rank_paths(profile)
 
     print("paths executed:", profile.executed_paths)
@@ -73,7 +73,7 @@ def main():
              len(frame.psis)))
 
     outcome = OffloadSimulator().simulate_offload(
-        "custom", profile, frame, "oracle", recorder.traces[fn],
+        "custom", profile, frame, "oracle", trace,
         coverage=braid.coverage,
     )
     print("offload: %+.1f%% performance, %+.1f%% energy"

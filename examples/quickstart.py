@@ -9,9 +9,9 @@ Run:  python examples/quickstart.py
 """
 
 from repro.frames import FrameExecutor, build_frame
-from repro.interp import Interpreter, MultiTracer, TraceRecorder
+from repro.interp import Interpreter
 from repro.ir import Constant, I32, IRBuilder, Module, format_function, verify_function
-from repro.profiling import PathProfiler, rank_paths
+from repro.profiling import PathProfile, rank_paths
 from repro.regions import build_braids
 from repro.sim import OffloadSimulator
 
@@ -83,12 +83,11 @@ def main():
     print("=== the kernel ===")
     print(format_function(fn))
 
-    # 1. profile Ball-Larus paths
-    profiler = PathProfiler([fn])
-    recorder = TraceRecorder([fn])
-    interp = Interpreter(m, tracer=MultiTracer(profiler, recorder))
+    # 1. record the run, then derive its Ball-Larus path profile
+    interp = Interpreter(m, record=[fn])
     result = interp.run("histogram", [400])
-    profile = profiler.profile_for(fn)
+    trace = interp.traces[fn]
+    profile = PathProfile.from_trace(trace)
     print("\n=== profiling ===")
     print("kernel returned:", result)
     print("executed paths:", profile.executed_paths,
@@ -123,7 +122,7 @@ def main():
     # 5. simulate whole-kernel offload (Fig. 9 / Fig. 10 style numbers)
     sim = OffloadSimulator()
     outcome = sim.simulate_offload(
-        "quickstart", profile, frame, "oracle", recorder.traces[fn],
+        "quickstart", profile, frame, "oracle", trace,
         coverage=braid.coverage,
     )
     print("\n=== offload simulation ===")

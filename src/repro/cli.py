@@ -154,7 +154,7 @@ def _cmd_dump(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from .interp import Interpreter, OpMixTracer
+    from .interp import OpMix
     from .reporting import format_table
 
     opts = _options_from_args(args)
@@ -166,10 +166,7 @@ def _cmd_analyze(args) -> int:
              a.top_braid.n_paths if a.top_braid else 0,
              (a.top_braid.coverage if a.top_braid else 0) * 100))
 
-    module, fn, run_args = w.build()
-    tracer = OpMixTracer([fn])
-    Interpreter(module, tracer=tracer).run(fn, run_args)
-    mix = tracer.mix_for(fn)
+    mix = OpMix.from_trace(a.profiled.trace)
     print("dynamic mix: %.0f%% int, %.0f%% fp, %.0f%% memory, %.0f%% control"
           % (mix.int_share * 100, mix.fp_share * 100,
              mix.memory_share * 100, mix.control_share * 100))

@@ -1,9 +1,9 @@
-"""Concrete execution of the mini IR: memory model, interpreter, tracing."""
+"""Concrete execution of the mini IR: memory model, interpreter, traces."""
 
 from .memory import Memory, MemoryError_
-from .events import FunctionTrace, MultiTracer, TraceRecorder, Tracer
+from .events import FunctionTrace
 from .interpreter import FuelExhausted, Interpreter, InterpreterError
-from .stats import OpMix, OpMixTracer
+from .stats import OpMix
 
 __all__ = [
     "FuelExhausted",
@@ -12,9 +12,5 @@ __all__ = [
     "InterpreterError",
     "Memory",
     "MemoryError_",
-    "MultiTracer",
     "OpMix",
-    "OpMixTracer",
-    "TraceRecorder",
-    "Tracer",
 ]

@@ -1,64 +1,18 @@
-"""Trace event types and collecting tracers for the interpreter.
+"""The dynamic record the interpreter keeps for each recorded function.
 
-The interpreter reports execution through a tracer object; any subset of the
-hook methods may be implemented.  :class:`TraceRecorder` captures the full
-dynamic structure (block sequence + memory address stream) that profiling
-and the cycle simulators replay.
+:class:`FunctionTrace` holds the full dynamic structure of a run (block
+sequence + memory address stream).  Path, edge and op-mix profiles are
+derived from it after the run, and the cycle simulators replay it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..ir.block import BasicBlock
 from ..ir.function import Function
-
-
-class Tracer:
-    """Base tracer: all hooks are no-ops.  Subclass and override."""
-
-    def on_function_entry(self, fn: Function) -> None:  # pragma: no cover
-        pass
-
-    def on_function_exit(self, fn: Function) -> None:  # pragma: no cover
-        pass
-
-    def on_block(self, fn: Function, block: BasicBlock, prev: Optional[BasicBlock]) -> None:
-        pass
-
-    def on_branch(self, fn: Function, block: BasicBlock, taken: bool) -> None:
-        pass
-
-    def on_memory(self, fn: Function, opcode: str, address: int) -> None:
-        pass
-
-
-class MultiTracer(Tracer):
-    """Fan a trace out to several tracers."""
-
-    def __init__(self, *tracers: Tracer):
-        self.tracers = list(tracers)
-
-    def on_function_entry(self, fn):
-        for t in self.tracers:
-            t.on_function_entry(fn)
-
-    def on_function_exit(self, fn):
-        for t in self.tracers:
-            t.on_function_exit(fn)
-
-    def on_block(self, fn, block, prev):
-        for t in self.tracers:
-            t.on_block(fn, block, prev)
-
-    def on_branch(self, fn, block, taken):
-        for t in self.tracers:
-            t.on_branch(fn, block, taken)
-
-    def on_memory(self, fn, opcode, address):
-        for t in self.tracers:
-            t.on_memory(fn, opcode, address)
 
 
 @dataclass
@@ -79,11 +33,10 @@ class FunctionTrace:
     def dynamic_instructions(self) -> int:
         return sum(len(b) for b in self.blocks if b is not None)
 
-    def block_counts(self) -> Dict[BasicBlock, int]:
-        counts: Dict[BasicBlock, int] = {}
-        for b in self.blocks:
-            if b is not None:
-                counts[b] = counts.get(b, 0) + 1
+    def block_counts(self) -> Counter:
+        """Executions per block, in first-execution order."""
+        counts = Counter(self.blocks)
+        counts.pop(None, None)
         return counts
 
     def invocation_sequences(self) -> List[List[BasicBlock]]:
@@ -100,38 +53,3 @@ class FunctionTrace:
         if current:
             out.append(current)
         return out
-
-
-class TraceRecorder(Tracer):
-    """Records a :class:`FunctionTrace` per traced function."""
-
-    def __init__(self, functions: Optional[List[Function]] = None):
-        #: restrict recording to these functions (None = all)
-        self.filter = set(functions) if functions is not None else None
-        self.traces: Dict[Function, FunctionTrace] = {}
-
-    def _trace(self, fn: Function) -> Optional[FunctionTrace]:
-        if self.filter is not None and fn not in self.filter:
-            return None
-        trace = self.traces.get(fn)
-        if trace is None:
-            trace = FunctionTrace(fn)
-            self.traces[fn] = trace
-        return trace
-
-    def on_function_entry(self, fn: Function) -> None:
-        trace = self._trace(fn)
-        if trace is not None:
-            trace.invocations += 1
-            if trace.blocks:
-                trace.blocks.append(None)
-
-    def on_block(self, fn, block, prev) -> None:
-        trace = self._trace(fn)
-        if trace is not None:
-            trace.blocks.append(block)
-
-    def on_memory(self, fn, opcode, address) -> None:
-        trace = self._trace(fn)
-        if trace is not None:
-            trace.memory.append((opcode, address))

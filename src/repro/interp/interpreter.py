@@ -1,10 +1,14 @@
 """Concrete interpreter for the mini IR.
 
 Executes modules with LLVM-like semantics (two's-complement integers,
-truncating division, parallel φ copies) and reports dynamic behaviour
-through a :class:`~repro.interp.events.Tracer`.  This is the stand-in for
-native execution of the instrumented benchmark binaries in the paper's
-toolchain.
+truncating division, parallel φ copies).  This is the stand-in for native
+execution of the instrumented benchmark binaries in the paper's toolchain.
+
+For each function named in ``record=``, the interpreter appends every
+executed block and every ``(opcode, address)`` memory event straight into
+that function's :class:`~repro.interp.events.FunctionTrace`.  Path, edge
+and op-mix profiles are derived from the trace after the run (``from_trace``
+on each profile class), so the hot loop carries no profiling logic.
 
 Execution is *closure-compiled*: the first time a function runs, every
 instruction is compiled once into a small Python closure ("thunk") with its
@@ -12,15 +16,15 @@ operand accessors, opcode implementation and result slot pre-bound, and
 each block becomes (φ-copy plan, body thunk list, terminator thunk).  The
 hot loop then just walks thunk lists — no per-instruction ``isinstance``
 dispatch, no opcode table lookups.  Compiled code is cached per interpreter
-instance (thunks close over this interpreter's memory, tracer and global
-addresses), which is the right granularity: one profiling run executes each
-instruction thousands of times but compiles it once.
+instance (thunks close over this interpreter's memory, trace lists and
+global addresses), which is the right granularity: one profiling run
+executes each instruction thousands of times but compiles it once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..ir.block import BasicBlock
 from ..ir.function import Function
@@ -41,7 +45,6 @@ from ..ir.instructions import (
     UnaryOp,
 )
 from ..ir.module import Module
-from ..ir.types import Type
 from ..ir.values import Constant, GlobalArray, UndefValue, Value
 from ..obs import counter as _obs_counter, enabled as _obs_enabled
 from ..resilience.faults import (
@@ -50,7 +53,7 @@ from ..resilience.faults import (
     consult as _flt_consult,
     enabled as _flt_enabled,
 )
-from .events import Tracer
+from .events import FunctionTrace
 from .memory import Memory
 
 
@@ -121,18 +124,32 @@ _FCMP_FNS = {
 }
 
 
+def _ignore(item) -> None:
+    """The record sink of functions that are not recorded."""
+
+
 class Interpreter:
-    """Executes functions of one module over a shared :class:`Memory`."""
+    """Executes functions of one module over a shared :class:`Memory`.
+
+    ``record`` names the functions whose executions are kept in
+    :attr:`traces`; every :meth:`run` appends to the same traces, so
+    repeated runs accumulate into one record.
+    """
 
     def __init__(
         self,
         module: Module,
-        tracer: Optional[Tracer] = None,
+        record: Sequence[Function] = (),
         fuel: int = 50_000_000,
     ):
         self.module = module
         self.memory = Memory()
-        self.tracer = tracer if tracer is not None else Tracer()
+        #: one trace per recorded function, filled as the functions run
+        self.traces: Dict[Function, FunctionTrace] = {
+            fn: FunctionTrace(fn) for fn in record
+        }
+        #: recorded functions with an activation in progress
+        self._active: Set[Function] = set()
         self.fuel = fuel
         self.executed_instructions = 0
         self.global_base: Dict[GlobalArray, int] = {}
@@ -202,15 +219,31 @@ class Interpreter:
             compiled = self._compile_function(fn)
             self._compiled[fn] = compiled
 
-        tracer = self.tracer
-        on_block = tracer.on_block
-        fuel = self.fuel
-        tracer.on_function_entry(fn)
-        block = fn.entry
-        prev: Optional[BasicBlock] = None
+        trace = self.traces.get(fn)
+        if trace is None:
+            return self._execute(compiled, fn.entry, env, _ignore)
+        # one trace holds one activation at a time: a recursive activation
+        # would interleave its blocks with its caller's
+        if fn in self._active:
+            raise InterpreterError(
+                "recursive call to recorded function %s" % fn.name
+            )
+        trace.invocations += 1
+        if trace.blocks:
+            trace.blocks.append(None)
+        self._active.add(fn)
+        try:
+            return self._execute(compiled, fn.entry, env, trace.blocks.append)
+        finally:
+            self._active.discard(fn)
 
+    def _execute(self, compiled, block: BasicBlock, env, record):
+        """Walk compiled blocks from ``block`` until a return, passing each
+        block to ``record`` before it runs."""
+        fuel = self.fuel
+        prev: Optional[BasicBlock] = None
         while True:
-            on_block(fn, block, prev)
+            record(block)
             phi_plan, body, term, n_insts = compiled[block]
 
             # φ-nodes: parallel copy from the incoming edge
@@ -310,7 +343,7 @@ class Interpreter:
                 continue
             n_insts += 1
             if isinstance(inst, (CondBranch, Branch, Ret)):
-                term = self._compile_terminator(fn, block, inst)
+                term = self._compile_terminator(inst)
                 break
             body.append(self._compile_step(fn, inst))
         if term is None:
@@ -322,18 +355,11 @@ class Interpreter:
 
         return phi_plan, body, term, n_insts
 
-    def _compile_terminator(self, fn: Function, block: BasicBlock, inst):
+    def _compile_terminator(self, inst):
         if isinstance(inst, CondBranch):
             get_cond = self._compile_getter(inst.cond)
             true_t, false_t = inst.true_target, inst.false_target
-            on_branch = self.tracer.on_branch
-
-            def term(env):
-                taken = bool(get_cond(env))
-                on_branch(fn, block, taken)
-                return true_t if taken else false_t
-
-            return term
+            return lambda env: true_t if get_cond(env) else false_t
         if isinstance(inst, Branch):
             target = inst.target
             return lambda env: target
@@ -341,18 +367,17 @@ class Interpreter:
         get_val = (
             self._compile_getter(inst.value) if inst.value is not None else None
         )
-        on_exit = self.tracer.on_function_exit
 
         def term(env):
             self._ret = get_val(env) if get_val is not None else None
-            on_exit(fn)
             return None
 
         return term
 
     def _compile_step(self, fn: Function, inst: Instruction):
         """Compile one non-terminator instruction into an ``env -> None``
-        thunk with operands, opcode implementation and tracer pre-bound."""
+        thunk with operands, opcode implementation and record sink
+        pre-bound."""
         getter = self._compile_getter
         if isinstance(inst, BinaryOp):
             ga = getter(inst.operands[0])
@@ -395,12 +420,12 @@ class Interpreter:
         if isinstance(inst, Load):
             get_addr = getter(inst.address)
             read = self.memory.read
-            on_memory = self.tracer.on_memory
+            record = self._memory_record(fn)
             load_type = inst.type
 
             def step(env):
                 addr = get_addr(env)
-                on_memory(fn, "load", addr)
+                record(("load", addr))
                 env[inst] = read(addr, load_type)
 
             return step
@@ -408,13 +433,13 @@ class Interpreter:
             get_addr = getter(inst.address)
             get_val = getter(inst.value)
             write = self.memory.write
-            on_memory = self.tracer.on_memory
+            record = self._memory_record(fn)
             store_type = inst.value.type
 
             def step(env):
                 addr = get_addr(env)
                 val = get_val(env)
-                on_memory(fn, "store", addr)
+                record(("store", addr))
                 write(addr, store_type, val)
 
             return step
@@ -465,6 +490,10 @@ class Interpreter:
 
         return step
 
+    def _memory_record(self, fn: Function):
+        trace = self.traces.get(fn)
+        return trace.memory.append if trace is not None else _ignore
+
     def _compile_unop(self, inst: UnaryOp):
         ga = self._compile_getter(inst.operands[0])
         op = inst.opcode
@@ -501,39 +530,3 @@ class Interpreter:
             def step(env):  # pragma: no cover - inventory is closed
                 raise InterpreterError("cannot execute unop %r" % op)
         return step
-
-    # -- helpers -----------------------------------------------------------------
-
-    def _eval(self, value: Value, env: Dict[Value, object]):
-        if isinstance(value, Constant):
-            return value.value
-        if isinstance(value, GlobalArray):
-            return self.global_base[value]
-        if isinstance(value, UndefValue):
-            return 0
-        try:
-            return env[value]
-        except KeyError:
-            raise InterpreterError(
-                "use of %s before definition" % getattr(value, "name", value)
-            ) from None
-
-    def _eval_unop(self, inst: UnaryOp, env: Dict[Value, object]):
-        a = self._eval(inst.operands[0], env)
-        op = inst.opcode
-        if op == "fneg":
-            return -a
-        if op == "fabs":
-            return abs(a)
-        if op == "fsqrt":
-            return math.sqrt(a) if a >= 0 else float("nan")
-        if op == "sitofp":
-            return float(a)
-        if op == "fptosi":
-            return inst.type.wrap(int(a))
-        if op in ("zext", "sext", "trunc"):
-            if op == "zext":
-                src_bits = inst.operands[0].type.bits
-                return inst.type.wrap(a & ((1 << src_bits) - 1))
-            return inst.type.wrap(a)
-        raise InterpreterError("cannot execute unop %r" % op)  # pragma: no cover

@@ -1,4 +1,4 @@
-"""Dynamic instruction-mix statistics tracer.
+"""Dynamic instruction-mix statistics.
 
 Characterises what a workload actually executes — INT vs FP vs memory vs
 control — which is the first thing an accelerator architect asks about a
@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict
 
-from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import is_float_op
-from .events import Tracer
 
 
 @dataclass
@@ -24,6 +21,12 @@ class OpMix:
 
     function: Function
     opcodes: Counter = field(default_factory=Counter)
+
+    @classmethod
+    def from_trace(cls, trace) -> "OpMix":
+        """The op mix of a recorded
+        :class:`~repro.interp.events.FunctionTrace`."""
+        return cls(trace.function, opcode_census(trace))
 
     @property
     def total(self) -> int:
@@ -62,33 +65,10 @@ def opcode_census(trace) -> Counter:
 
     Cost is static-instructions × distinct-blocks, not dynamic length:
     each block's opcode census is taken once and scaled by its execution
-    count — cheap enough to run at profile-publication time without
-    touching the interpreter's hot loop.
+    count.  Opcodes keep their first-execution order.
     """
     census: Counter = Counter()
     for block, count in trace.block_counts().items():
         for inst in block.instructions:
             census[inst.opcode] += count
     return census
-
-
-class OpMixTracer(Tracer):
-    """Accumulates per-function dynamic opcode counts."""
-
-    def __init__(self, functions=None):
-        self.filter = set(functions) if functions is not None else None
-        self.mixes: Dict[Function, OpMix] = {}
-
-    def mix_for(self, fn: Function) -> OpMix:
-        mix = self.mixes.get(fn)
-        if mix is None:
-            mix = OpMix(fn)
-            self.mixes[fn] = mix
-        return mix
-
-    def on_block(self, fn: Function, block: BasicBlock, prev) -> None:
-        if self.filter is not None and fn not in self.filter:
-            return
-        mix = self.mix_for(fn)
-        for inst in block.instructions:
-            mix.opcodes[inst.opcode] += 1

@@ -7,8 +7,8 @@ from .ball_larus import (
     EXIT,
     PathNumberingError,
 )
-from .path_profile import PathProfile, PathProfiler, profile_paths
-from .edge_profile import EdgeProfile, EdgeProfiler
+from .path_profile import PathProfile
+from .edge_profile import EdgeProfile
 from .ranking import (
     RankedPath,
     count_ops,
@@ -30,10 +30,8 @@ __all__ = [
     "ENTRY",
     "EXIT",
     "EdgeProfile",
-    "EdgeProfiler",
     "PathNumberingError",
     "PathProfile",
-    "PathProfiler",
     "PathTraceAnalysis",
     "RankedPath",
     "SamplingComparison",
@@ -43,7 +41,6 @@ __all__ = [
     "function_weight",
     "latency_weight",
     "path_overlap_count",
-    "profile_paths",
     "rank_paths",
     "sample_path_profile",
     "top_k_coverage",

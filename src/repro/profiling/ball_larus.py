@@ -11,7 +11,7 @@ any entry-to-exit DAG path produces a *unique, compact* path id in
 The numbering object supports the three operations the rest of the stack
 needs:
 
-* instrumentation semantics for the profiler (:meth:`edge_value`,
+* instrumentation semantics for the path-profile pass (:meth:`edge_value`,
   :meth:`is_back_edge`, fake-edge values),
 * decoding a path id back to its basic-block sequence (:meth:`decode`),
 * encoding a block sequence to its id (:meth:`encode`, the test inverse).
@@ -46,7 +46,10 @@ class BallLarusNumbering:
         self.function = fn
         self.cfg = CFG(fn)
         dom = DominatorTree.compute(self.cfg)
-        self.back_edge_set = set(back_edges(self.cfg, dom))
+        # ordered, not a set: blocks hash by identity, so a set would
+        # pickle in memory-address order and profile artifacts would
+        # differ from run to run; only `in` tests read it
+        self.back_edge_set = dict.fromkeys(back_edges(self.cfg, dom))
 
         # DAG successor lists.  Order matters (it fixes the numbering):
         # real successor order first, then fake edges in insertion order.

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
-from ..interp.events import Tracer
 from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import CondBranch
@@ -27,6 +27,31 @@ class EdgeProfile:
     block_counts: Counter = field(default_factory=Counter)
     branch_taken: Counter = field(default_factory=Counter)
     branch_not_taken: Counter = field(default_factory=Counter)
+
+    @classmethod
+    def from_trace(cls, trace) -> "EdgeProfile":
+        """Derive the edge profile of a recorded trace.
+
+        Every counter keeps first-occurrence order.  Taken/not-taken
+        counts fold out of the edge counts through each branch's
+        ``true_target``; a branch whose two targets are the same block
+        counts as taken, since both outcomes reach that block.
+        """
+        blocks = trace.blocks
+        profile = cls(trace.function, block_counts=trace.block_counts())
+        edges = profile.edge_counts
+        edges.update(zip(blocks, islice(blocks, 1, None)))
+        # pairs that straddle an invocation boundary are not edges
+        for edge in [e for e in edges if e[0] is None or e[1] is None]:
+            del edges[edge]
+        for (src, dst), n in edges.items():
+            term = src.terminator
+            if isinstance(term, CondBranch):
+                if dst is term.true_target:
+                    profile.branch_taken[src] += n
+                else:
+                    profile.branch_not_taken[src] += n
+        return profile
 
     def edge_count(self, src: BasicBlock, dst: BasicBlock) -> int:
         return self.edge_counts[(src, dst)]
@@ -80,35 +105,3 @@ class EdgeProfile:
             if c > best_count:
                 best, best_count = succ, c
         return best
-
-
-class EdgeProfiler(Tracer):
-    """Tracer that accumulates :class:`EdgeProfile` s."""
-
-    def __init__(self, functions: Optional[List[Function]] = None):
-        self.filter = set(functions) if functions is not None else None
-        self.profiles: Dict[Function, EdgeProfile] = {}
-
-    def profile_for(self, fn: Function) -> EdgeProfile:
-        profile = self.profiles.get(fn)
-        if profile is None:
-            profile = EdgeProfile(fn)
-            self.profiles[fn] = profile
-        return profile
-
-    def on_block(self, fn: Function, block: BasicBlock, prev: Optional[BasicBlock]) -> None:
-        if self.filter is not None and fn not in self.filter:
-            return
-        profile = self.profile_for(fn)
-        profile.block_counts[block] += 1
-        if prev is not None:
-            profile.edge_counts[(prev, block)] += 1
-
-    def on_branch(self, fn: Function, block: BasicBlock, taken: bool) -> None:
-        if self.filter is not None and fn not in self.filter:
-            return
-        profile = self.profile_for(fn)
-        if taken:
-            profile.branch_taken[block] += 1
-        else:
-            profile.branch_not_taken[block] += 1

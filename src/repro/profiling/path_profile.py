@@ -1,19 +1,19 @@
-"""Runtime path-profile collection over the interpreter's trace stream.
+"""Ball–Larus path profiles, derived from a recorded block stream.
 
-:class:`PathProfiler` implements Ball–Larus instrumentation semantics as a
-tracer: a path register ``r`` per activation, incremented with edge values,
-flushed to the profile when a back edge fires or the function returns.  It
-simultaneously records the *path trace* — the sequence of completed path ids
-— which §IV.A's target-expansion analysis consumes.
+:meth:`PathProfile.from_trace` replays the instrumentation of Ball & Larus
+over a :class:`~repro.interp.events.FunctionTrace` after the run: a path
+register ``r`` per activation, incremented with edge values, flushed to the
+profile when a back edge fires or the activation ends.  The same pass keeps
+the *path trace* — the sequence of completed path ids — which §IV.A's
+target-expansion analysis consumes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from ..interp.events import Tracer
 from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..obs import counter as _obs_counter, enabled as _obs_enabled
@@ -39,6 +39,50 @@ class PathProfile:
     _recurrence: Dict[int, object] = field(
         default_factory=dict, compare=False, repr=False
     )
+
+    @classmethod
+    def from_trace(cls, trace) -> "PathProfile":
+        """Derive the path profile of a recorded trace in one pass.
+
+        Each CFG edge has one action.  An ordinary edge adds its increment
+        to ``r``.  A back edge emits ``r + back_edge_counter_value`` and
+        resets ``r`` to the header's ``back_edge_reset_value``.  Each
+        activation end emits ``r + exit_value``; an activation that
+        stopped on a block with no edge to EXIT (a run that raised) gets
+        :class:`~repro.profiling.ball_larus.PathNumberingError`.
+        """
+        fn = trace.function
+        numbering = BallLarusNumbering(fn)
+        # edge -> (increment, None) or, for a back edge, (increment, reset)
+        actions = {}
+        for src, dst in numbering.cfg.edges():
+            if numbering.is_back_edge(src, dst):
+                actions[(src, dst)] = (
+                    numbering.back_edge_counter_value(src),
+                    numbering.back_edge_reset_value(dst),
+                )
+            else:
+                actions[(src, dst)] = (numbering.edge_value(src, dst), None)
+        path_ids: List[int] = []
+        emit = path_ids.append
+        r = 0
+        prev = None
+        for block in trace.blocks:
+            if block is None:  # activation boundary
+                emit(r + numbering.exit_value(prev))
+            elif prev is None:  # activation start
+                r = 0
+            else:
+                increment, reset = actions[(prev, block)]
+                if reset is None:
+                    r += increment
+                else:
+                    emit(r + increment)
+                    r = reset
+            prev = block
+        if prev is not None:
+            emit(r + numbering.exit_value(prev))
+        return cls(fn, numbering, Counter(path_ids), path_ids)
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -92,81 +136,4 @@ class PathProfile:
         return entry
 
 
-class PathProfiler(Tracer):
-    """Collects Ball–Larus path profiles for selected functions.
-
-    Activations are kept on a stack so traced functions may call each other
-    (or themselves) while each activation maintains its own path register.
-    """
-
-    def __init__(self, functions: Optional[List[Function]] = None):
-        self.filter = set(functions) if functions is not None else None
-        self.profiles: Dict[Function, PathProfile] = {}
-        # activation stack entries: [function, register, last_block] or None
-        # for untraced activations
-        self._stack: List[Optional[list]] = []
-
-    # -- profile access -----------------------------------------------------------
-
-    def profile_for(self, fn: Function) -> PathProfile:
-        profile = self.profiles.get(fn)
-        if profile is None:
-            profile = PathProfile(fn, BallLarusNumbering(fn))
-            self.profiles[fn] = profile
-        return profile
-
-    # -- tracer hooks ---------------------------------------------------------------
-
-    def on_function_entry(self, fn: Function) -> None:
-        if self.filter is not None and fn not in self.filter:
-            self._stack.append(None)
-            return
-        self.profile_for(fn)
-        self._stack.append([fn, 0, None])
-
-    def on_block(self, fn: Function, block: BasicBlock, prev: Optional[BasicBlock]) -> None:
-        if not self._stack:
-            return
-        frame = self._stack[-1]
-        if frame is None:
-            return
-        profile = self.profiles[frame[0]]
-        numbering = profile.numbering
-        if prev is None:
-            frame[1] = 0
-        elif numbering.is_back_edge(prev, block):
-            path_id = frame[1] + numbering.back_edge_counter_value(prev)
-            profile.counts[path_id] += 1
-            profile.trace.append(path_id)
-            frame[1] = numbering.back_edge_reset_value(block)
-        else:
-            frame[1] += numbering.edge_value(prev, block)
-        frame[2] = block
-
-    def on_function_exit(self, fn: Function) -> None:
-        if not self._stack:
-            return
-        frame = self._stack.pop()
-        if frame is None:
-            return
-        profile = self.profiles[frame[0]]
-        last_block = frame[2]
-        if last_block is not None:
-            path_id = frame[1] + profile.numbering.exit_value(last_block)
-            profile.counts[path_id] += 1
-            profile.trace.append(path_id)
-
-
-def profile_paths(module, fn_name: str, args, interpreter_cls=None, **interp_kwargs):
-    """Convenience: run ``fn_name(args)`` once and return its PathProfile."""
-    from ..interp.interpreter import Interpreter
-
-    cls = interpreter_cls or Interpreter
-    fn = module.get_function(fn_name)
-    profiler = PathProfiler([fn])
-    interp = cls(module, tracer=profiler, **interp_kwargs)
-    interp.run(fn, args)
-    return profiler.profiles[fn]
-
-
-__all__ = ["PathProfile", "PathProfiler", "profile_paths"]
+__all__ = ["PathProfile"]

@@ -2,9 +2,10 @@
 
 A :class:`Workload` names one of the paper's 29 benchmarks and knows how to
 build its synthetic hot-function stand-in.  :func:`profile_workload` runs
-the instrumented interpreter once and returns everything the experiments
-need: the path profile, edge profile, full trace and the hot function.
-Profiles are cached per workload because several tables/figures reuse them.
+the interpreter once, recording the hot function's block and memory
+streams, and derives the path and edge profiles from that trace; it
+returns both profiles, the trace and the hot function.  Profiles are
+cached per workload because several tables/figures reuse them.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
-from ..interp.events import FunctionTrace, MultiTracer, TraceRecorder
+from ..interp.events import FunctionTrace
 from ..interp.interpreter import Interpreter
 from ..ir.function import Function
 from ..ir.module import Module
 from ..obs import counter as _obs_counter, enabled as _obs_enabled, span as _obs_span
-from ..profiling.edge_profile import EdgeProfile, EdgeProfiler
-from ..profiling.path_profile import PathProfile, PathProfiler
+from ..profiling.edge_profile import EdgeProfile
+from ..profiling.path_profile import PathProfile
 
 
 @dataclass
@@ -45,7 +46,7 @@ class Workload:
 
 @dataclass
 class ProfiledWorkload:
-    """Everything one instrumented run produces."""
+    """Everything one recorded run produces."""
 
     workload: Workload
     module: Module
@@ -72,7 +73,7 @@ def profile_workload(
     ``artifact_cache`` (an :class:`~repro.artifacts.ArtifactCache`) layers a
     persistent on-disk store under the in-memory cache: the profile is keyed
     by the workload's IR text and run arguments, so a warm cache skips the
-    instrumented interpreter run entirely.  Profiles are config-independent,
+    interpreter run entirely.  Profiles are config-independent,
     hence the key carries no SystemConfig fingerprint.
     """
     if use_cache and workload.name in _PROFILE_CACHE:
@@ -99,23 +100,22 @@ def profile_workload(
                              workload=workload.name, outcome="artifact-cache")
             return stored
 
+    # the span holds the run and the derivation, so it times all profiling
     with _obs_span("profile", workload=workload.name):
         module, fn, args = built
-        paths = PathProfiler([fn])
-        edges = EdgeProfiler([fn])
-        recorder = TraceRecorder([fn])
-        interp = Interpreter(module, tracer=MultiTracer(paths, edges, recorder))
+        interp = Interpreter(module, record=[fn])
         result = interp.run(fn, args)
-    profiled = ProfiledWorkload(
-        workload=workload,
-        module=module,
-        function=fn,
-        paths=paths.profile_for(fn),
-        edges=edges.profile_for(fn),
-        trace=recorder.traces[fn],
-        result=result,
-        artifact_key=key,
-    )
+        trace = interp.traces[fn]
+        profiled = ProfiledWorkload(
+            workload=workload,
+            module=module,
+            function=fn,
+            paths=PathProfile.from_trace(trace),
+            edges=EdgeProfile.from_trace(trace),
+            trace=trace,
+            result=result,
+            artifact_key=key,
+        )
     if _obs_enabled():
         from ..interp.stats import opcode_census
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import CFG, DominatorTree, PostDominatorTree
-from tests.profiling.test_ball_larus_property import _RandomFunctionBuilder
+from tests.strategies import RandomFunctionBuilder
 
 
 def _brute_force_dominates(cfg: CFG, a, b) -> bool:
@@ -35,7 +35,7 @@ values = st.lists(st.integers(0, 99), min_size=1, max_size=18)
 @settings(max_examples=30, deadline=None)
 @given(shapes=shapes, values=values)
 def test_dominator_tree_matches_brute_force(shapes, values):
-    _, fn = _RandomFunctionBuilder(shapes, values).build()
+    _, fn = RandomFunctionBuilder(shapes, values).build()
     cfg = CFG(fn)
     dom = DominatorTree.compute(cfg)
     blocks = cfg.blocks
@@ -51,7 +51,7 @@ def test_dominator_tree_matches_brute_force(shapes, values):
 def test_idom_is_unique_strict_dominator_closest(shapes, values):
     """idom(b) strictly dominates b and every other strict dominator of b
     dominates idom(b)."""
-    _, fn = _RandomFunctionBuilder(shapes, values).build()
+    _, fn = RandomFunctionBuilder(shapes, values).build()
     cfg = CFG(fn)
     dom = DominatorTree.compute(cfg)
     for b in cfg.blocks:
@@ -70,7 +70,7 @@ def test_idom_is_unique_strict_dominator_closest(shapes, values):
 def test_post_dominance_duality(shapes, values):
     """Every block is post-dominated by itself, and the unique exit block
     post-dominates every block in single-exit functions."""
-    _, fn = _RandomFunctionBuilder(shapes, values).build()
+    _, fn = RandomFunctionBuilder(shapes, values).build()
     cfg = CFG(fn)
     pdom = PostDominatorTree.compute(cfg)
     exits = cfg.exits()

@@ -196,6 +196,29 @@ def build_array_sum(n: int = 16):
     return m, fn
 
 
+def build_caller_and_callee():
+    """``main(v)`` loads ``data[v]`` and calls ``square`` on it twice.
+
+    Returns (module, main, square).
+    """
+    m = Module("calls")
+    data = m.add_global("data", I32, 4, init=[3, 5, 7, 9])
+    sq = m.add_function("square", [("x", I32)], I32)
+    b = IRBuilder(sq)
+    b.set_block(b.add_block("entry"))
+    b.ret(b.mul(sq.arg("x"), sq.arg("x")))
+    main = m.add_function("main", [("v", I32)], I32)
+    b2 = IRBuilder(main)
+    b2.set_block(b2.add_block("entry"))
+    x = b2.load(I32, b2.gep(data, main.arg("v"), 4))
+    r1 = b2.call(sq, [x])
+    r2 = b2.call(sq, [r1])
+    b2.ret(r2)
+    verify_function(sq)
+    verify_function(main)
+    return m, main, sq
+
+
 @pytest.fixture
 def diamond():
     return build_diamond()
@@ -216,10 +239,15 @@ def array_sum():
     return build_array_sum()
 
 
+@pytest.fixture
+def caller_and_callee():
+    return build_caller_and_callee()
+
+
 # -- region/profiling fixtures (shared by frames/accel/sim tests) --------
 
-from repro.interp import Interpreter, MultiTracer
-from repro.profiling import EdgeProfiler, PathProfiler
+from repro.interp import Interpreter
+from repro.profiling import EdgeProfile, PathProfile
 
 
 def build_anticorrelated():
@@ -302,13 +330,18 @@ def build_anticorrelated():
     return m, fn
 
 
-def profile_function(m, fn, runs):
-    pp = PathProfiler([fn])
-    ep = EdgeProfiler([fn])
-    interp = Interpreter(m, tracer=MultiTracer(pp, ep))
+def record_function(m, fn, runs):
+    """The :class:`FunctionTrace` of ``fn`` over ``runs`` (one argument
+    list per run, all on one interpreter)."""
+    interp = Interpreter(m, record=[fn])
     for args in runs:
         interp.run(fn.name, args)
-    return pp.profile_for(fn), ep.profile_for(fn)
+    return interp.traces[fn]
+
+
+def profile_function(m, fn, runs):
+    trace = record_function(m, fn, runs)
+    return PathProfile.from_trace(trace), EdgeProfile.from_trace(trace)
 
 
 @pytest.fixture

@@ -1,12 +1,6 @@
 import pytest
 
-from repro.interp import (
-    Interpreter,
-    InterpreterError,
-    MultiTracer,
-    TraceRecorder,
-    Tracer,
-)
+from repro.interp import Interpreter, InterpreterError
 from repro.ir import (
     Constant,
     I32,
@@ -24,42 +18,6 @@ def test_undef_operand_reads_zero():
     x = b.add(UndefValue(I32), 5)
     b.ret(x)
     assert Interpreter(m).run("f", []) == 5
-
-
-def test_multitracer_fans_out(counted_loop):
-    m, fn = counted_loop
-    r1 = TraceRecorder([fn])
-    r2 = TraceRecorder([fn])
-
-    class Counting(Tracer):
-        def __init__(self):
-            self.blocks = 0
-            self.branches = 0
-            self.entries = 0
-            self.exits = 0
-            self.mems = 0
-
-        def on_block(self, *a):
-            self.blocks += 1
-
-        def on_branch(self, *a):
-            self.branches += 1
-
-        def on_function_entry(self, *a):
-            self.entries += 1
-
-        def on_function_exit(self, *a):
-            self.exits += 1
-
-        def on_memory(self, *a):
-            self.mems += 1
-
-    c = Counting()
-    Interpreter(m, tracer=MultiTracer(r1, r2, c)).run("loop", [5])
-    assert r1.traces[fn].dynamic_instructions == r2.traces[fn].dynamic_instructions
-    assert c.blocks == len([b for b in r1.traces[fn].blocks if b is not None])
-    assert c.entries == 1 and c.exits == 1
-    assert c.branches > 0
 
 
 def test_executed_instruction_accounting(counted_loop):

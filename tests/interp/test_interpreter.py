@@ -1,11 +1,6 @@
 import pytest
 
-from repro.interp import (
-    FuelExhausted,
-    Interpreter,
-    InterpreterError,
-    TraceRecorder,
-)
+from repro.interp import FuelExhausted, Interpreter, InterpreterError
 from repro.ir import F64, I32, IRBuilder, Module, verify_function
 
 
@@ -57,10 +52,9 @@ def test_global_inputs_can_be_rewritten(array_sum):
 
 def test_tracer_records_blocks_and_memory(array_sum):
     m, fn = array_sum
-    rec = TraceRecorder()
-    interp = Interpreter(m, tracer=rec)
+    interp = Interpreter(m, record=[fn])
     interp.run("array_sum", [4])
-    trace = rec.traces[fn]
+    trace = interp.traces[fn]
     assert trace.invocations == 1
     names = [b.name for b in trace.blocks if b is not None]
     assert names[0] == "entry"
@@ -74,11 +68,11 @@ def test_tracer_records_blocks_and_memory(array_sum):
 
 def test_trace_invocation_sequences(diamond):
     m, fn = diamond
-    rec = TraceRecorder()
-    interp = Interpreter(m, tracer=rec)
+    interp = Interpreter(m, record=[fn])
     interp.run("diamond", [1, 5])
     interp.run("diamond", [5, 1])
-    seqs = rec.traces[fn].invocation_sequences()
+    assert interp.traces[fn].invocations == 2
+    seqs = interp.traces[fn].invocation_sequences()
     assert len(seqs) == 2
     assert [b.name for b in seqs[0]] == ["entry", "then", "merge"]
     assert [b.name for b in seqs[1]] == ["entry", "else", "merge"]
@@ -90,9 +84,9 @@ def test_trace_filter():
     b = IRBuilder(f)
     b.set_block(b.add_block("entry"))
     b.ret(1)
-    rec = TraceRecorder(functions=[])  # record nothing
-    Interpreter(m, tracer=rec).run("f", [])
-    assert rec.traces == {}
+    interp = Interpreter(m, record=[])  # record nothing
+    interp.run("f", [])
+    assert interp.traces == {}
 
 
 def test_fuel_exhaustion():
@@ -109,6 +103,63 @@ def test_fuel_exhaustion():
     interp = Interpreter(m, fuel=1000)
     with pytest.raises(FuelExhausted):
         interp.run("spin", [])
+
+
+def test_fuel_exhausting_block_is_recorded(counted_loop):
+    m, fn = counted_loop
+    # entry (1) + header (2) + body (4) = 7: the next header breaks the
+    # budget, so it is recorded but does not run
+    interp = Interpreter(m, record=[fn], fuel=7)
+    with pytest.raises(FuelExhausted):
+        interp.run("loop", [10])
+    names = [b.name for b in interp.traces[fn].blocks]
+    assert names == ["entry", "header", "body", "header"]
+    assert interp.executed_instructions == 9
+
+
+def test_nested_calls_record_per_function(caller_and_callee):
+    m, main, sq = caller_and_callee
+    interp = Interpreter(m, record=[main, sq])
+    assert interp.run("main", [1]) == 625
+    outer, inner = interp.traces[main], interp.traces[sq]
+    assert outer.invocations == 1 and inner.invocations == 2
+    assert [b.name for b in outer.blocks] == ["entry"]
+    assert [b and b.name for b in inner.blocks] == ["entry", None, "entry"]
+    assert [op for op, _ in outer.memory] == ["load"]
+    assert inner.memory == []
+    # recording only the callee leaves the caller unrecorded
+    only_sq = Interpreter(m, record=[sq])
+    only_sq.run("main", [2])
+    assert list(only_sq.traces) == [sq]
+    assert only_sq.traces[sq].invocations == 2
+
+
+def _countdown():
+    """``down(n) = n <= 0 ? 0 : 1 + down(n - 1)``, recursively."""
+    m = Module()
+    fn = m.add_function("down", [("n", I32)], I32)
+    b = IRBuilder(fn)
+    entry, base, rec = (b.add_block(n) for n in ("entry", "base", "rec"))
+    b.set_block(entry)
+    b.condbr(b.icmp("sle", fn.arg("n"), 0), base, rec)
+    b.set_block(base)
+    b.ret(0)
+    b.set_block(rec)
+    r = b.call(fn, [b.sub(fn.arg("n"), 1)])
+    b.ret(b.add(r, 1))
+    verify_function(fn)
+    return m, fn
+
+
+def test_recursion_into_recorded_function_raises():
+    m, fn = _countdown()
+    assert Interpreter(m).run("down", [5]) == 5
+    interp = Interpreter(m, record=[fn])
+    with pytest.raises(InterpreterError, match="recursive call to recorded function down"):
+        interp.run("down", [5])
+    # the failed activation does not stay active: a leaf run still records
+    assert interp.run("down", [0]) == 0
+    assert interp.traces[fn].invocations == 2
 
 
 def test_division_semantics():

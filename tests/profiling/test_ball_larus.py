@@ -1,7 +1,9 @@
 import pytest
 
 from repro.interp import Interpreter
-from repro.profiling import BallLarusNumbering, PathNumberingError, PathProfiler
+from repro.profiling import BallLarusNumbering, PathNumberingError, PathProfile
+
+from tests.conftest import profile_function
 
 
 def test_total_paths_diamond(diamond):
@@ -85,10 +87,7 @@ def test_path_instruction_count_excludes_phis(counted_loop):
 
 def test_profile_counts_match_execution(counted_loop):
     m, fn = counted_loop
-    profiler = PathProfiler([fn])
-    interp = Interpreter(m, tracer=profiler)
-    interp.run("loop", [10])
-    profile = profiler.profiles[fn]
+    profile, _ = profile_function(m, fn, [[10]])
     # 10 body iterations + 1 exit = 11 path executions
     assert profile.total_executions == 11
     # decode sanity: every counted id decodes
@@ -98,9 +97,7 @@ def test_profile_counts_match_execution(counted_loop):
 
 def test_profile_trace_order(counted_loop):
     m, fn = counted_loop
-    profiler = PathProfiler([fn])
-    Interpreter(m, tracer=profiler).run("loop", [3])
-    profile = profiler.profiles[fn]
+    profile, _ = profile_function(m, fn, [[3]])
     assert len(profile.trace) == 4
     # the first path includes entry; later ones start at the header
     first_blocks = [b.name for b in profile.decode(profile.trace[0])]
@@ -111,11 +108,7 @@ def test_profile_trace_order(counted_loop):
 
 def test_profile_diamond_distinguishes_sides(diamond):
     m, fn = diamond
-    profiler = PathProfiler([fn])
-    interp = Interpreter(m, tracer=profiler)
-    for a, b in [(1, 5), (1, 5), (9, 2)]:
-        interp.run("diamond", [a, b])
-    profile = profiler.profiles[fn]
+    profile, _ = profile_function(m, fn, [(1, 5), (1, 5), (9, 2)])
     assert profile.executed_paths == 2
     counts = sorted(profile.counts.values())
     assert counts == [1, 2]
@@ -141,19 +134,15 @@ def test_profiler_handles_nested_calls():
     verify_function(inner)
     verify_function(outer)
 
-    profiler = PathProfiler()  # trace all functions
-    Interpreter(m, tracer=profiler).run("outer", [5])
-    assert profiler.profiles[inner].total_executions == 1
-    assert profiler.profiles[outer].total_executions == 1
+    interp = Interpreter(m, record=[inner, outer])
+    interp.run("outer", [5])
+    for fn in (inner, outer):
+        assert PathProfile.from_trace(interp.traces[fn]).total_executions == 1
 
 
 def test_executed_paths_observed_subset_of_static(loop_with_branch):
     m, fn = loop_with_branch
-    profiler = PathProfiler([fn])
-    interp = Interpreter(m, tracer=profiler)
-    for n in (0, 1, 5, 13, 50):
-        interp.run("loop_branch", [n])
-    profile = profiler.profiles[fn]
+    profile, _ = profile_function(m, fn, [[n] for n in (0, 1, 5, 13, 50)])
     bl = profile.numbering
     assert 0 < profile.executed_paths <= bl.total_paths
     # every observed path is a contiguous walk of real CFG edges

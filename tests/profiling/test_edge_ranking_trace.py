@@ -1,7 +1,4 @@
-from repro.interp import Interpreter, MultiTracer
 from repro.profiling import (
-    EdgeProfiler,
-    PathProfiler,
     PathTraceAnalysis,
     compare_frequency_vs_sampling,
     count_ops,
@@ -13,14 +10,7 @@ from repro.profiling import (
     top_k_coverage,
 )
 
-
-def _profile(m, fn, runs):
-    pp = PathProfiler([fn])
-    ep = EdgeProfiler([fn])
-    interp = Interpreter(m, tracer=MultiTracer(pp, ep))
-    for args in runs:
-        interp.run(fn.name, args)
-    return pp.profile_for(fn), ep.profile_for(fn)
+from tests.conftest import profile_function as _profile, record_function
 
 
 def test_edge_profile_counts(diamond):
@@ -82,13 +72,9 @@ def test_function_weight_equals_dynamic_ops(counted_loop):
     pp, _ = _profile(m, fn, [[10]])
     fwt = function_weight(pp)
     # dynamic non-phi instructions of the whole run
-    from repro.interp import TraceRecorder
-
-    rec = TraceRecorder([fn])
-    Interpreter(m, tracer=rec).run("loop", [10])
     dyn = sum(
         1
-        for blk in rec.traces[fn].blocks
+        for blk in record_function(m, fn, [[10]]).blocks
         if blk is not None
         for i in blk.instructions
         if i.opcode != "phi"

@@ -135,13 +135,10 @@ def test_suite_streams_take_the_closed_form(monkeypatch):
 )
 def test_ooo_more_resources_never_slower(rob, width):
     """Monotonicity: growing the ROB or width never increases cycles."""
-    from repro.interp import Interpreter, TraceRecorder
-    from tests.conftest import build_counted_loop
+    from tests.conftest import build_counted_loop, record_function
 
     m, fn = build_counted_loop()
-    rec = TraceRecorder([fn])
-    Interpreter(m, tracer=rec).run(fn.name, [40])
-    trace = rec.traces[fn].blocks
+    trace = record_function(m, fn, [[40]]).blocks
 
     base = OOOModel(HostConfig(rob_entries=rob, fetch_width=width,
                                issue_width=width, retire_width=width))

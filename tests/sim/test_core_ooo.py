@@ -1,12 +1,11 @@
-from repro.interp import Interpreter, TraceRecorder
 from repro.ir import I32, F64, IRBuilder, Module, verify_function
 from repro.sim import HostConfig, MemorySystem, OOOModel
 
+from tests.conftest import record_function
+
 
 def _trace_of(m, fn, args):
-    rec = TraceRecorder([fn])
-    Interpreter(m, tracer=rec).run(fn.name, args)
-    return rec.traces[fn]
+    return record_function(m, fn, [args])
 
 
 def _chain_module(n_ops=32, dependent=True):

@@ -1,9 +1,10 @@
 from repro.frames import build_frame
-from repro.interp import Interpreter, MultiTracer, TraceRecorder
 from repro.ir import Constant, F64, I32, IRBuilder, Module, verify_function
-from repro.profiling import PathProfiler, rank_paths
+from repro.profiling import PathProfile, rank_paths
 from repro.regions import build_braids, path_to_region
 from repro.sim import EnergyBreakdown, EnergyModel, OffloadSimulator, DEFAULT_CONFIG
+
+from tests.conftest import record_function
 
 
 def _ilp_kernel():
@@ -49,10 +50,8 @@ def _ilp_kernel():
 
 
 def _profile_with_trace(m, fn, args):
-    pp = PathProfiler([fn])
-    rec = TraceRecorder([fn])
-    Interpreter(m, tracer=MultiTracer(pp, rec)).run(fn.name, args)
-    return pp.profile_for(fn), rec.traces[fn]
+    trace = record_function(m, fn, [args])
+    return PathProfile.from_trace(trace), trace
 
 
 def test_offload_improves_ilp_kernel():

@@ -2,20 +2,17 @@
 accounting, loop-carried pair derivation and executed-fraction energy."""
 
 from repro.frames import build_frame
-from repro.interp import Interpreter, MultiTracer, TraceRecorder
-from repro.profiling import PathProfiler, rank_paths
+from repro.profiling import PathProfile, rank_paths
 from repro.regions import build_braids, path_to_region
 from repro.sim import OffloadSimulator
 
-from tests.conftest import build_counted_loop
+from tests.conftest import build_counted_loop, record_function
 
 
 def _profiled(build, args):
     m, fn = build()
-    pp = PathProfiler([fn])
-    rec = TraceRecorder([fn])
-    Interpreter(m, tracer=MultiTracer(pp, rec)).run(fn.name, args)
-    return m, fn, pp.profile_for(fn), rec.traces[fn]
+    trace = record_function(m, fn, [args])
+    return m, fn, PathProfile.from_trace(trace), trace
 
 
 def test_path_costs_cover_every_path():

@@ -1,6 +1,8 @@
 """Artifact cache: keys, storage, corruption tolerance, profile wiring."""
 
 import os
+import pickle
+import sys
 
 import pytest
 
@@ -83,6 +85,23 @@ def test_env_var_overrides_default_root(tmp_path, monkeypatch):
     assert default_cache_dir() == str(tmp_path / "env-cache")
     monkeypatch.delenv(CACHE_DIR_ENV)
     assert default_cache_dir().endswith(os.path.join(".cache", "repro-needle"))
+
+
+def test_fresh_profiles_pickle_to_identical_bytes():
+    # blocks hash by identity, so any unordered container of blocks in a
+    # profile pickles in memory-address order; freqmine's back edges did
+    w = workloads.get("freqmine")
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 100_000))
+    try:
+        payloads = {
+            pickle.dumps(profile_workload(w, use_cache=False),
+                         protocol=pickle.HIGHEST_PROTOCOL)
+            for _ in range(8)
+        }
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert len(payloads) == 1
 
 
 def test_profile_workload_roundtrips_through_cache(cache):

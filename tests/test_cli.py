@@ -23,6 +23,29 @@ def test_cli_analyze(capsys):
     assert "braid frame" in out
 
 
+def test_cli_analyze_runs_the_interpreter_once(tmp_path, capsys, monkeypatch):
+    import json
+
+    from repro.workloads import base
+
+    # a profile another test left in the in-process cache would skip the run
+    monkeypatch.setattr(base, "_PROFILE_CACHE", {})
+    out_path = tmp_path / "m.json"
+    argv = ["analyze", "164.gzip", "--no-cache", "--metrics-out", str(out_path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    # the mix is read from the profile's trace, not from a second run
+    assert "dynamic mix: 62% int, 0% fp, 6% memory, 32% control\n" in out
+    metrics = json.loads(out_path.read_text())["metrics"]
+    runs = [
+        series["value"]
+        for m in metrics
+        if m["name"] == "interp.runtime.runs"
+        for series in m["series"]
+    ]
+    assert runs == [1]
+
+
 def test_cli_evaluate_single(capsys):
     assert main(["evaluate", "482.sphinx3"]) == 0
     out = capsys.readouterr().out

@@ -88,7 +88,7 @@ def test_deep_imports_keep_working():
     from repro.interp.interpreter import Interpreter  # noqa: F401
     from repro.obs.metrics import MetricsRegistry  # noqa: F401
     from repro.pipeline import NeedlePipeline  # noqa: F401
-    from repro.profiling.path_profile import PathProfiler  # noqa: F401
+    from repro.profiling.path_profile import PathProfile  # noqa: F401
     from repro.sim.offload import OffloadSimulator  # noqa: F401
     from repro.workloads.base import profile_workload  # noqa: F401
 
