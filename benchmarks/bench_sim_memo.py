@@ -4,10 +4,11 @@ Measures, with real wall clocks and the artifact cache disabled, what the
 two perf layers buy:
 
 * **per-workload** — the three-strategy simulation bill (path-oracle,
-  path-history, braid) under the reference configuration
-  (:class:`~repro.sim.EventOracleSimulator`, memo off) vs the shipped
-  one (:class:`~repro.sim.OffloadSimulator`, memo on), best of
-  ``_REPEATS`` cold runs each, with the outcomes checked identical;
+  path-history, braid) under the reference configuration (a fresh
+  :class:`~repro.sim.EventOracleSimulator` per strategy call, so nothing
+  is shared) vs the shipped one (one :class:`~repro.sim.OffloadSimulator`
+  and its memo), best of ``_REPEATS`` cold runs each, with the outcomes
+  checked identical;
 * **suite-level** — cold full-suite wall clock in the shipped
   configuration, plus a warm artifact-cache pass whose speedup is gated
   against the floor recorded in the committed ``BENCH_sim.json``
@@ -40,33 +41,44 @@ _SUITE_FRACTION = 0.5
 _DEFAULT_WARM_FLOOR = 3.0
 
 
-def _three_strategies(sim, analysis):
-    """The exact simulation calls one pipeline evaluation makes."""
+def _three_strategies(sim_for_call, analysis):
+    """The exact simulation calls one pipeline evaluation makes;
+    ``sim_for_call()`` supplies the simulator of each call."""
     profiled = analysis.profiled
     out = []
     if analysis.path_frame is not None:
-        out.append(sim.simulate_offload(
+        out.append(sim_for_call().simulate_offload(
             profiled.workload.name, profiled.paths, analysis.path_frame,
             "oracle", profiled.trace,
         ))
-        out.append(sim.simulate_offload(
+        out.append(sim_for_call().simulate_offload(
             profiled.workload.name, profiled.paths, analysis.path_frame,
             "history", profiled.trace,
         ))
     if analysis.braid_frame is not None:
-        out.append(sim.simulate_offload(
+        out.append(sim_for_call().simulate_offload(
             profiled.workload.name, profiled.paths, analysis.braid_frame,
             "oracle", profiled.trace, coverage=analysis.top_braid.coverage,
         ))
     return out
 
 
-def _best_of(make_sim, analysis):
+def _reference_arm(analysis):
+    # a fresh event-oracle simulator per strategy call: no memo is shared
+    return _three_strategies(EventOracleSimulator, analysis)
+
+
+def _shipped_arm(analysis):
+    sim = OffloadSimulator()  # one simulator, one memo for all three
+    return _three_strategies(lambda: sim, analysis)
+
+
+def _best_of(arm, analysis):
     best, outcomes = float("inf"), None
     for _ in range(_REPEATS):
-        sim = make_sim()  # fresh simulator: every repeat is a cold run
+        # every arm builds fresh simulators: each repeat is a cold run
         t0 = time.perf_counter()
-        outcomes = _three_strategies(sim, analysis)
+        outcomes = arm(analysis)
         best = min(best, time.perf_counter() - t0)
     return best, outcomes
 
@@ -81,10 +93,8 @@ def test_sim_memo_speedup(suite):
     per_workload = []
     for w in suite:
         analysis = analyses[w.name]
-        ref_t, ref_out = _best_of(
-            lambda: EventOracleSimulator(memo=False), analysis,
-        )
-        fast_t, fast_out = _best_of(OffloadSimulator, analysis)
+        ref_t, ref_out = _best_of(_reference_arm, analysis)
+        fast_t, fast_out = _best_of(_shipped_arm, analysis)
         # a wrong-but-fast simulator is worthless
         assert [vars(a) for a in fast_out] == [vars(b) for b in ref_out]
         per_workload.append({
@@ -129,8 +139,9 @@ def test_sim_memo_speedup(suite):
     })
 
     lines = [
-        "three-strategy simulation time, reference (event oracle, no "
-        "memo) vs shipped (rle + memo); best of %d cold runs" % _REPEATS,
+        "three-strategy simulation time, reference (fresh event-oracle "
+        "simulator per call) vs shipped (rle + memo); best of %d cold "
+        "runs" % _REPEATS,
         "",
     ]
     for row in sorted(per_workload, key=lambda r: -r["speedup"]):

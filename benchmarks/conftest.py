@@ -43,7 +43,7 @@ def suite():
 
 @pytest.fixture(scope="session")
 def analyses(pipeline, suite):
-    return pipeline.analyse_all(suite)
+    return [pipeline.analyse(w) for w in suite]
 
 
 @pytest.fixture(scope="session")

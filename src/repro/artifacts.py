@@ -29,6 +29,7 @@ the ``REPRO_CACHE_DIR`` environment variable or per-instance ``root``.
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import os
 import pickle
@@ -59,9 +60,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: artifact kinds stored by the pipeline
 PROFILE_KIND = "profile"
 EVALUATION_KIND = "evaluation"
-#: sub-simulation tables persisted by the simulation memo (repro.sim.memo)
-CALIBRATION_KIND = "calibration"
-PATH_COSTS_KIND = "pathcosts"
 #: completed-evaluation payloads referenced by the crash-safe run journal
 #: (repro.resilience.journal)
 JOURNAL_KIND = "journal"
@@ -217,19 +215,17 @@ class ArtifactCache:
     # -- maintenance -------------------------------------------------------
 
     def clear(self) -> int:
-        """Delete every stored artifact; returns the number removed."""
+        """Delete every stored artifact, whatever its kind — each
+        ``<root>/<kind>/<xx>/<key>.pkl`` and nothing deeper or shallower;
+        returns the number removed."""
         removed = 0
-        for kind in (PROFILE_KIND, EVALUATION_KIND,
-                     CALIBRATION_KIND, PATH_COSTS_KIND, JOURNAL_KIND):
-            base = os.path.join(self.root, kind)
-            for dirpath, _dirs, files in os.walk(base):
-                for name in files:
-                    if name.endswith(".pkl"):
-                        try:
-                            os.unlink(os.path.join(dirpath, name))
-                            removed += 1
-                        except OSError:
-                            pass
+        pattern = os.path.join(glob.escape(self.root), "*", "??", "*.pkl")
+        for path in glob.glob(pattern):
+            try:
+                os.unlink(path)
+                removed += 1
+            except OSError:
+                pass
         return removed
 
     def __repr__(self) -> str:
@@ -243,10 +239,8 @@ class ArtifactCache:
 __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_FORMAT_VERSION",
-    "CALIBRATION_KIND",
     "EVALUATION_KIND",
     "JOURNAL_KIND",
-    "PATH_COSTS_KIND",
     "PROFILE_KIND",
     "ArtifactCache",
     "config_fingerprint",

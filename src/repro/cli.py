@@ -94,10 +94,6 @@ def _options_from_args(args) -> PipelineOptions:
     return opts
 
 
-def _make_pipeline(args) -> NeedlePipeline:
-    return _options_from_args(args).build_pipeline()
-
-
 def _finish_metrics(
     opts: PipelineOptions,
     pipeline: Optional[NeedlePipeline] = None,
@@ -241,7 +237,7 @@ def _resume_manifest(opts: PipelineOptions) -> List[str]:
 
 
 def _run_evaluations(args, opts: PipelineOptions):
-    pipeline = _make_pipeline(args)
+    pipeline = opts.build_pipeline()
     if getattr(args, "resume", None):
         if args.workload:
             raise SystemExit(
@@ -341,6 +337,8 @@ def _cmd_trace(args) -> int:
     obs.enable(reset=True)
     names, _evaluations, pipeline = _run_evaluations(args, opts)
     roots = obs.registry().span_roots
+    # replayed at most once, for the chrome output and --timeline-out alike
+    tracks = None
     if args.format == "chrome":
         tracks = _sim_tracks(pipeline, names)
         if not roots and not tracks:
@@ -367,10 +365,10 @@ def _cmd_trace(args) -> int:
         with open(opts.metrics_out, "w") as fh:
             fh.write(obs_export.to_json(None))
     if opts.timeline_out is not None:
+        if tracks is None:
+            tracks = _sim_tracks(pipeline, names)
         obs_timeline.write_chrome_trace(
-            opts.timeline_out,
-            span_roots=roots,
-            sim_tracks=_sim_tracks(pipeline, names),
+            opts.timeline_out, span_roots=roots, sim_tracks=tracks,
         )
     return 0
 

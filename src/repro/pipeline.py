@@ -17,8 +17,8 @@ Suite sweeps scale two ways:
   :class:`~repro.exec.ProcessPool` of warm forked workers; results come
   back in deterministic suite order regardless of which worker finished
   first, and are bitwise-identical to a serial sweep.  Evaluation
-  records are flat, picklable summaries, and workers ship *delta* memo
-  snapshots, so per-task transport stays compact.
+  records are flat, picklable summaries, so per-task transport stays
+  compact.
 * an optional :class:`~repro.artifacts.ArtifactCache` persists profiles
   and evaluation summaries on disk keyed by (IR text, run args, config,
   format version), so a second CLI/bench/test run skips re-profiling
@@ -87,7 +87,6 @@ from .resilience.shutdown import (
 from .regions.braid import Braid, build_braids
 from .regions.path_region import path_to_region
 from .sim.config import DEFAULT_CONFIG, SystemConfig
-from .sim.memo import SimulationMemo
 from .sim.offload import OffloadOutcome, OffloadSimulator
 from .workloads.base import ProfiledWorkload, Workload, profile_workload
 
@@ -278,13 +277,17 @@ class NeedlePipeline:
         if isinstance(cache, str):
             cache = ArtifactCache(cache)
         self.cache = cache
-        # one simulation memo per pipeline: the three strategies of each
-        # evaluation share calibration/path-cost/schedule sub-simulations,
-        # and (with an artifact cache) the tables persist across runs
-        self.sim_memo = SimulationMemo(cache=self.cache)
-        self.simulator = OffloadSimulator(self.config, memo=self.sim_memo)
+        # the simulator owns the pipeline's simulation memo: the three
+        # strategies of each evaluation share calibration/path-cost/
+        # schedule sub-simulations
+        self.simulator = OffloadSimulator(self.config)
         self._analyses: Dict[str, WorkloadAnalysis] = {}
         self._evaluations: Dict[str, WorkloadEvaluation] = {}
+
+    @property
+    def sim_memo(self):
+        """The simulator's in-memory :class:`~repro.sim.memo.SimulationMemo`."""
+        return self.simulator.memo
 
     # -- step 1 + 2 -------------------------------------------------------------
 
@@ -357,10 +360,6 @@ class NeedlePipeline:
         analysis = self.analyse(workload)
         profiled = analysis.profiled
 
-        # the profile's content key upgrades the simulation memo to
-        # persistent, cross-process entries (None = identity keys only)
-        akey = profiled.artifact_key
-
         path_oracle = path_history = braid_outcome = None
         if analysis.path_frame is not None:
             path_oracle = self.simulator.simulate_offload(
@@ -369,7 +368,6 @@ class NeedlePipeline:
                 analysis.path_frame,
                 "oracle",
                 profiled.trace,
-                artifact_key=akey,
             )
             path_history = self.simulator.simulate_offload(
                 workload.name,
@@ -377,7 +375,6 @@ class NeedlePipeline:
                 analysis.path_frame,
                 "history",
                 profiled.trace,
-                artifact_key=akey,
             )
         if analysis.braid_frame is not None:
             braid_outcome = self.simulator.simulate_offload(
@@ -387,7 +384,6 @@ class NeedlePipeline:
                 "oracle",
                 profiled.trace,
                 coverage=analysis.top_braid.coverage,
-                artifact_key=akey,
             )
 
         hls = None
@@ -420,7 +416,6 @@ class NeedlePipeline:
         """
         analysis = self.analyse(workload)
         profiled = analysis.profiled
-        akey = profiled.artifact_key
         tracks: Dict[str, List] = {}
         with obs.span("timeline", workload=workload.name):
             if analysis.path_frame is not None:
@@ -429,24 +424,17 @@ class NeedlePipeline:
                         self.simulator.invocation_timeline(
                             workload.name, profiled.paths,
                             analysis.path_frame, kind,
-                            profiled.trace, artifact_key=akey,
+                            profiled.trace,
                         )
                     )
             if analysis.braid_frame is not None:
                 tracks["braid"] = self.simulator.invocation_timeline(
                     workload.name, profiled.paths, analysis.braid_frame,
-                    "oracle", profiled.trace, artifact_key=akey,
+                    "oracle", profiled.trace,
                 )
         return tracks
 
     # -- suite sweeps -----------------------------------------------------------------
-
-    def analyse_all(self, workloads) -> List[WorkloadAnalysis]:
-        """Analyse a suite; ``PipelineOptions.jobs`` decides whether it
-        fans out (see :meth:`evaluate_all`)."""
-        return self._sweep(
-            "analyse", _analyse_worker, self._analyses, workloads
-        )
 
     def evaluate_all(self, workloads) -> List[WorkloadEvaluation]:
         """Evaluate a suite, sharded over warm worker processes when
@@ -464,32 +452,10 @@ class NeedlePipeline:
         the sweep.  With ``fail_fast`` the first failure raises
         :class:`~repro.resilience.WorkloadExecutionError`.
         """
-        return self._sweep(
-            "evaluate", _evaluate_worker, self._evaluations, workloads
-        )
-
-    # -- fan-out helpers ----------------------------------------------------
-
-    def _execution_plan(self, jobs: Optional[int], n_todo: int):
-        """Resolve ``(backend name, pool width)`` for a sweep with
-        ``n_todo`` not-yet-memoised workloads.
-
-        ``None``/``1`` jobs, and a sweep with at most one workload to
-        run, stay inline-serial; anything wider runs on warm worker
-        processes, clamped to the work available.
-        """
-        if jobs is None or jobs <= 1 or n_todo <= 1:
-            return "serial", 1
-        return "process", min(jobs, n_todo)
-
-    def _sweep(self, method, worker_fn, memo: Dict, workloads) -> List:
         workloads = list(workloads)
+        memo = self._evaluations
         jobs = self.options.normalized_jobs()
-        # journaling (and therefore resume) applies to evaluation sweeps:
-        # those are the long batch jobs whose partial results are worth
-        # keeping; analyse memos are a cheap byproduct of evaluation
-        journal = self._open_journal(workloads, memo) \
-            if method == "evaluate" else None
+        journal = self._open_journal(workloads)
         # memoised results never re-run, so they cannot re-fail; on a
         # resumed run this is exactly what skips completed workloads
         todo = [w for w in workloads if w.name not in memo]
@@ -514,7 +480,7 @@ class NeedlePipeline:
                 if bus is not None:
                     bus.publish(
                         obs.events.RUN_STARTED, run_id,
-                        run_id=run_id, stage=method,
+                        run_id=run_id, stage="evaluate",
                         total=len(workloads), todo=len(todo),
                         backend=backend, jobs=width)
                     # workloads already memoised (journal resume or a
@@ -526,15 +492,14 @@ class NeedlePipeline:
                 with signal_scope:
                     if backend == "serial":
                         fresh = self._run_serial(
-                            method, todo, journal=journal, drain=drain)
+                            todo, journal=journal, drain=drain)
                     else:
                         with obs.span(
-                            method + "_all", jobs=width,
+                            "evaluate_all", jobs=width,
                             workloads=len(workloads)
                         ):
                             fresh = self._fan_out(
-                                worker_fn, todo, width,
-                                journal=journal, drain=drain)
+                                todo, width, journal=journal, drain=drain)
         except SweepDrained as exc:
             if journal is not None:
                 exc.run_id = journal.run_id
@@ -560,15 +525,29 @@ class NeedlePipeline:
             for w in workloads
         ]
 
+    # -- fan-out helpers ----------------------------------------------------
+
+    def _execution_plan(self, jobs: Optional[int], n_todo: int):
+        """Resolve ``(backend name, pool width)`` for a sweep with
+        ``n_todo`` not-yet-memoised workloads.
+
+        ``None``/``1`` jobs, and a sweep with at most one workload to
+        run, stay inline-serial; anything wider runs on warm worker
+        processes, clamped to the work available.
+        """
+        if jobs is None or jobs <= 1 or n_todo <= 1:
+            return "serial", 1
+        return "process", min(jobs, n_todo)
+
     # -- journal / resume ---------------------------------------------------
 
-    def _open_journal(self, workloads, memo: Dict) -> Optional[RunJournal]:
+    def _open_journal(self, workloads) -> Optional[RunJournal]:
         """Create or resume this sweep's run journal, if configured.
 
         A resumed journal's completed workloads are folded straight into
-        ``memo`` (records, obs snapshots or record-derived semantic
-        publication, and simulation-memo deltas), so the sweep re-runs
-        only what never durably finished — and the merged final state is
+        the evaluation memo (records, plus obs snapshots or
+        record-derived semantic publication), so the sweep re-runs only
+        what never durably finished — and the merged final state is
         byte-identical to an uninterrupted run.
         """
         opts = self.options
@@ -587,28 +566,27 @@ class NeedlePipeline:
             journal, replay = RunJournal.resume(
                 journal_dir, opts.resume,
                 fingerprint=fingerprint, manifest=manifest, plan=plan)
-            self._seed_from_replay(journal, replay, memo)
+            self._seed_from_replay(journal, replay)
             return journal
         return RunJournal.create(
             journal_dir, opts.run_id,
             fingerprint=fingerprint, manifest=manifest,
             config_fingerprint=config_fingerprint(self.config), plan=plan)
 
-    def _seed_from_replay(self, journal: RunJournal, replay, memo: Dict):
+    def _seed_from_replay(self, journal: RunJournal, replay):
         """Restore completed workloads from a replayed journal."""
         seeded = 0
         for name, key in replay.completed.items():
             row = journal.load_payload(key) if key else None
-            if not (isinstance(row, tuple) and len(row) == 3):
+            if not (isinstance(row, tuple) and len(row) == 2):
                 log.warning(
                     "journal payload for completed workload %r is missing "
                     "or unreadable; it will be re-run", name)
                 continue
-            result, snap, memo_snap = row
+            result, snap = row
             if isinstance(result, WorkloadFailure):
                 continue
-            memo[name] = result
-            self.sim_memo.merge(memo_snap)
+            self._evaluations[name] = result
             if obs.enabled():
                 if snap is not None:
                     # pooled runs journal the worker's whole registry
@@ -632,33 +610,30 @@ class NeedlePipeline:
     def _fault_plan(self) -> Optional[FaultPlan]:
         return self.options.resolve_fault_plan()
 
-    def _run_serial(self, method: str, workloads, journal=None,
-                    drain=None) -> List:
+    def _run_serial(self, workloads, journal=None, drain=None) -> List:
         """Serial sweep through the fail-safe runner on a
         :class:`~repro.exec.SerialPool` — the same retry/quarantine/blame
         contract as the process backend (timeouts excepted: a thread
-        cannot interrupt itself).  Tasks call the *bound* pipeline
-        methods, so profiles, evaluations and memo tables land directly
-        in this pipeline with no snapshot round-trip."""
+        cannot interrupt itself).  Tasks call :meth:`evaluate` directly,
+        so profiles, evaluations and memo tables land in this pipeline
+        with no snapshot round-trip."""
         if not workloads:
             return []
         plan = self._fault_plan()
-        bound = getattr(self, method)
 
         def call(workload, _plan, attempt):
             if _plan is None:
-                return bound(workload)
+                return self.evaluate(workload)
             with _faults.installed(_plan, attempt=attempt):
                 _consult_worker_faults(workload.name)
-                return bound(workload)
+                return self.evaluate(workload)
 
         on_result = None
         if journal is not None:
             def on_result(workload, result):
                 # payload first (atomic + fsynced), then the journal
                 # record that references it — write-ahead ordering
-                key = journal.store_payload(workload.name,
-                                            (result, None, None))
+                key = journal.store_payload(workload.name, (result, None))
                 journal.completed(workload.name, key)
 
         return run_failsafe(
@@ -673,30 +648,28 @@ class NeedlePipeline:
             drain=drain,
         )
 
-    def _fan_out(self, worker, workloads, width: int,
+    def _fan_out(self, workloads, width: int,
                  journal=None, drain=None) -> List:
         """Shard over a fail-safe pool of ``width`` worker processes;
-        workers return ``(result, obs snapshot-or-None, memo delta)``.
-        Snapshots are folded in as each worker finishes — a later
-        failure can no longer drop metrics or memo entries that were
-        already collected — and failed workloads come back as
-        :class:`WorkloadFailure` records in their suite slot.  With a
-        journal attached, each row is persisted and its ``completed``
-        record fsynced the moment it lands."""
+        workers return ``(result, obs snapshot-or-None)``.  Snapshots
+        are folded in as each worker finishes — a later failure can no
+        longer drop metrics that were already collected — and failed
+        workloads come back as :class:`WorkloadFailure` records in their
+        suite slot.  With a journal attached, each row is persisted and
+        its ``completed`` record fsynced the moment it lands."""
         cache_root = self.cache.root if self.cache is not None else None
         collect = obs.enabled()
 
         def _absorb(workload, row):
-            _result, snap, memo_snap = row
+            _result, snap = row
             if snap is not None:
                 obs.merge(snap)
-            self.sim_memo.merge(memo_snap)
             if journal is not None:
                 key = journal.store_payload(workload.name, row)
                 journal.completed(workload.name, key)
 
         rows = run_failsafe(
-            worker,
+            _evaluate_worker,
             workloads,
             jobs=width,
             policy=self.options.failure_policy(),
@@ -829,13 +802,17 @@ def _consult_worker_faults(name: str) -> None:
         raise FaultInjected("injected worker exception for %s" % name)
 
 
-def _run_worker(method, workload, config, cache_root, collect: bool,
-                plan: Optional[FaultPlan] = None, attempt: int = 0):
-    """Run one workload in a pool worker, optionally collecting obs data
-    into a private registry whose snapshot rides back with the result.
-    The worker pipeline's new simulation-memo entries travel back the
-    same way (as a delta — the parent already merged earlier shipments),
-    so the parent's memo warms up as the sweep progresses.
+def _evaluate_worker(
+    workload: Workload,
+    config: SystemConfig,
+    cache_root: Optional[str],
+    collect: bool = False,
+    plan: Optional[FaultPlan] = None,
+    attempt: int = 0,
+):
+    """Evaluate one workload in a pool worker, optionally collecting obs
+    data into a private registry whose snapshot rides back with the
+    result as ``(result, snapshot-or-None)``.
 
     The fault plan is installed fresh per (task, attempt) — and any
     injector the worker inherited from a fork or a previous task is
@@ -848,16 +825,13 @@ def _run_worker(method, workload, config, cache_root, collect: bool,
         pipe = _worker_pipeline(config, cache_root)
         try:
             if not collect:
-                result = getattr(pipe, method)(workload)
-                snap = None
-            else:
-                with obs.scoped() as reg:
-                    obs.counter("pipeline.worker_tasks", 1,
-                                help="workloads processed per pool worker",
-                                worker=str(os.getpid()))
-                    result = getattr(pipe, method)(workload)
-                    snap = reg.snapshot()
-            return result, snap, pipe.sim_memo.drain()
+                return pipe.evaluate(workload), None
+            with obs.scoped() as reg:
+                obs.counter("pipeline.worker_tasks", 1,
+                            help="workloads processed per pool worker",
+                            worker=str(os.getpid()))
+                result = pipe.evaluate(workload)
+                return result, reg.snapshot()
         finally:
             # record memos are per-task: a retry must recompute (its
             # fault sites consulted afresh), and a warm worker must not
@@ -866,30 +840,6 @@ def _run_worker(method, workload, config, cache_root, collect: bool,
             pipe._evaluations.clear()
     finally:
         _faults.uninstall()
-
-
-def _analyse_worker(
-    workload: Workload,
-    config: SystemConfig,
-    cache_root: Optional[str],
-    collect: bool = False,
-    plan: Optional[FaultPlan] = None,
-    attempt: int = 0,
-):
-    return _run_worker("analyse", workload, config, cache_root, collect,
-                       plan, attempt)
-
-
-def _evaluate_worker(
-    workload: Workload,
-    config: SystemConfig,
-    cache_root: Optional[str],
-    collect: bool = False,
-    plan: Optional[FaultPlan] = None,
-    attempt: int = 0,
-):
-    return _run_worker("evaluate", workload, config, cache_root, collect,
-                       plan, attempt)
 
 
 __all__ = [

@@ -15,9 +15,9 @@ progress:
   a hard :class:`JournalMismatch`, never silently mixed results;
 * per-workload lifecycle events (``scheduled`` / ``attempt_started`` /
   ``completed`` / ``quarantined`` / ``aborted``), with each completed
-  evaluation's full row — the record itself plus the obs-registry and
-  simulation-memo deltas the pool worker shipped — persisted through
-  the content-addressed artifact store next to the journal;
+  evaluation's full row — the record itself plus the obs-registry
+  snapshot its pool worker shipped — persisted through the
+  content-addressed artifact store next to the journal;
 * **torn-tail recovery**: a crash mid-append leaves a partial or
   corrupt trailing line; :meth:`RunJournal.replay` detects it, counts
   it (``resilience.journal_torn_records``) and truncates the file back
@@ -61,7 +61,8 @@ log = logging.getLogger(__name__)
 
 #: bump when the journal record layout changes incompatibly; part of the
 #: sweep fingerprint, so old journals refuse to resume under new code
-JOURNAL_FORMAT_VERSION = 1
+#: (2: a completed payload is ``(record, obs snapshot)``, no memo delta)
+JOURNAL_FORMAT_VERSION = 2
 
 #: environment variable enabling journaling with a default directory
 JOURNAL_DIR_ENV = "REPRO_JOURNAL_DIR"
@@ -193,8 +194,8 @@ class RunJournal:
         return h.hexdigest()
 
     def store_payload(self, workload: str, row) -> str:
-        """Persist a completed workload's ``(result, obs snapshot, memo
-        delta)`` row; returns the key a ``completed`` record carries."""
+        """Persist a completed workload's ``(result, obs snapshot)`` row;
+        returns the key a ``completed`` record carries."""
         from ..artifacts import JOURNAL_KIND
 
         key = self.payload_key(workload)
@@ -324,7 +325,7 @@ class RunJournal:
             key=str(data.get("workload", "") or self.run_id),
             record=event)
 
-    # lifecycle helpers — the vocabulary `_sweep`/`run_failsafe` speak
+    # lifecycle helpers — the vocabulary `evaluate_all`/`run_failsafe` speak
 
     def scheduled(self, names) -> None:
         """One ``scheduled`` record per workload, one fsync for the lot

@@ -31,7 +31,7 @@ from .coherence import (
 )
 from .core_ooo import OOOModel, OOOResult
 from .energy import EnergyBreakdown, EnergyModel
-from .memo import Calibration, SimulationMemo, content_key
+from .memo import Calibration, SimulationMemo
 from .offload import (
     EventOracleSimulator,
     OffloadOutcome,
@@ -82,7 +82,6 @@ __all__ = [
     "SystemConfig",
     "census_from_events",
     "census_from_segments",
-    "content_key",
     "profile_stream_dual",
     "run_length_encode",
 ]

@@ -22,11 +22,13 @@ single simulated number:
   :class:`EventOracleSimulator` computes the same census event by event
   (the reference tests compare against), so the shared
   census→cycles/energy fold is bitwise-identical by construction;
-* **simulation memo** — calibration, per-path host costs, CGRA schedules
-  and the braid's effective II are memoized per (input, config slice) in
-  a :class:`~repro.sim.memo.SimulationMemo`, so the three strategies the
-  pipeline evaluates (and DSE sweeps varying only CGRA/offload knobs)
-  share one replay, one OOO table and one schedule pool.
+* **simulation memo** — each simulator owns one in-memory
+  :class:`~repro.sim.memo.SimulationMemo` keyed by object identity plus
+  a config slice: calibration per trace, per-path host costs per
+  profile, CGRA schedules and the braid's effective II per frame, and
+  the run-length view per profile.  The three strategies the pipeline
+  evaluates share one replay, one OOO table and one schedule pool.
+  Nothing is persisted; a fresh simulator starts with an empty memo.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..artifacts import CALIBRATION_KIND, PATH_COSTS_KIND
 from ..frames.frame import Frame
 from ..obs import (
     counter as _obs_counter,
@@ -68,7 +69,7 @@ from .cache import profile_stream_dual
 from .config import DEFAULT_CONFIG, SystemConfig
 from .core_ooo import OOOModel, OOOResult
 from .energy import EnergyModel
-from .memo import Calibration, SimulationMemo, content_key
+from .memo import Calibration, SimulationMemo
 from .trace_kernels import (
     ChargeCensus,
     census_from_events,
@@ -194,43 +195,27 @@ class _FrameCostModel:
 class OffloadSimulator:
     """Simulates host-only and Needle-offloaded execution of one workload.
 
-    ``memo``  a shared :class:`~repro.sim.memo.SimulationMemo` (``None``
-              = a fresh private one; ``False`` = disable memoization —
-              every call recomputes).
+    The simulator owns its :class:`~repro.sim.memo.SimulationMemo`, so
+    every call on one instance shares sub-simulations and a fresh
+    instance shares nothing.
     """
 
-    def __init__(
-        self,
-        config: Optional[SystemConfig] = None,
-        memo: "Optional[SimulationMemo | bool]" = None,
-    ):
+    def __init__(self, config: Optional[SystemConfig] = None):
         self.config = config or DEFAULT_CONFIG
         self.energy_model = EnergyModel(self.config.energy, self.config.cgra)
-        if memo is False:
-            self.memo: Optional[SimulationMemo] = None
-        elif memo is None or memo is True:
-            self.memo = SimulationMemo()
-        else:
-            self.memo = memo
+        self.memo = SimulationMemo()
 
     # -- memory latency calibration ------------------------------------------------
 
-    def calibrate(
-        self,
-        trace: Optional[FunctionTrace],
-        artifact_key: Optional[str] = None,
-    ) -> Calibration:
+    def calibrate(self, trace: Optional[FunctionTrace]) -> Calibration:
         """Memory calibration of one workload, both ports at once.
 
         One dual-port profile of the recorded address stream
         (:func:`~repro.sim.cache.profile_stream_dual`) yields average load
         latencies *and* the per-level access censuses (the simulated cache
         hit/miss numbers the obs layer reports); L1/L2 hit latencies when
-        there is no stream.  Memoized per (workload, memory config) —
-        persistently through the artifact cache when ``artifact_key``
-        pins the workload's content — so the three offload strategies and
-        any sweep point that keeps the memory hierarchy fixed share one
-        profile.
+        there is no stream.  Memoized per (trace, memory config), so the
+        three offload strategies share one profile.
         """
 
         def compute() -> Calibration:
@@ -254,14 +239,9 @@ class OffloadSimulator:
                 accel_levels=accel_levels,
             )
 
-        if self.memo is None:
-            return compute()
-        mem_cfg = repr(self.config.memory)
-        if artifact_key:
-            return self.memo.content(
-                CALIBRATION_KIND, content_key(artifact_key, mem_cfg), compute
-            )
-        return self.memo.identity("calibration", trace, mem_cfg, compute)
+        return self.memo.get(
+            "calibration", trace, repr(self.config.memory), compute
+        )
 
     # -- host path costs ---------------------------------------------------------------
 
@@ -270,7 +250,6 @@ class OffloadSimulator:
         profile: PathProfile,
         host_load_latency: float,
         amortise_reps: int = 4,
-        artifact_key: Optional[str] = None,
     ) -> Dict[int, PathCost]:
         """Per-execution host cost of each profiled path.
 
@@ -278,10 +257,9 @@ class OffloadSimulator:
         so the OOO window can overlap iterations (loop pipelining), then
         averaged.  Memoized per (profile, host config, rounded load
         latency) — the OOO model only sees the rounded integer latency,
-        so sweep points that round alike share one table.
+        so latencies that round alike share one table.
         """
         fixed_latency = max(1, int(round(host_load_latency)))
-        host_cfg = repr(self.config.host)
 
         def compute() -> Dict[int, PathCost]:
             model = OOOModel(self.config.host, fixed_load_latency=fixed_latency)
@@ -295,16 +273,9 @@ class OffloadSimulator:
                 costs[pid] = PathCost(cycles=res.cycles / reps, census=per_exec)
             return costs
 
-        if self.memo is None:
-            return compute()
-        if artifact_key:
-            key = content_key(
-                artifact_key, host_cfg, fixed_latency, amortise_reps
-            )
-            return self.memo.content(PATH_COSTS_KIND, key, compute)
-        return self.memo.identity(
-            "pathcosts", profile, (host_cfg, fixed_latency, amortise_reps),
-            compute,
+        return self.memo.get(
+            "pathcosts", profile,
+            (repr(self.config.host), fixed_latency, amortise_reps), compute,
         )
 
     # -- baseline --------------------------------------------------------------------------
@@ -359,9 +330,7 @@ class OffloadSimulator:
                 frame, loop_carried=self._loop_carried(frame)
             )
 
-        if self.memo is None:
-            return compute()
-        return self.memo.identity(
+        return self.memo.get(
             "schedule", frame, self._scheduler_fingerprint(scheduler), compute
         )
 
@@ -421,9 +390,7 @@ class OffloadSimulator:
                 avg_recurrence = weighted / total_freq
                 return float(max(sched.resource_ii, avg_recurrence))
 
-        if self.memo is None:
-            return compute()
-        return self.memo.identity(
+        return self.memo.get(
             "effective_ii", frame, self._scheduler_fingerprint(scheduler),
             compute,
         )
@@ -472,9 +439,7 @@ class OffloadSimulator:
 
     def _rle(self, profile: PathProfile):
         """RLE view of the profile's trace, computed once per profile."""
-        if self.memo is None:
-            return run_length_encode(profile.trace)
-        return self.memo.identity(
+        return self.memo.get(
             "rle", profile, None, lambda: run_length_encode(profile.trace)
         )
 
@@ -688,20 +653,15 @@ class OffloadSimulator:
         predictor_kind: str = "oracle",
         trace: Optional[FunctionTrace] = None,
         coverage: Optional[float] = None,
-        artifact_key: Optional[str] = None,
     ) -> OffloadOutcome:
         """Simulate offloading ``frame`` with the given invocation predictor.
 
-        ``predictor_kind``: "oracle" or "history".  ``artifact_key`` (the
-        workload's content hash, when known) upgrades the simulation
-        memo's calibration/path-cost entries from in-memory identity keys
-        to persistent content keys.
+        ``predictor_kind``: "oracle" or "history".
         """
         with _obs_span("simulate_offload", workload=workload,
                        kind=frame.region.kind, predictor=predictor_kind):
             return self._simulate_offload(
                 workload, profile, frame, predictor_kind, trace, coverage,
-                artifact_key,
             )
 
     def _simulate_offload(
@@ -712,16 +672,13 @@ class OffloadSimulator:
         predictor_kind: str,
         trace: Optional[FunctionTrace],
         coverage: Optional[float],
-        artifact_key: Optional[str],
     ) -> OffloadOutcome:
         # local import: repro.accel depends on repro.sim.config, so the
         # accel package cannot be imported at sim module-load time
         from ..accel.cgra import CGRAScheduler
 
-        cal = self.calibrate(trace, artifact_key=artifact_key)
-        costs = self.path_costs(
-            profile, cal.host_load_latency, artifact_key=artifact_key
-        )
+        cal = self.calibrate(trace)
+        costs = self.path_costs(profile, cal.host_load_latency)
         base_cycles, base_energy, base_attr = self.baseline_attributed(
             profile, costs
         )
@@ -767,7 +724,6 @@ class OffloadSimulator:
         frame: Frame,
         predictor_kind: str = "oracle",
         trace: Optional[FunctionTrace] = None,
-        artifact_key: Optional[str] = None,
     ) -> List[TimelineEvent]:
         """Replay the trace as duration events on a simulated-cycle clock.
 
@@ -783,10 +739,8 @@ class OffloadSimulator:
         from ..accel.cgra import CGRAScheduler
         from ..accel.invocation import evaluate_predictor_runs
 
-        cal = self.calibrate(trace, artifact_key=artifact_key)
-        costs = self.path_costs(
-            profile, cal.host_load_latency, artifact_key=artifact_key
-        )
+        cal = self.calibrate(trace)
+        costs = self.path_costs(profile, cal.host_load_latency)
         cm = self._cost_model(profile, frame, cal, CGRAScheduler)
         targets = cm.targets
         run_eval = evaluate_predictor_runs(

@@ -55,8 +55,8 @@ class ProfiledWorkload:
     edges: EdgeProfile
     trace: FunctionTrace
     result: object  # the run's return value (useful as a sanity check)
-    #: config-independent content hash of (IR text, run args); the
-    #: simulation memo keys its calibration/path-cost tables with it
+    #: config-independent content hash of (IR text, run args): the key
+    #: the profile is stored under in the artifact cache
     artifact_key: "str | None" = None
 
 
@@ -80,8 +80,8 @@ def profile_workload(
         return _PROFILE_CACHE[workload.name]
 
     # the content key is computed unconditionally: the build it needs is
-    # reused for the profiling run, and the key feeds the simulation memo's
-    # content-keyed tables even when no on-disk cache is attached
+    # reused for the profiling run, so with no on-disk cache attached the
+    # key costs one hash of the IR text
     from ..artifacts import PROFILE_KIND, workload_key
 
     key, built = workload_key(workload, config=None)

@@ -361,3 +361,11 @@ def profiled_anticorrelated(anticorrelated):
     m, fn = anticorrelated
     pp, ep = profile_function(m, fn, [[40]])
     return m, fn, pp, ep
+
+
+class RecomputeMemo:
+    """Memo-off reference for simulator tests: set it as a simulator's
+    ``memo`` and every sub-simulation lookup recomputes."""
+
+    def get(self, kind, obj, extra, compute):
+        return compute()

@@ -1,22 +1,17 @@
 """Chaos scenarios for the simulation memo and trace kernels.
 
 The retry contract of :func:`run_failsafe` meets the simulation memo
-here: a workload whose first attempt dies must (a) produce outcomes
-byte-identical to a run nobody faulted, and (b) reuse the calibration
-its earlier work already persisted instead of replaying the memory
-stream again.  Production must also match the event-by-event
-:class:`~repro.sim.EventOracleSimulator` under seeded fault plans, not
-just on sunny-day sweeps.
+here: a workload whose first attempt dies must produce outcomes
+byte-identical to a run nobody faulted.  Production must also match the
+event-by-event :class:`~repro.sim.EventOracleSimulator` under seeded
+fault plans, not just on sunny-day sweeps.
 """
 
 from __future__ import annotations
 
-import glob
-import os
-
 import pytest
 
-from repro import obs, workloads
+from repro import workloads
 from repro.options import PipelineOptions
 from repro.pipeline import NeedlePipeline, evaluate_suite
 from repro.resilience.faults import (
@@ -26,6 +21,7 @@ from repro.resilience.faults import (
 )
 from repro.resilience.runner import WorkloadFailure
 from repro.sim import EventOracleSimulator
+from tests.conftest import RecomputeMemo
 
 pytestmark = pytest.mark.chaos
 
@@ -67,35 +63,6 @@ def test_retried_workload_with_memo_matches_clean_run(tmp_path):
     assert [_flatten(ev) for ev in rows] == reference
 
 
-def test_retry_reuses_persisted_calibration(tmp_path):
-    cache_dir = str(tmp_path / "cache")
-
-    # a clean sweep persists profiles + calibration/path-cost tables ...
-    clean = evaluate_suite(names=SUBSET, cache_dir=cache_dir)
-    # ... then the cached *evaluations* are wiped, so the chaos sweep
-    # below must re-simulate from the persisted sub-simulation tables
-    for path in glob.glob(
-        os.path.join(cache_dir, "evaluation", "**", "*.pkl"), recursive=True
-    ):
-        os.unlink(path)
-
-    plan = FaultPlan(seed=29, specs=(
-        FaultSpec(site=SITE_WORKER_EXCEPTION, key="dwt53", times=-1,
-                  attempts=(0,)),
-    ))
-    with obs.scoped() as reg:
-        rows = evaluate_suite(
-            names=SUBSET, jobs=2, retries=1,
-            cache_dir=cache_dir, fault_plan=plan,
-        )
-    assert all(not isinstance(r, WorkloadFailure) for r in rows)
-    # retried and healthy workloads alike were served their calibration —
-    # no worker replayed the memory stream
-    assert reg.counter("simcache.misses").value(table="calibration") == 0
-    assert reg.counter("simcache.hits").value(table="calibration") > 0
-    assert [_flatten(ev) for ev in rows] == [_flatten(ev) for ev in clean]
-
-
 def test_kernel_modes_agree_under_fault_plan():
     plan = FaultPlan(seed=31, specs=(
         FaultSpec(site=SITE_WORKER_EXCEPTION, key="470.lbm", times=-1,
@@ -106,7 +73,8 @@ def test_kernel_modes_agree_under_fault_plan():
     ), names=SUBSET)
 
     pipe = NeedlePipeline(options=PipelineOptions(no_cache=True))
-    pipe.simulator = EventOracleSimulator(pipe.config, memo=False)
+    pipe.simulator = EventOracleSimulator(pipe.config)
+    pipe.simulator.memo = RecomputeMemo()
     events = [pipe.evaluate(workloads.get(n)) for n in SUBSET]
     for a, b in zip(rle, events):
         assert not isinstance(a, WorkloadFailure)

@@ -38,6 +38,7 @@ from repro.sim import (
     run_length_encode,
 )
 from repro.sim.trace_kernels import iter_segment_charges
+from tests.conftest import RecomputeMemo
 
 # traces built from runs: long stretches of one path id exercise the
 # closed-form tail, short stutters exercise the explicit prefix
@@ -216,8 +217,11 @@ def test_zero_length_segments_charge_nothing(pipelined):
 def test_kernel_modes_identical_on_fixture(profiled_anticorrelated, memo):
     m, fn, pp, ep = profiled_anticorrelated
     frame = build_frame(path_to_region(fn, rank_paths(pp)[0]))
-    production = OffloadSimulator(memo=memo)
-    oracle = EventOracleSimulator(memo=memo)
+    production = OffloadSimulator()
+    oracle = EventOracleSimulator()
+    if not memo:
+        production.memo = RecomputeMemo()
+        oracle.memo = RecomputeMemo()
     for predictor in ("oracle", "history"):
         a = production.simulate_offload("anticorr", pp, frame, predictor)
         b = oracle.simulate_offload("anticorr", pp, frame, predictor)
@@ -254,7 +258,8 @@ def _flatten(ev):
 def oracle_rows():
     # memo off too: every strategy recomputes its sub-simulations
     pipe = NeedlePipeline(options=PipelineOptions(no_cache=True))
-    pipe.simulator = EventOracleSimulator(pipe.config, memo=False)
+    pipe.simulator = EventOracleSimulator(pipe.config)
+    pipe.simulator.memo = RecomputeMemo()
     return [_flatten(pipe.evaluate(workloads.get(n))) for n in SUITE_SLICE]
 
 

@@ -78,6 +78,27 @@ def test_clear(cache):
     assert cache.get(PROFILE_KIND, "aa" * 32) is None
 
 
+def test_clear_removes_every_kind_at_the_entry_depth(cache):
+    # calibration/pathcosts tables as older builds wrote them
+    cache.put("calibration", "cc" * 32, {"lat": 3.5})
+    cache.put("pathcosts", "dd" * 32, {1: 2.0})
+    cache.put(PROFILE_KIND, "aa" * 32, 1)
+    # anything outside <root>/<kind>/<xx>/<key>.pkl is not an entry
+    strays = [
+        os.path.join(cache.root, *parts)
+        for parts in (("stray.pkl",), ("profile", "stray.pkl"),
+                      ("profile", "aa", "deep", "x.pkl"))
+    ]
+    for path in strays:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(b"x")
+    assert cache.clear() == 3
+    assert cache.get("calibration", "cc" * 32) is None
+    assert cache.get("pathcosts", "dd" * 32) is None
+    assert all(os.path.exists(path) for path in strays)
+
+
 def test_env_var_overrides_default_root(tmp_path, monkeypatch):
     from repro.artifacts import CACHE_DIR_ENV, default_cache_dir
 

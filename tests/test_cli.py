@@ -95,14 +95,16 @@ def test_evaluation_row_renders_missing_outcomes_as_dashes():
 
 
 def test_cli_evaluate_prints_dashes_for_missing_outcomes(capsys, monkeypatch):
-    import repro.cli as cli
     import repro.workloads as workloads
+    from repro.options import PipelineOptions
 
     class _StubPipeline:
         def evaluate_all(self, suite):
             return [_empty_evaluation(w.name) for w in suite]
 
-    monkeypatch.setattr(cli, "_make_pipeline", lambda args: _StubPipeline())
+    monkeypatch.setattr(
+        PipelineOptions, "build_pipeline", lambda self: _StubPipeline()
+    )
     monkeypatch.setattr(workloads, "all_names", lambda: ["barren"])
     monkeypatch.setattr(
         workloads, "get", lambda name: type("W", (), {"name": name})()
@@ -166,6 +168,36 @@ def test_cli_trace_format_chrome_emits_trace_events(capsys):
     assert any(e["ph"] == "X" and e["pid"] == 2 for e in events)  # sim tracks
     names = {e["args"]["name"] for e in events if e["ph"] == "M"}
     assert "dwt53/braid" in names
+
+
+def test_cli_trace_chrome_with_timeline_out_replays_once(
+    tmp_path, capsys, monkeypatch
+):
+    import json
+
+    from repro.obs.timeline import SIM_PID
+    from repro.pipeline import NeedlePipeline
+
+    calls = []
+    timeline = NeedlePipeline.timeline
+
+    def counted(self, workload):
+        calls.append(workload.name)
+        return timeline(self, workload)
+
+    monkeypatch.setattr(NeedlePipeline, "timeline", counted)
+    out_path = tmp_path / "t.json"
+    argv = ["trace", "dwt53", "--no-cache", "--format", "chrome",
+            "--timeline-out", str(out_path)]
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)
+    written = json.loads(out_path.read_text())
+    assert calls == ["dwt53"]
+
+    def sim_events(doc):
+        return [e for e in doc["traceEvents"] if e["pid"] == SIM_PID]
+
+    assert sim_events(printed) and sim_events(printed) == sim_events(written)
 
 
 def test_cli_trace_format_json_emits_span_forest(capsys):

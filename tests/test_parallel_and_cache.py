@@ -50,17 +50,17 @@ def test_parallel_evaluate_matches_serial_bitwise():
         assert evaluation_row(name, s) == evaluation_row(name, p)
 
 
-def test_parallel_analyse_matches_serial():
-    names = SUBSET[:2]
-    serial = NeedlePipeline().analyse_all(_suite(names))
-    fanned = NeedlePipeline(
-        options=PipelineOptions(jobs=2)
-    ).analyse_all(_suite(names))
-    for s, p in zip(serial, fanned):
-        assert s.name == p.name
-        assert s.profiled.paths.counts == p.profiled.paths.counts
-        assert [r.path_id for r in s.ranked] == [r.path_id for r in p.ranked]
-        assert [b.coverage for b in s.braids] == [b.coverage for b in p.braids]
+def test_timeline_after_parallel_sweep_matches_serial():
+    # the `evaluate --jobs N --timeline-out` path: the parent replays the
+    # timelines itself after the workers evaluated the suite
+    suite = _suite(SUBSET[:2])
+    fanned = NeedlePipeline(options=PipelineOptions(no_cache=True, jobs=2))
+    fanned.evaluate_all(suite)
+    serial = NeedlePipeline(options=PipelineOptions(no_cache=True))
+    serial.evaluate_all(suite)
+    for w in suite:
+        tracks = serial.timeline(w)
+        assert tracks and fanned.timeline(w) == tracks
 
 
 def test_jobs_one_and_single_workload_stay_serial():
@@ -96,6 +96,24 @@ def test_evaluation_cache_roundtrip_in_fresh_pipeline(tmp_path):
     assert second.braid.performance_improvement == pytest.approx(
         first.braid.performance_improvement, abs=0.0
     )
+
+
+def test_filled_cache_holds_only_profiles_and_evaluations(
+    tmp_path, monkeypatch
+):
+    from repro.workloads import base
+
+    # a profile already in the in-process cache would skip its disk write
+    monkeypatch.setattr(base, "_PROFILE_CACHE", {})
+    cache_dir = tmp_path / "cache"
+    NeedlePipeline(cache=ArtifactCache(str(cache_dir))).evaluate_all(
+        _suite(SUBSET[:2])
+    )
+    kinds = sorted(p.parent.parent.name for p in cache_dir.glob("*/*/*.pkl"))
+    assert kinds == ["evaluation"] * 2 + ["profile"] * 2
+    assert sorted(p.name for p in cache_dir.iterdir()) == [
+        "evaluation", "profile",
+    ]
 
 
 def test_corrupt_evaluation_entry_recomputes(tmp_path):
