@@ -24,12 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..interp.interpreter import (
-    _FCMP_FNS,
-    _FP_BINOP_FNS,
-    _ICMP_FNS,
-    _INT_BINOP_FNS,
-)
+from ..interp.interpreter import binop_fn, compare_fn
 from ..interp.memory import Memory
 from ..obs import counter as _obs_counter, enabled as _obs_enabled
 from ..ir.block import BasicBlock
@@ -290,13 +285,11 @@ class FrameExecutor:
         if isinstance(inst, BinaryOp):
             a = self._eval(inst.operands[0], env)
             b = self._eval(inst.operands[1], env)
-            fn = _INT_BINOP_FNS.get(inst.opcode) or _FP_BINOP_FNS[inst.opcode]
-            env[inst] = inst.type.wrap(fn(a, b))
+            env[inst] = inst.type.wrap(binop_fn(inst.opcode, inst.type)(a, b))
         elif isinstance(inst, Compare):
             a = self._eval(inst.operands[0], env)
             b = self._eval(inst.operands[1], env)
-            table = _ICMP_FNS if inst.opcode == "icmp" else _FCMP_FNS
-            env[inst] = 1 if table[inst.predicate](a, b) else 0
+            env[inst] = 1 if compare_fn(inst.opcode, inst.predicate)(a, b) else 0
         elif isinstance(inst, Load):
             addr = self._eval(inst.address, env)
             env[inst] = self.memory.read(addr, inst.type)

@@ -10,20 +10,30 @@ that function's :class:`~repro.interp.events.FunctionTrace`.  Path, edge
 and op-mix profiles are derived from the trace after the run (``from_trace``
 on each profile class), so the hot loop carries no profiling logic.
 
-Execution is *closure-compiled*: the first time a function runs, every
-instruction is compiled once into a small Python closure ("thunk") with its
-operand accessors, opcode implementation and result slot pre-bound, and
-each block becomes (φ-copy plan, body thunk list, terminator thunk).  The
-hot loop then just walks thunk lists — no per-instruction ``isinstance``
-dispatch, no opcode table lookups.  Compiled code is cached per interpreter
-instance (thunks close over this interpreter's memory, trace lists and
-global addresses), which is the right granularity: one profiling run
-executes each instruction thousands of times but compiles it once.
+Execution runs *generated code*.  The first time a function runs on an
+interpreter, each basic block is written out as one Python function, and
+the function's source goes through one ``compile()`` call.  A block
+function runs the block's body and terminator and returns the next block,
+or ``None`` on return.  Values that never leave their block are Python
+locals; ``env`` holds only arguments, φs and values that another block (or
+a φ edge leaving another block) reads, under a small integer slot.  The φ
+copies of edge B→C run in B's terminator as one parallel assignment, so
+they finish before C is recorded.  Constants, global addresses and each
+result type's wrap are inlined, and loads and stores reach the memory's
+cells directly, calling :meth:`Memory.read`/:meth:`Memory.write` only when
+a check fails.  The dispatch loop records each block, charges its
+instruction count against the fuel, and calls its function.
+
+Each binary opcode's and comparison's semantics is stated once, as an
+expression template in :data:`_BINOP_EXPR` and :data:`_CMP_EXPR`: the
+generator emits from it, and :func:`binop_fn`/:func:`compare_fn` build
+the callables the frame executor and the constant folder evaluate with.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..ir.block import BasicBlock
@@ -45,8 +55,13 @@ from ..ir.instructions import (
     UnaryOp,
 )
 from ..ir.module import Module
+from ..ir.types import Type
 from ..ir.values import Constant, GlobalArray, UndefValue, Value
-from ..obs import counter as _obs_counter, enabled as _obs_enabled
+from ..obs import (
+    counter as _obs_counter,
+    enabled as _obs_enabled,
+    span as _obs_span,
+)
 from ..resilience.faults import (
     SITE_INTERP_RUN,
     FaultInjected,
@@ -78,54 +93,377 @@ def _srem(a: int, b: int) -> int:
     return a - _sdiv(a, b) * b
 
 
-_INT_BINOP_FNS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "sdiv": _sdiv,
-    "srem": _srem,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "shl": lambda a, b: a << (b & 63),
-    "lshr": lambda a, b: (a & ((1 << 64) - 1)) >> (b & 63),
-    "ashr": lambda a, b: a >> (b & 63),
-    "smin": min,
-    "smax": max,
+def _fdiv(a, b):
+    return a / b if b != 0.0 else math.inf * (1 if a >= 0 else -1)
+
+
+_U64 = (1 << 64) - 1
+
+#: Each binary opcode's semantics, once: a Python expression over the
+#: operands ``{a}`` and ``{b}`` (always atoms) and, for ``lshr``, the
+#: operand type's bit mask ``{m}``.  The result is unwrapped; the result
+#: type's wrap is applied around it.
+_BINOP_EXPR = {
+    "add": "{a} + {b}",
+    "sub": "{a} - {b}",
+    "mul": "{a} * {b}",
+    "sdiv": "_sdiv({a}, {b})",
+    "srem": "_srem({a}, {b})",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "shl": "{a} << ({b} & 63)",
+    "lshr": "({a} & {m}) >> ({b} & 63)",
+    "ashr": "{a} >> ({b} & 63)",
+    "smin": "min({a}, {b})",
+    "smax": "max({a}, {b})",
+    "fadd": "{a} + {b}",
+    "fsub": "{a} - {b}",
+    "fmul": "{a} * {b}",
+    "fdiv": "_fdiv({a}, {b})",
+    "fmin": "min({a}, {b})",
+    "fmax": "max({a}, {b})",
 }
 
-_FP_BINOP_FNS = {
-    "fadd": lambda a, b: a + b,
-    "fsub": lambda a, b: a - b,
-    "fmul": lambda a, b: a * b,
-    "fdiv": lambda a, b: a / b if b != 0.0 else math.inf * (1 if a >= 0 else -1),
-    "fmin": min,
-    "fmax": max,
+#: Each comparison's semantics, once, keyed by (opcode, predicate).
+_CMP_EXPR = {
+    ("icmp", "eq"): "{a} == {b}",
+    ("icmp", "ne"): "{a} != {b}",
+    ("icmp", "slt"): "{a} < {b}",
+    ("icmp", "sle"): "{a} <= {b}",
+    ("icmp", "sgt"): "{a} > {b}",
+    ("icmp", "sge"): "{a} >= {b}",
+    ("icmp", "ult"): "({a} & _U64) < ({b} & _U64)",
+    ("icmp", "ugt"): "({a} & _U64) > ({b} & _U64)",
+    ("fcmp", "oeq"): "{a} == {b}",
+    ("fcmp", "one"): "{a} != {b}",
+    ("fcmp", "olt"): "{a} < {b}",
+    ("fcmp", "ole"): "{a} <= {b}",
+    ("fcmp", "ogt"): "{a} > {b}",
+    ("fcmp", "oge"): "{a} >= {b}",
 }
 
-_ICMP_FNS = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "slt": lambda a, b: a < b,
-    "sle": lambda a, b: a <= b,
-    "sgt": lambda a, b: a > b,
-    "sge": lambda a, b: a >= b,
-    "ult": lambda a, b: (a & ((1 << 64) - 1)) < (b & ((1 << 64) - 1)),
-    "ugt": lambda a, b: (a & ((1 << 64) - 1)) > (b & ((1 << 64) - 1)),
+#: the helpers and constants the templates and generated code refer to
+_RUNTIME = {
+    "_sdiv": _sdiv,
+    "_srem": _srem,
+    "_fdiv": _fdiv,
+    "_sqrt": math.sqrt,
+    "_U64": _U64,
+    "_IE": InterpreterError,
 }
 
-_FCMP_FNS = {
-    "oeq": lambda a, b: a == b,
-    "one": lambda a, b: a != b,
-    "olt": lambda a, b: a < b,
-    "ole": lambda a, b: a <= b,
-    "ogt": lambda a, b: a > b,
-    "oge": lambda a, b: a >= b,
-}
+
+def _binop_source(opcode: str, type_: Type, a: str, b: str) -> str:
+    return _BINOP_EXPR[opcode].format(a=a, b=b, m=(1 << type_.bits) - 1)
+
+
+@lru_cache(maxsize=None)
+def binop_fn(opcode: str, type_: Type):
+    """``(a, b) -> unwrapped result`` of a binary opcode at ``type_``,
+    built from its template."""
+    return eval("lambda a, b: " + _binop_source(opcode, type_, "a", "b"),
+                dict(_RUNTIME))
+
+
+@lru_cache(maxsize=None)
+def compare_fn(opcode: str, predicate: str):
+    """``(a, b) -> bool`` of a comparison, built from its template."""
+    return eval("lambda a, b: " + _CMP_EXPR[opcode, predicate].format(
+        a="a", b="b"), dict(_RUNTIME))
 
 
 def _ignore(item) -> None:
     """The record sink of functions that are not recorded."""
+
+
+_TERMINATORS = (CondBranch, Branch, Ret)
+
+
+def _missing_phi_message(block: BasicBlock, prev: Optional[BasicBlock]):
+    """The error of entering ``block`` from ``prev``, or None when every φ
+    of ``block`` has an incoming value for ``prev``."""
+    for phi in block.phis:
+        if phi.incoming_for(prev) is None:
+            return "phi %%%s in %s has no incoming for %s" % (
+                phi.name, block.name, prev.name if prev else "<entry>")
+    return None
+
+
+class _FunctionSource:
+    """Writes one function's block functions as Python source.
+
+    Everything an interpreter fixes is bound into the source's namespace
+    (global addresses, the memory's cells and bound methods, the trace's
+    memory sink), never the interpreter itself: a block function that
+    needs it (a call, a return) takes it as its ``it`` argument.
+    """
+
+    def __init__(self, fn: Function, interp: "Interpreter"):
+        self.fn = fn
+        self.global_base = interp.global_base
+        memory = interp.memory
+        self.ns = dict(_RUNTIME, _cells=memory._cells, _read=memory.read,
+                       _write=memory.write, _alloc=memory.alloc)
+        trace = interp.traces.get(fn)
+        if trace is not None:
+            self.ns["_mem"] = trace.memory.append
+        self.records_memory = trace is not None
+        self._bound: Dict[int, str] = {}
+        #: env slot of each value kept in env; arguments come first
+        self.slots: Dict[Value, int] = {arg: i for i, arg in enumerate(fn.args)}
+        #: executed instructions of each block: non-φs through the first
+        #: terminator
+        self.body: Dict[BasicBlock, List[Instruction]] = {}
+        self._analyse()
+
+    # -- which values live in env ---------------------------------------------
+
+    def _analyse(self) -> None:
+        """Fill :attr:`body`, and give an env slot to every value read
+        outside its block or before its definition."""
+        where = {}
+        for block in self.fn.blocks:
+            insts = []
+            for inst in block.instructions:
+                if isinstance(inst, Phi):
+                    continue
+                insts.append(inst)
+                if isinstance(inst, _TERMINATORS):
+                    break
+            self.body[block] = insts
+            for i, inst in enumerate(insts):
+                if _defines(inst):
+                    where[inst] = (block, i)
+
+        def use(value, block, pos):
+            if not isinstance(value, Instruction):
+                return
+            site = where.get(value)
+            if site is None or site[0] is not block or site[1] >= pos:
+                self.slot(value)
+
+        for block, insts in self.body.items():
+            for i, inst in enumerate(insts):
+                for op in inst.operands:
+                    use(op, block, i)
+            term = insts[-1] if insts else None
+            for succ in term.successors if isinstance(term, _TERMINATORS) else ():
+                for phi in succ.phis:
+                    value = phi.incoming_for(block)
+                    if value is not None:
+                        use(value, block, len(insts))
+
+    def slot(self, value: Value) -> int:
+        slot = self.slots.get(value)
+        if slot is None:
+            slot = self.slots[value] = len(self.slots)
+        return slot
+
+    def bind(self, obj, prefix: str) -> str:
+        """A namespace name for ``obj`` (a block, type, callee...)."""
+        name = self._bound.get(id(obj))
+        if name is None:
+            name = self._bound[id(obj)] = "_%s%d" % (prefix, len(self._bound))
+            self.ns[name] = obj
+        return name
+
+    # -- source ------------------------------------------------------------------
+
+    def render(self) -> str:
+        """The module source: ``_enter`` (the function-start edge) and one
+        ``_b<i>`` per block, in ``fn.blocks`` order."""
+        self.lines: List[str] = ["def _enter(env, it):"]
+        self.names: Dict[Value, str] = {}
+        self._edge(None, self.fn.entry, "    ")
+        for index, block in enumerate(self.fn.blocks):
+            self.lines.append("def _b%d(env, it):" % index)
+            self.names = {}
+            self.defined = 0
+            self._block(block)
+        return "\n".join(self.lines) + "\n"
+
+    def _emit(self, line: str) -> None:
+        self.lines.append("    " + line)
+
+    def ref(self, value: Value, hoist: bool = True) -> str:
+        """An atom reading ``value``.  An env value read with ``hoist`` is
+        loaded into a local once, right here, and reused by the rest of the
+        block; without it (a ``select`` arm, a φ copy) the read stays where
+        it is, so it runs only on that path."""
+        if isinstance(value, Constant):
+            v = value.value
+            if isinstance(v, float) and not math.isfinite(v):
+                return self.bind(v, "k")
+            return repr(v) if repr(v)[0] != "-" else "(%r)" % v
+        if isinstance(value, GlobalArray):
+            return repr(self.global_base[value])
+        if isinstance(value, UndefValue):
+            return "0"
+        name = self.names.get(value)
+        if name is not None:
+            return name
+        read = "env[%d]" % self.slot(value)
+        if not hoist:
+            return read
+        name = self.names[value] = "s%d" % self.slot(value)
+        self._emit("%s = %s" % (name, read))
+        return name
+
+    def _local(self, atom: str) -> str:
+        """``atom`` as a name: each memory event must be a fresh tuple,
+        which a literal address would fold into one shared constant."""
+        if atom.isidentifier():
+            return atom
+        self._emit("a = %s" % atom)
+        return "a"
+
+    def _define(self, inst: Instruction, expr: str) -> None:
+        self.defined += 1
+        name = self.names[inst] = "v%d" % self.defined
+        self._emit("%s = %s" % (name, expr))
+        if inst in self.slots:
+            self._emit("env[%d] = %s" % (self.slots[inst], name))
+
+    def _wrap(self, type_: Type, expr: str, coerce: bool = True) -> str:
+        """``type_.wrap(expr)``, inlined.  ``coerce=False`` leaves out the
+        ``int()`` of an integer or pointer wrap."""
+        if type_.is_float:
+            return "float(%s)" % expr
+        if not (type_.is_ptr or type_.is_int):  # void: wrap raises
+            return "%s.wrap(%s)" % (self.bind(type_, "T"), expr)
+        if coerce:
+            expr = "int(%s)" % expr
+        if type_.is_ptr:
+            return "(%s & %d)" % (expr, _U64)
+        if type_.bits == 1:
+            return "(%s & 1)" % expr
+        sign = 1 << (type_.bits - 1)
+        return "(((%s & %d) ^ %d) - %d)" % (expr, 2 * sign - 1, sign, sign)
+
+    def _block(self, block: BasicBlock) -> None:
+        for inst in self.body[block]:
+            if isinstance(inst, _TERMINATORS):
+                self._terminator(block, inst)
+                return
+            self._instruction(inst)
+        self._emit("raise _IE(%r)" % (
+            "block %s in %s fell through without a terminator"
+            % (block.name, self.fn.name)))
+
+    def _instruction(self, inst: Instruction) -> None:
+        if isinstance(inst, BinaryOp):
+            a = self.ref(inst.operands[0])
+            b = self.ref(inst.operands[1])
+            expr = "(%s)" % _binop_source(inst.opcode, inst.type, a, b)
+            t = inst.type
+            # integer and pointer results are masked as they are; only an
+            # i1 result goes through the whole of Type.wrap
+            coerce = not (t.is_ptr or (t.is_int and t.bits > 1))
+            self._define(inst, self._wrap(t, expr, coerce))
+        elif isinstance(inst, Compare):
+            a = self.ref(inst.operands[0])
+            b = self.ref(inst.operands[1])
+            self._define(inst, "1 if %s else 0" % _CMP_EXPR[
+                inst.opcode, inst.predicate].format(a=a, b=b))
+        elif isinstance(inst, Load):
+            addr = self._local(self.ref(inst.address))
+            if self.records_memory:
+                self._emit("_mem(('load', %s))" % addr)
+            t = inst.type
+            self._emit("c = _cells.get(%s)" % addr)
+            self._define(inst, "%s if c is not None and %s > 0 and c[0] == %d "
+                               "else _read(%s, %s)" % (
+                                   self._wrap(t, "c[1]"), addr, t.size_bytes,
+                                   addr, self.bind(t, "T")))
+        elif isinstance(inst, Store):
+            addr = self._local(self.ref(inst.address))
+            value = self.ref(inst.value)
+            if self.records_memory:
+                self._emit("_mem(('store', %s))" % addr)
+            t = inst.value.type
+            size = t.size_bytes
+            self._emit("c = _cells.get(%s)" % addr)
+            self._emit("if %s > 0 and (c is None or c[0] == %d):" % (addr, size))
+            self._emit("    _cells[%s] = (%d, %s)" % (
+                addr, size, self._wrap(t, value)))
+            self._emit("else:")
+            self._emit("    _write(%s, %s, %s)" % (addr, self.bind(t, "T"), value))
+        elif isinstance(inst, Gep):
+            base = self.ref(inst.base)
+            index = self.ref(inst.index)
+            self._define(inst, "%s + %s * %d" % (base, index, inst.elem_size))
+        elif isinstance(inst, Select):
+            cond = self.ref(inst.operands[0])
+            # only the chosen arm is read
+            self._define(inst, "%s if %s else %s" % (
+                self.ref(inst.operands[1], hoist=False), cond,
+                self.ref(inst.operands[2], hoist=False)))
+        elif isinstance(inst, UnaryOp):
+            self._define(inst, self._unary(inst))
+        elif isinstance(inst, Alloca):
+            self._define(inst, "_alloc(%d)" % inst.size_bytes)
+        elif isinstance(inst, Call):
+            args = ", ".join(self.ref(a) for a in inst.operands)
+            call = "it._run_function(%s, [%s])" % (self.bind(inst.callee, "F"), args)
+            if inst.type.is_void:
+                self._emit(call)
+            else:
+                self._define(inst, call)
+        else:  # pragma: no cover - inventory is closed
+            self._emit("raise _IE(%r)" % ("cannot execute opcode %r" % inst.opcode))
+
+    def _unary(self, inst: UnaryOp) -> str:
+        a = self.ref(inst.operands[0])
+        op = inst.opcode
+        if op == "fneg":
+            return "-%s" % a
+        if op == "fabs":
+            return "abs(%s)" % a
+        if op == "fsqrt":
+            return "_sqrt(%s) if %s >= 0 else float('nan')" % (a, a)
+        if op == "sitofp":
+            return "float(%s)" % a
+        if op == "fptosi":
+            return self._wrap(inst.type, "int(%s)" % a, coerce=False)
+        if op == "zext":
+            mask = (1 << inst.operands[0].type.bits) - 1
+            return self._wrap(inst.type, "(%s & %d)" % (a, mask), coerce=False)
+        return self._wrap(inst.type, a)  # sext / trunc
+
+    def _terminator(self, block: BasicBlock, inst) -> None:
+        if isinstance(inst, CondBranch):
+            self._emit("if %s:" % self.ref(inst.cond))
+            self._edge(block, inst.true_target, "        ")
+            self._edge(block, inst.false_target, "    ")
+        elif isinstance(inst, Branch):
+            self._edge(block, inst.target, "    ")
+        else:
+            value = self.ref(inst.value) if inst.value is not None else "None"
+            self._emit("it._ret = %s" % value)
+            self._emit("return None")
+
+    def _edge(self, src: Optional[BasicBlock], dst: BasicBlock, indent: str):
+        """Leave for ``dst``: run the edge's φ copies, then return it."""
+        phis = dst.phis
+        if phis:
+            missing = _missing_phi_message(dst, src)
+            if missing is not None:
+                self.lines.append(indent + "raise _IE(%r)" % missing)
+                return
+            # staged: every incoming is read before any φ is written
+            self.lines.append(indent + "%s = %s" % (
+                ", ".join("env[%d]" % self.slot(phi) for phi in phis),
+                ", ".join(self.ref(phi.incoming_for(src), hoist=False)
+                          for phi in phis)))
+        self.lines.append(indent + "return %s" % self.bind(dst, "B"))
+
+
+def _defines(inst: Instruction) -> bool:
+    """Whether executing ``inst`` gives it a value."""
+    if isinstance(inst, (Store,) + _TERMINATORS):
+        return False
+    return not (isinstance(inst, Call) and inst.type.is_void)
 
 
 class Interpreter:
@@ -153,11 +491,12 @@ class Interpreter:
         self.fuel = fuel
         self.executed_instructions = 0
         self.global_base: Dict[GlobalArray, int] = {}
-        #: per-function compiled code: block -> (phi_plan, body, term, n_insts)
-        self._compiled: Dict[Function, Dict[BasicBlock, tuple]] = {}
-        #: return-value cell written by Ret thunks; read immediately after a
-        #: terminator signals return, before any other block executes, so
-        #: recursive calls cannot clobber a pending value
+        #: per-function generated code: (entry edge, block -> (block
+        #: function, instruction count), env slot -> value)
+        self._code: Dict[Function, tuple] = {}
+        #: return-value cell written by a block function's ``ret``; read
+        #: immediately after it returns, before any other block executes,
+        #: so recursive calls cannot clobber a pending value
         self._ret = None
         self._materialise_globals()
 
@@ -180,13 +519,13 @@ class Interpreter:
         """Execute ``fn`` with ``args``; returns the function's return value.
 
         Observability is charged here, at the run boundary, never inside
-        the thunk loop: when :mod:`repro.obs` is enabled the aggregate
+        the block loop: when :mod:`repro.obs` is enabled the aggregate
         instruction count of the whole run is published as one counter
         increment, so the hot loop carries zero instrumentation cost.
         """
         if isinstance(fn, str):
             fn = self.module.get_function(fn)
-        # chaos site at the run boundary (never inside the thunk loop):
+        # chaos site at the run boundary (never inside the block loop):
         # proves profiling failures surface as clean workload failures
         if _flt_enabled():
             spec = _flt_consult(SITE_INTERP_RUN, fn.name)
@@ -210,18 +549,16 @@ class Interpreter:
             raise InterpreterError(
                 "%s expects %d args, got %d" % (fn.name, len(fn.args), len(args))
             )
-        env: Dict[Value, object] = {}
-        for formal, actual in zip(fn.args, args):
-            env[formal] = formal.type.wrap(actual)
+        env = {slot: formal.type.wrap(actual)
+               for slot, (formal, actual) in enumerate(zip(fn.args, args))}
 
-        compiled = self._compiled.get(fn)
-        if compiled is None:
-            compiled = self._compile_function(fn)
-            self._compiled[fn] = compiled
+        code = self._code.get(fn)
+        if code is None:
+            code = self._code[fn] = self._compile(fn)
 
         trace = self.traces.get(fn)
         if trace is None:
-            return self._execute(compiled, fn.entry, env, _ignore)
+            return self._execute(code, env, _ignore)
         # one trace holds one activation at a time: a recursive activation
         # would interleave its blocks with its caller's
         if fn in self._active:
@@ -233,300 +570,53 @@ class Interpreter:
             trace.blocks.append(None)
         self._active.add(fn)
         try:
-            return self._execute(compiled, fn.entry, env, trace.blocks.append)
+            return self._execute(code, env, trace.blocks.append)
         finally:
             self._active.discard(fn)
 
-    def _execute(self, compiled, block: BasicBlock, env, record):
-        """Walk compiled blocks from ``block`` until a return, passing each
+    def _execute(self, code, env, record):
+        """Run generated blocks from the entry until a return, passing each
         block to ``record`` before it runs."""
+        enter, blocks, slots = code
         fuel = self.fuel
-        prev: Optional[BasicBlock] = None
-        while True:
-            record(block)
-            phi_plan, body, term, n_insts = compiled[block]
+        try:
+            block = enter(env, self)
+            while block is not None:
+                record(block)
+                run, n_insts = blocks[block]
+                # fuel is charged per block (body + terminator); the run
+                # aborts before executing the block that would exceed the
+                # budget, so completed runs count exactly their instructions
+                self.executed_instructions += n_insts
+                if self.executed_instructions > fuel:
+                    raise FuelExhausted(
+                        "exceeded %d dynamic instructions" % fuel
+                    )
+                block = run(env, self)
+        except KeyError as exc:
+            # an env slot read before anything wrote it
+            slot = exc.args[0] if exc.args else None
+            if type(slot) is not int or not 0 <= slot < len(slots):
+                raise
+            value = slots[slot]
+            raise InterpreterError(
+                "use of %s before definition" % getattr(value, "name", value)
+            ) from None
+        return self._ret
 
-            # φ-nodes: parallel copy from the incoming edge
-            if phi_plan is not None:
-                plan = phi_plan.get(prev)
-                if plan is None:
-                    self._raise_missing_phi(block, prev)
-                if len(plan) == 1:
-                    phi, getter = plan[0]
-                    env[phi] = getter(env)
-                else:
-                    staged = [getter(env) for _, getter in plan]
-                    for (phi, _), v in zip(plan, staged):
-                        env[phi] = v
-
-            # fuel is charged per block (body + terminator); the run aborts
-            # before executing the block that would exceed the budget, so
-            # completed runs count exactly as many instructions as before
-            self.executed_instructions += n_insts
-            if self.executed_instructions > fuel:
-                raise FuelExhausted(
-                    "exceeded %d dynamic instructions" % self.fuel
-                )
-
-            for step in body:
-                step(env)
-            next_block = term(env)
-            if next_block is None:
-                return self._ret
-            prev, block = block, next_block
-
-    # -- closure compilation -------------------------------------------------
-
-    def _raise_missing_phi(self, block: BasicBlock, prev: Optional[BasicBlock]):
-        for phi in block.phis:
-            if phi.incoming_for(prev) is None:
-                raise InterpreterError(
-                    "phi %%%s in %s has no incoming for %s"
-                    % (phi.name, block.name, prev.name if prev else "<entry>")
-                )
-        raise InterpreterError(  # pragma: no cover - defensive
-            "no φ-copy plan for edge %s -> %s"
-            % (prev.name if prev else "<entry>", block.name)
-        )
-
-    def _compile_getter(self, value: Value):
-        """An ``env -> runtime value`` accessor with constants pre-folded."""
-        if isinstance(value, Constant):
-            const = value.value
-            return lambda env: const
-        if isinstance(value, GlobalArray):
-            base = self.global_base[value]
-            return lambda env: base
-        if isinstance(value, UndefValue):
-            return lambda env: 0
-
-        def get(env, _v=value):
-            try:
-                return env[_v]
-            except KeyError:
-                raise InterpreterError(
-                    "use of %s before definition" % getattr(_v, "name", _v)
-                ) from None
-
-        return get
-
-    def _compile_function(self, fn: Function) -> Dict[BasicBlock, tuple]:
-        return {block: self._compile_block(fn, block) for block in fn.blocks}
-
-    def _compile_block(self, fn: Function, block: BasicBlock) -> tuple:
-        getter = self._compile_getter
-
-        # φ-copy plans, one per incoming edge (only edges where every φ has
-        # an incoming value; others fall through to the error path)
-        phis = block.phis
-        phi_plan = None
-        if phis:
-            phi_plan = {}
-            preds = []
-            for phi in phis:
-                for pred, _val in phi.incoming:
-                    if pred not in preds:
-                        preds.append(pred)
-            for pred in preds:
-                incoming = [phi.incoming_for(pred) for phi in phis]
-                if any(v is None for v in incoming):
-                    continue
-                phi_plan[pred] = [
-                    (phi, getter(val)) for phi, val in zip(phis, incoming)
-                ]
-
-        body = []
-        term = None
-        n_insts = 0
-        for inst in block.instructions:
-            if isinstance(inst, Phi):
-                continue
-            n_insts += 1
-            if isinstance(inst, (CondBranch, Branch, Ret)):
-                term = self._compile_terminator(inst)
-                break
-            body.append(self._compile_step(fn, inst))
-        if term is None:
-            def term(env, _b=block, _f=fn):
-                raise InterpreterError(
-                    "block %s in %s fell through without a terminator"
-                    % (_b.name, _f.name)
-                )
-
-        return phi_plan, body, term, n_insts
-
-    def _compile_terminator(self, inst):
-        if isinstance(inst, CondBranch):
-            get_cond = self._compile_getter(inst.cond)
-            true_t, false_t = inst.true_target, inst.false_target
-            return lambda env: true_t if get_cond(env) else false_t
-        if isinstance(inst, Branch):
-            target = inst.target
-            return lambda env: target
-        # Ret: stash the value, signal return with None
-        get_val = (
-            self._compile_getter(inst.value) if inst.value is not None else None
-        )
-
-        def term(env):
-            self._ret = get_val(env) if get_val is not None else None
-            return None
-
-        return term
-
-    def _compile_step(self, fn: Function, inst: Instruction):
-        """Compile one non-terminator instruction into an ``env -> None``
-        thunk with operands, opcode implementation and record sink
-        pre-bound."""
-        getter = self._compile_getter
-        if isinstance(inst, BinaryOp):
-            ga = getter(inst.operands[0])
-            gb = getter(inst.operands[1])
-            op_fn = _INT_BINOP_FNS.get(inst.opcode) or _FP_BINOP_FNS[inst.opcode]
-            t = inst.type
-            # inline Type.wrap's normalisation: it runs once per dynamic
-            # binary op, the single hottest site in a profiling run
-            if t.is_float:
-                def step(env):
-                    env[inst] = float(op_fn(ga(env), gb(env)))
-            elif t.is_ptr:
-                ptr_mask = (1 << 64) - 1
-
-                def step(env):
-                    env[inst] = op_fn(ga(env), gb(env)) & ptr_mask
-            elif t.is_int and t.bits > 1:
-                mask = (1 << t.bits) - 1
-                sign = 1 << (t.bits - 1)
-
-                def step(env):
-                    env[inst] = ((op_fn(ga(env), gb(env)) & mask) ^ sign) - sign
-            else:
-                wrap = t.wrap
-
-                def step(env):
-                    env[inst] = wrap(op_fn(ga(env), gb(env)))
-
-            return step
-        if isinstance(inst, Compare):
-            ga = getter(inst.operands[0])
-            gb = getter(inst.operands[1])
-            table = _ICMP_FNS if inst.opcode == "icmp" else _FCMP_FNS
-            cmp_fn = table[inst.predicate]
-
-            def step(env):
-                env[inst] = 1 if cmp_fn(ga(env), gb(env)) else 0
-
-            return step
-        if isinstance(inst, Load):
-            get_addr = getter(inst.address)
-            read = self.memory.read
-            record = self._memory_record(fn)
-            load_type = inst.type
-
-            def step(env):
-                addr = get_addr(env)
-                record(("load", addr))
-                env[inst] = read(addr, load_type)
-
-            return step
-        if isinstance(inst, Store):
-            get_addr = getter(inst.address)
-            get_val = getter(inst.value)
-            write = self.memory.write
-            record = self._memory_record(fn)
-            store_type = inst.value.type
-
-            def step(env):
-                addr = get_addr(env)
-                val = get_val(env)
-                record(("store", addr))
-                write(addr, store_type, val)
-
-            return step
-        if isinstance(inst, Gep):
-            get_base = getter(inst.base)
-            get_index = getter(inst.index)
-            elem_size = inst.elem_size
-
-            def step(env):
-                env[inst] = get_base(env) + get_index(env) * elem_size
-
-            return step
-        if isinstance(inst, Select):
-            get_cond = getter(inst.operands[0])
-            get_true = getter(inst.operands[1])
-            get_false = getter(inst.operands[2])
-
-            def step(env):
-                # only the chosen arm is evaluated (matches the slow path)
-                env[inst] = get_true(env) if get_cond(env) else get_false(env)
-
-            return step
-        if isinstance(inst, UnaryOp):
-            return self._compile_unop(inst)
-        if isinstance(inst, Alloca):
-            alloc = self.memory.alloc
-            size = inst.size_bytes
-
-            def step(env):
-                env[inst] = alloc(size)
-
-            return step
-        if isinstance(inst, Call):
-            getters = [getter(a) for a in inst.operands]
-            callee = inst.callee
-            run = self._run_function
-            is_void = inst.type.is_void
-
-            def step(env):
-                result = run(callee, [g(env) for g in getters])
-                if not is_void:
-                    env[inst] = result
-
-            return step
-
-        def step(env):  # pragma: no cover - inventory is closed
-            raise InterpreterError("cannot execute opcode %r" % inst.opcode)
-
-        return step
-
-    def _memory_record(self, fn: Function):
-        trace = self.traces.get(fn)
-        return trace.memory.append if trace is not None else _ignore
-
-    def _compile_unop(self, inst: UnaryOp):
-        ga = self._compile_getter(inst.operands[0])
-        op = inst.opcode
-        if op == "fneg":
-            def step(env):
-                env[inst] = -ga(env)
-        elif op == "fabs":
-            def step(env):
-                env[inst] = abs(ga(env))
-        elif op == "fsqrt":
-            def step(env):
-                a = ga(env)
-                env[inst] = math.sqrt(a) if a >= 0 else float("nan")
-        elif op == "sitofp":
-            def step(env):
-                env[inst] = float(ga(env))
-        elif op == "fptosi":
-            wrap = inst.type.wrap
-
-            def step(env):
-                env[inst] = wrap(int(ga(env)))
-        elif op == "zext":
-            wrap = inst.type.wrap
-            mask = (1 << inst.operands[0].type.bits) - 1
-
-            def step(env):
-                env[inst] = wrap(ga(env) & mask)
-        elif op in ("sext", "trunc"):
-            wrap = inst.type.wrap
-
-            def step(env):
-                env[inst] = wrap(ga(env))
-        else:
-            def step(env):  # pragma: no cover - inventory is closed
-                raise InterpreterError("cannot execute unop %r" % op)
-        return step
+    def _compile(self, fn: Function) -> tuple:
+        """Generate and compile ``fn``'s block functions."""
+        with _obs_span("interp.compile", function=fn.name):
+            writer = _FunctionSource(fn, self)
+            source = writer.render()
+            ns = writer.ns
+            exec(compile(source, "<generated %s>" % fn.name, "exec"), ns)
+            # taking the functions out of their own namespace leaves no
+            # cycle, so a finished interpreter's memory is freed on release
+            enter = ns.pop("_enter")
+            blocks = {
+                block: (ns.pop("_b%d" % i), len(writer.body[block]))
+                for i, block in enumerate(fn.blocks)
+            }
+        # slots are numbered in insertion order
+        return enter, blocks, tuple(writer.slots)

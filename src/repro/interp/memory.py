@@ -86,9 +86,18 @@ class Memory:
     # -- bulk helpers -----------------------------------------------------------
 
     def write_array(self, base: int, elem_type: Type, values) -> None:
-        step = elem_type.size_bytes
-        for i, v in enumerate(values):
-            self.write(base + i * step, elem_type, v)
+        """:meth:`write` of consecutive elements from ``base``, in one loop
+        with the element size and wrap looked up once."""
+        size = elem_type.size_bytes
+        wrap = elem_type.wrap
+        cells = self._cells
+        addr = base
+        for v in values:
+            existing = cells.get(addr)
+            if addr <= 0 or (existing is not None and existing[0] != size):
+                self.write(addr, elem_type, v)  # raises write's error
+            cells[addr] = (size, wrap(v))
+            addr += size
 
     def read_array(self, base: int, elem_type: Type, count: int) -> list:
         step = elem_type.size_bytes

@@ -57,15 +57,16 @@ class Type:
         Integers wrap modulo 2**bits and are interpreted as signed
         (two's complement), matching the interpreter's arithmetic.
         """
-        if self.is_float:
+        kind = self.kind  # compared directly: wrap runs per value
+        if kind == "float":
             return float(value)
-        if self.is_ptr:
+        if kind == "ptr":
             return int(value) & ((1 << 64) - 1)
-        if self.is_int:
-            mask = (1 << self.bits) - 1
-            v = int(value) & mask
-            sign = 1 << (self.bits - 1)
-            return (v ^ sign) - sign if self.bits > 1 else v
+        if kind == "int":
+            bits = self.bits
+            v = int(value) & ((1 << bits) - 1)
+            sign = 1 << (bits - 1)
+            return (v ^ sign) - sign if bits > 1 else v
         raise TypeError("void has no values")
 
     def __repr__(self) -> str:

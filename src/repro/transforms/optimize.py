@@ -10,12 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from ..interp.interpreter import (
-    _FCMP_FNS,
-    _FP_BINOP_FNS,
-    _ICMP_FNS,
-    _INT_BINOP_FNS,
-)
+from ..interp.interpreter import binop_fn, compare_fn
 from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -39,16 +34,14 @@ from ..ir.values import Constant, Value
 def _fold_one(inst: Instruction) -> Optional[Constant]:
     ops = inst.operands
     if isinstance(inst, BinaryOp) and all(isinstance(o, Constant) for o in ops):
-        fn = _INT_BINOP_FNS.get(inst.opcode) or _FP_BINOP_FNS.get(inst.opcode)
-        if fn is None:
-            return None
         try:
+            fn = binop_fn(inst.opcode, inst.type)
             return Constant(inst.type, fn(ops[0].value, ops[1].value))
         except Exception:
             return None  # division by zero etc. must stay dynamic
     if isinstance(inst, Compare) and all(isinstance(o, Constant) for o in ops):
-        table = _ICMP_FNS if inst.opcode == "icmp" else _FCMP_FNS
-        return Constant(inst.type, 1 if table[inst.predicate](ops[0].value, ops[1].value) else 0)
+        fn = compare_fn(inst.opcode, inst.predicate)
+        return Constant(inst.type, 1 if fn(ops[0].value, ops[1].value) else 0)
     if isinstance(inst, Select) and isinstance(ops[0], Constant):
         chosen = ops[1] if ops[0].value else ops[2]
         if isinstance(chosen, Constant):

@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.artifacts import CACHE_DIR_ENV
 from repro.ir import Constant, I32, IRBuilder, Module, verify_function
+
+#: ``--hypothesis-profile fuzz``: ten times the default example count for
+#: the tests that leave the count to the profile (the ``fuzz``-marked ones)
+settings.register_profile(
+    "fuzz", max_examples=10 * settings.get_profile("default").max_examples
+)
 
 
 @pytest.fixture(autouse=True)

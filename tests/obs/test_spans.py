@@ -107,3 +107,25 @@ def test_scoped_collect_false_disables_collection():
         obs.counter("never", 1)
         assert not obs.enabled()
     assert inner.get("never") is None
+
+
+def test_code_generation_is_one_span_under_profile():
+    from repro.interp import Interpreter
+    from repro.workloads import get
+    from repro.workloads.base import profile_workload
+
+    workload = get("dwt53")
+    obs.enable(reset=True)
+    profiled = profile_workload(workload, use_cache=False)
+    [profile] = [r for r in obs.registry().span_roots if r.name == "profile"]
+    compiles = [n for n in profile.walk() if n.name == "interp.compile"]
+    assert [n.labels for n in compiles] == [{"function": profiled.function.name}]
+
+    # generated code is kept per interpreter: a second run compiles nothing
+    m, fn, args = workload.build()
+    interp = Interpreter(m, record=[fn])
+    obs.enable(reset=True)
+    interp.run(fn, args)
+    interp.run(fn, args)
+    spans = [n for r in obs.registry().span_roots for n in r.walk()]
+    assert [n.name for n in spans] == ["interp.compile"]
