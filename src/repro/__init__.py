@@ -3,9 +3,10 @@
 A from-scratch Python implementation of the Needle toolchain — Ball–Larus
 path profiling, Braid formation, software-frame generation — plus every
 substrate the paper's evaluation depends on: a mini SSA IR and interpreter,
-Superblock/Hyperblock baselines, a CGRA + OOO-core + MESI-cache cycle
-simulator, an energy model, an HLS feasibility estimator, and a 29-workload
-synthetic suite shaped after SPEC/PARSEC/PERFECT.
+Superblock/Hyperblock baselines, a CGRA + OOO-core cycle simulator with
+cache-calibrated memory latencies, an energy model, an HLS feasibility
+estimator, and a 29-workload synthetic suite shaped after
+SPEC/PARSEC/PERFECT.
 
 Public API
 ----------

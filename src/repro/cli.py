@@ -598,7 +598,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if resume is not None:
             print("resume with:\n  %s" % resume, file=sys.stderr)
         return EXIT_DRAINED
-    except JournalError as exc:
+    except (JournalError, workloads.UnknownWorkload) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

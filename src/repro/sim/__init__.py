@@ -1,5 +1,6 @@
-"""Cycle and energy simulation: OOO host model, cache hierarchy with MESI
-coherence, CGRA offload execution, and the Table V system configuration."""
+"""Cycle and energy simulation: OOO host model, memory calibration over the
+host L1 and the banked L2, CGRA offload execution, and the Table V system
+configuration."""
 
 from .config import (
     CGRAConfig,
@@ -12,22 +13,11 @@ from .config import (
     SystemConfig,
 )
 from .cache import (
-    AccessResult,
     BankedL2,
     Cache,
-    CacheStats,
     MemorySystem,
     StreamProfile,
     profile_stream_dual,
-)
-from .coherence import (
-    CoherenceActions,
-    CoherenceError,
-    EXCLUSIVE,
-    INVALID,
-    MESIDirectory,
-    MODIFIED,
-    SHARED,
 )
 from .core_ooo import OOOModel, OOOResult
 from .energy import EnergyBreakdown, EnergyModel
@@ -47,28 +37,20 @@ from .trace_kernels import (
 )
 
 __all__ = [
-    "AccessResult",
     "BankedL2",
     "CGRAConfig",
     "Cache",
     "CacheConfig",
-    "CacheStats",
     "Calibration",
     "ChargeCensus",
-    "CoherenceActions",
-    "CoherenceError",
     "DEFAULT_CONFIG",
-    "EXCLUSIVE",
     "EnergyBreakdown",
     "EnergyConfig",
     "EnergyModel",
     "EventOracleSimulator",
     "HostConfig",
-    "INVALID",
     "MemoryHierarchyConfig",
     "MemorySystem",
-    "MESIDirectory",
-    "MODIFIED",
     "OffloadConfig",
     "OffloadOutcome",
     "OffloadSimulator",
@@ -76,7 +58,6 @@ __all__ = [
     "OOOResult",
     "PathCost",
     "RLETrace",
-    "SHARED",
     "SimulationMemo",
     "StreamProfile",
     "SystemConfig",

@@ -1,82 +1,49 @@
-"""Set-associative cache models: host L1 and the banked NUCA L2.
+"""Set-associative cache models for memory calibration: the host L1 and the
+banked NUCA L2.
 
-The caches are trace-driven: :meth:`Cache.access` returns hit/miss and the
-model charges latency accordingly.  :class:`MemorySystem` stacks L1 over the
-banked L2 over DRAM for the host, while the accelerator port bypasses the L1
-(the CGRA is uncore and cache-coherent at L2, per §VI).
+The caches are trace-driven: :meth:`Cache.access` returns hit or miss and
+the replay charges the latency of the level that served the access.  A
+:class:`MemorySystem` holds the caches behind one memory port, starting
+cold.  The host port is L1 → banked L2 → DRAM; the accelerator port (the
+uncore CGRA, §VI) is banked L2 → DRAM.  Each port replays on caches of its
+own, so no coherence traffic between the ports is modelled.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from operator import mul
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import CacheConfig, MemoryHierarchyConfig
 
 
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    writebacks: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
-
 class Cache:
-    """A set-associative, write-back, write-allocate cache with LRU."""
+    """A set-associative cache with LRU replacement that allocates on every
+    miss.  Loads and stores are alike: no dirty state is kept, since a
+    writeback never changes a hit, a miss or a latency."""
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self.sets: List[Dict[int, bool]] = [dict() for _ in range(config.sets)]
-        # each set maps tag -> dirty flag; dict order gives LRU (oldest first)
-        self.stats = CacheStats()
+        self._line_bytes = config.line_bytes
+        self._n_sets = config.sets
+        # each set holds its tags; dict order gives LRU (oldest first)
+        self.sets: List[Dict[int, None]] = [dict() for _ in range(self._n_sets)]
 
-    def _locate(self, addr: int) -> Tuple[int, int]:
-        line = addr // self.config.line_bytes
-        return line % self.config.sets, line // self.config.sets
-
-    def access(self, addr: int, is_write: bool) -> bool:
+    def access(self, addr: int) -> bool:
         """Touch ``addr``; returns True on hit.  Allocates on miss."""
-        index, tag = self._locate(addr)
-        ways = self.sets[index]
+        line = addr // self._line_bytes
+        ways = self.sets[line % self._n_sets]
+        tag = line // self._n_sets
         if tag in ways:
-            self.stats.hits += 1
-            dirty = ways.pop(tag) or is_write
-            ways[tag] = dirty  # re-insert as most recent
+            del ways[tag]
+            ways[tag] = None  # re-insert as most recent
             return True
-        self.stats.misses += 1
         if len(ways) >= self.config.associativity:
-            victim_tag = next(iter(ways))
-            victim_dirty = ways.pop(victim_tag)
-            self.stats.evictions += 1
-            if victim_dirty:
-                self.stats.writebacks += 1
-        ways[tag] = is_write
+            del ways[next(iter(ways))]
+        ways[tag] = None
         return False
-
-    def contains(self, addr: int) -> bool:
-        index, tag = self._locate(addr)
-        return tag in self.sets[index]
-
-    def invalidate(self, addr: int) -> bool:
-        """Drop the line; returns True if it was dirty (writeback needed)."""
-        index, tag = self._locate(addr)
-        ways = self.sets[index]
-        if tag in ways:
-            return ways.pop(tag)
-        return False
-
-    def reset_stats(self) -> None:
-        self.stats = CacheStats()
 
 
 class BankedL2:
@@ -97,172 +64,41 @@ class BankedL2:
             latency=hierarchy.l2.latency,
         )
 
-    def bank_for(self, addr: int) -> Cache:
+    def access(self, addr: int) -> bool:
         line = addr // self.hierarchy.l2.line_bytes
-        return self.banks[line % len(self.banks)]
-
-    def access(self, addr: int, is_write: bool) -> bool:
-        return self.bank_for(addr).access(addr, is_write)
-
-    @property
-    def stats(self) -> CacheStats:
-        total = CacheStats()
-        for bank in self.banks:
-            total.hits += bank.stats.hits
-            total.misses += bank.stats.misses
-            total.evictions += bank.stats.evictions
-            total.writebacks += bank.stats.writebacks
-        return total
-
-
-@dataclass
-class AccessResult:
-    """Latency and level of one memory access."""
-
-    latency: int
-    level: str  # "l1" | "l2" | "dram"
+        return self.banks[line % len(self.banks)].access(addr)
 
 
 class MemorySystem:
-    """Host L1 backed by the banked L2 backed by DRAM.
-
-    The accelerator port (:meth:`accel_access`) goes straight to the L2 and
-    invalidates/downgrades the host L1 copy, the MESI-style behaviour the
-    uncore CGRA relies on.
-    """
+    """The caches behind one memory port: host L1 over the banked L2 over
+    DRAM.  The accelerator port never touches the L1."""
 
     def __init__(self, hierarchy: Optional[MemoryHierarchyConfig] = None):
         self.hierarchy = hierarchy or MemoryHierarchyConfig()
         self.l1 = Cache(self.hierarchy.l1)
         self.l2 = BankedL2(self.hierarchy)
-        self.dram_accesses = 0
-        self.coherence_invalidations = 0
-
-    # -- host port ------------------------------------------------------------
-
-    def host_access(self, addr: int, is_write: bool) -> AccessResult:
-        if self.l1.access(addr, is_write):
-            return AccessResult(self.hierarchy.l1.latency, "l1")
-        if self.l2.access(addr, is_write):
-            return AccessResult(
-                self.hierarchy.l1.latency + self.hierarchy.l2.latency, "l2"
-            )
-        self.dram_accesses += 1
-        return AccessResult(
-            self.hierarchy.l1.latency
-            + self.hierarchy.l2.latency
-            + self.hierarchy.dram_latency,
-            "dram",
-        )
-
-    # -- accelerator port ----------------------------------------------------------
-
-    def accel_access(self, addr: int, is_write: bool) -> AccessResult:
-        extra = 0
-        if is_write and self.l1.contains(addr):
-            # MESI: the accelerator's write invalidates the host L1 copy
-            dirty = self.l1.invalidate(addr)
-            self.coherence_invalidations += 1
-            if dirty:
-                extra += self.hierarchy.l2.latency  # writeback to L2 first
-        elif not is_write and self.l1.contains(addr):
-            # read snoops a (possibly dirty) host copy: serve via L2
-            extra += 2
-        if self.l2.access(addr, is_write):
-            return AccessResult(self.hierarchy.l2.latency + extra, "l2")
-        self.dram_accesses += 1
-        return AccessResult(
-            self.hierarchy.l2.latency + self.hierarchy.dram_latency + extra,
-            "dram",
-        )
-
-    # -- bulk profiling -----------------------------------------------------------
-
-    def _compile_port(self, port: str):
-        """A replay closure for one port: ``access(addr, is_write) ->
-        (latency, level_index)`` with every per-access attribute lookup
-        hoisted into locals and no :class:`AccessResult` allocation.
-
-        Level indices are 0=l1, 1=l2, 2=dram.  The closure mutates the
-        same cache state as :meth:`host_access`/:meth:`accel_access` in
-        the same order, except DRAM/coherence tallies which the caller
-        folds back via the returned ``finish()`` hook — final
-        :class:`MemorySystem` state is identical either way.
-        """
-        hier = self.hierarchy
-        l1_lat = hier.l1.latency
-        l2_lat = hier.l2.latency
-        dram_lat = hier.dram_latency
-        if port == "host":
-            l1_access = self.l1.access
-            l2_access = self.l2.access
-            host_l12 = l1_lat + l2_lat
-            host_dram = host_l12 + dram_lat
-            counters = {"dram": 0}
-
-            def access(addr: int, is_write: bool):
-                if l1_access(addr, is_write):
-                    return l1_lat, 0
-                if l2_access(addr, is_write):
-                    return host_l12, 1
-                counters["dram"] += 1
-                return host_dram, 2
-
-            def finish() -> None:
-                self.dram_accesses += counters["dram"]
-                counters["dram"] = 0
-
-            return access, finish
-
-        l1_contains = self.l1.contains
-        l1_invalidate = self.l1.invalidate
-        l2_access = self.l2.access
-        accel_dram = l2_lat + dram_lat
-        counters = {"dram": 0, "inval": 0}
-
-        def access(addr: int, is_write: bool):  # noqa: F811 - port variant
-            extra = 0
-            if l1_contains(addr):
-                if is_write:
-                    # MESI: the accelerator's write invalidates the host copy
-                    dirty = l1_invalidate(addr)
-                    counters["inval"] += 1
-                    if dirty:
-                        extra += l2_lat  # writeback to L2 first
-                else:
-                    # read snoops a (possibly dirty) host copy: serve via L2
-                    extra += 2
-            if l2_access(addr, is_write):
-                return l2_lat + extra, 1
-            counters["dram"] += 1
-            return accel_dram + extra, 2
-
-        def finish() -> None:  # noqa: F811 - port variant
-            self.dram_accesses += counters["dram"]
-            self.coherence_invalidations += counters["inval"]
-            counters["dram"] = counters["inval"] = 0
-
-        return access, finish
 
     def profile_stream(
         self, stream, port: str = "host"
     ) -> "StreamProfile":
-        """Replay an (opcode, address) stream; returns average latencies."""
-        access, finish = self._compile_port(port)
-        load_lat = load_n = store_lat = store_n = 0
-        levels = [0, 0, 0]
+        """Replay an (opcode, address) stream through ``port`` (``"host"``
+        or ``"accel"``); returns average latencies and per-level counts."""
+        host = port == "host"
+        l1_access = self.l1.access
+        l2_access = self.l2.access
+        loads = [0, 0, 0]
+        stores = [0, 0, 0]
         for opcode, addr in stream:
-            is_store = opcode == "store"
-            lat, level = access(addr, is_store)
-            levels[level] += 1
-            if is_store:
-                store_lat += lat
-                store_n += 1
+            if host and l1_access(addr):
+                level = 0
+            elif l2_access(addr):
+                level = 1
             else:
-                load_lat += lat
-                load_n += 1
-        finish()
-        return _stream_profile(load_lat, load_n, store_lat, store_n, levels)
+                level = 2
+            (stores if opcode == "store" else loads)[level] += 1
+        return _stream_profile(
+            _port_latency(self.hierarchy, port), loads, stores
+        )
 
 
 @dataclass
@@ -276,17 +112,33 @@ class StreamProfile:
     level_counts: Dict[str, int] = field(default_factory=dict)
 
 
-def _stream_profile(load_lat: int, loads: int, store_lat: int, stores: int,
-                    levels) -> StreamProfile:
-    """A :class:`StreamProfile` from integer latency sums and the
-    (l1, l2, dram) access counts — one division per average, so every
-    producer of the same sums returns the same floats."""
+def _port_latency(
+    hier: MemoryHierarchyConfig, port: str
+) -> Tuple[int, int, int]:
+    """Latency of an access served by (l1, l2, dram) from ``port``: the
+    host pays the L1 lookup on the way down, the accelerator does not."""
+    l2 = (hier.l1.latency if port == "host" else 0) + hier.l2.latency
+    return hier.l1.latency, l2, l2 + hier.dram_latency
+
+
+def _stream_profile(latency: Sequence[int], loads: Sequence[int],
+                    stores: Sequence[int]) -> StreamProfile:
+    """A :class:`StreamProfile` from per-level (l1, l2, dram) load and
+    store counts and the port's latency to each level — integer latency
+    sums divided once, so every producer of the same counts returns the
+    same floats."""
+    n_loads = sum(loads)
+    n_stores = sum(stores)
+    load_lat = sum(map(mul, latency, loads))
+    store_lat = sum(map(mul, latency, stores))
     return StreamProfile(
-        avg_load_latency=(load_lat / loads) if loads else 0.0,
-        avg_store_latency=(store_lat / stores) if stores else 0.0,
-        loads=loads,
-        stores=stores,
-        level_counts={"l1": levels[0], "l2": levels[1], "dram": levels[2]},
+        avg_load_latency=(load_lat / n_loads) if n_loads else 0.0,
+        avg_store_latency=(store_lat / n_stores) if n_stores else 0.0,
+        loads=n_loads,
+        stores=n_stores,
+        level_counts={"l1": loads[0] + stores[0],
+                      "l2": loads[1] + stores[1],
+                      "dram": loads[2] + stores[2]},
     )
 
 
@@ -299,14 +151,17 @@ def profile_stream_dual(
     Field for field what two separate :meth:`MemorySystem.profile_stream`
     replays (``"host"`` then ``"accel"``) return.  Streams whose caches
     never evict — every suite stream on the default hierarchy — take the
-    first-touch closed form; the rest take the exact interleaved replay.
+    first-touch closed form; the rest take those two replays.
     """
     hier = hierarchy or MemoryHierarchyConfig()
     if not isinstance(stream, (list, tuple)):
         stream = list(stream)
     profiles = _first_touch_dual(hier, stream)
     if profiles is None:
-        profiles = _replay_dual(hier, stream)
+        profiles = (
+            MemorySystem(hier).profile_stream(stream, "host"),
+            MemorySystem(hier).profile_stream(stream, "accel"),
+        )
     return profiles
 
 
@@ -324,15 +179,12 @@ def _first_touch_dual(
     * host port: L1 hit iff the line was touched before.  L1 misses are
       first touches, so the L2 sees each distinct line once and every L1
       miss goes to DRAM, whatever the L2 geometry.
-    * accel port: nothing inserts into its L1, so the coherence probe
-      never fires and the port is a pure banked L2 — hit iff not a first
-      touch, provided no (bank, set) sees more distinct lines than the
-      L2 associativity.
-    * dirty bits and writebacks change cache statistics only, never hit,
-      miss or latency, so loads and stores classify alike.
+    * accel port: a banked L2 — hit iff not a first touch, provided no
+      (bank, set) sees more distinct lines than the L2 associativity.
+    * loads and stores classify alike.
 
-    The latency sums are integers divided once, as in the replay, so the
-    averages are bit-identical.
+    The per-level counts go through the replay's :func:`_stream_profile`,
+    so the averages are bit-identical.
     """
     line_bytes = hier.l1.line_bytes
     if hier.l2.line_bytes != line_bytes:
@@ -356,54 +208,16 @@ def _first_touch_dual(
         return None
 
     loads = len(stream) - stores
-    distinct = len(first_op)
     first_stores = list(first_op.values()).count("store")
-    first_loads = distinct - first_stores
-    l1_lat = hier.l1.latency
-    l2_lat = hier.l2.latency
-    miss = l2_lat + hier.dram_latency
+    first_loads = len(first_op) - first_stores
+    load_hits = loads - first_loads
+    store_hits = stores - first_stores
     host = _stream_profile(
-        first_loads * (l1_lat + miss) + (loads - first_loads) * l1_lat, loads,
-        first_stores * (l1_lat + miss) + (stores - first_stores) * l1_lat,
-        stores, (len(stream) - distinct, 0, distinct),
+        _port_latency(hier, "host"),
+        (load_hits, 0, first_loads), (store_hits, 0, first_stores),
     )
     accel = _stream_profile(
-        first_loads * miss + (loads - first_loads) * l2_lat, loads,
-        first_stores * miss + (stores - first_stores) * l2_lat, stores,
-        (0, len(stream) - distinct, distinct),
+        _port_latency(hier, "accel"),
+        (0, load_hits, first_loads), (0, store_hits, first_stores),
     )
     return host, accel
-
-
-def _replay_dual(
-    hier: MemoryHierarchyConfig, stream
-) -> Tuple[StreamProfile, StreamProfile]:
-    """Exact replay of one stream through a host-port and an accel-port
-    :class:`MemorySystem` in a single interleaved pass (each port owns
-    its own caches, so the walk equals two sequential replays)."""
-    h_access, h_finish = MemorySystem(hier)._compile_port("host")
-    a_access, a_finish = MemorySystem(hier)._compile_port("accel")
-    h_load_lat = h_store_lat = a_load_lat = a_store_lat = 0
-    load_n = store_n = 0
-    h_levels = [0, 0, 0]
-    a_levels = [0, 0, 0]
-    for opcode, addr in stream:
-        is_store = opcode == "store"
-        lat, level = h_access(addr, is_store)
-        h_levels[level] += 1
-        a_lat, a_level = a_access(addr, is_store)
-        a_levels[a_level] += 1
-        if is_store:
-            h_store_lat += lat
-            a_store_lat += a_lat
-            store_n += 1
-        else:
-            h_load_lat += lat
-            a_load_lat += a_lat
-            load_n += 1
-    h_finish()
-    a_finish()
-    return (
-        _stream_profile(h_load_lat, load_n, h_store_lat, store_n, h_levels),
-        _stream_profile(a_load_lat, load_n, a_store_lat, store_n, a_levels),
-    )

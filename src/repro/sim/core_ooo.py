@@ -3,9 +3,12 @@
 The model replays a dynamic basic-block trace and computes the cycle each
 instruction allocates, issues, finishes and retires under the Table V
 machine: 4-wide fetch/retire, 96-entry ROB, 6 ALUs + 2 FPUs (fully
-pipelined), perfect branch prediction (the paper's deliberately generous
-baseline assumption), and perfect memory disambiguation (loads wait only for
-the youngest older store to the *same* address).
+pipelined) and perfect branch prediction (the paper's deliberately generous
+baseline assumption).  Memory is a fixed latency: every load takes the
+load latency the model is built with (path costs pass the rounded
+calibrated average), every store one cycle.  The trace carries no
+addresses, so no load waits on an older store: a store and a load to the
+same address overlap exactly as they would to different ones.
 
 Complexity is O(n) in trace length with small constants, so whole-workload
 traces simulate in well under a second.
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..ir.block import BasicBlock
 from ..ir.instructions import (
@@ -36,7 +39,6 @@ from ..ir.instructions import (
     Store,
 )
 from ..ir.values import Value
-from .cache import MemorySystem
 from .config import HostConfig
 
 
@@ -52,7 +54,8 @@ class OOOResult:
     stores: int = 0
     branches: int = 0
     phis: int = 0
-    l1_hits: int = 0
+    # host memory traffic below the L1, priced by the energy model; the
+    # fixed-latency replay never sets them
     l2_hits: int = 0
     dram_accesses: int = 0
 
@@ -81,6 +84,9 @@ _UOP_BRANCH = 3
 _UOP_INT = 4
 _UOP_FP = 5
 
+#: issue-to-done latency of a store
+_STORE_LATENCY = 1
+
 
 class OOOModel:
     """Replays block traces through the OOO timing model."""
@@ -88,14 +94,10 @@ class OOOModel:
     def __init__(
         self,
         config: Optional[HostConfig] = None,
-        memory_system: Optional[MemorySystem] = None,
         fixed_load_latency: int = 2,
-        fixed_store_latency: int = 1,
     ):
         self.config = config or HostConfig()
-        self.memory_system = memory_system
         self.fixed_load_latency = fixed_load_latency
-        self.fixed_store_latency = fixed_store_latency
         self._uops: Dict[BasicBlock, List[Tuple[int, Instruction, int, bool]]] = {}
 
     def _decode(self, block: BasicBlock) -> List[Tuple[int, Instruction, int, bool]]:
@@ -109,7 +111,7 @@ class OOOModel:
             elif isinstance(inst, Load):
                 uops.append((_UOP_LOAD, inst, self.fixed_load_latency, writes))
             elif isinstance(inst, Store):
-                uops.append((_UOP_STORE, inst, self.fixed_store_latency, writes))
+                uops.append((_UOP_STORE, inst, _STORE_LATENCY, writes))
             elif isinstance(inst, (Branch, CondBranch, Ret)):
                 uops.append((_UOP_BRANCH, inst, 1, writes))
             elif inst.is_float:
@@ -118,26 +120,12 @@ class OOOModel:
                 uops.append((_UOP_INT, inst, max(1, inst.latency), writes))
         return uops
 
-    def simulate(
-        self,
-        block_trace: Iterable[Optional[BasicBlock]],
-        memory_stream: Optional[Iterable[Tuple[str, int]]] = None,
-    ) -> OOOResult:
-        """Simulate a block trace (``None`` entries separate invocations).
-
-        ``memory_stream`` supplies (opcode, address) pairs aligned with the
-        loads/stores of the trace; when given together with a memory system,
-        each access is charged its actual hierarchy latency.
-        """
+    def simulate(self, block_trace: Iterable[Optional[BasicBlock]]) -> OOOResult:
+        """Simulate a block trace (``None`` entries separate invocations)."""
         cfg = self.config
         result = OOOResult()
-        mem_iter: Optional[Iterator[Tuple[str, int]]] = (
-            iter(memory_stream) if memory_stream is not None else None
-        )
 
         finish: Dict[Value, float] = {}
-        last_store_to: Dict[int, float] = {}
-        last_store_any = 0.0
 
         rob: List[float] = []  # retire times of in-flight window (ring)
         rob_head = 0
@@ -156,7 +144,6 @@ class OOOModel:
         fetch_width = cfg.fetch_width
         retire_width = cfg.retire_width
         rob_entries = cfg.rob_entries
-        fast_memory = self.memory_system is None
         heappush = heapq.heappush
         heappop = heapq.heappop
 
@@ -213,26 +200,10 @@ class OOOModel:
                     result.fp_ops += 1
                     done = start + latency
                 elif kind == _UOP_LOAD:
-                    addr = self._next_mem(mem_iter, result)
-                    if addr is not None:
-                        dep = last_store_to.get(addr // 8, 0.0)
-                        if dep > ready:
-                            ready = dep
-                    if not fast_memory or addr is None:
-                        latency = self._mem_latency(addr, False, result)
                     done = ready + latency
                     result.loads += 1
                 elif kind == _UOP_STORE:
-                    addr = self._next_mem(mem_iter, result)
                     done = ready + latency
-                    if not fast_memory:
-                        self._mem_latency(addr, True, result)
-                    if addr is not None:
-                        last_store_to[addr // 8] = done
-                        if done > last_store_any:
-                            last_store_any = done
-                    elif done > last_store_any:
-                        last_store_any = done
                     result.stores += 1
                 else:  # _UOP_BRANCH
                     done = ready + 1
@@ -257,26 +228,3 @@ class OOOModel:
 
         result.cycles = int(last_retire) if result.instructions else 0
         return result
-
-    # -- helpers -----------------------------------------------------------------
-
-    def _next_mem(self, mem_iter, result) -> Optional[int]:
-        if mem_iter is None:
-            return None
-        try:
-            _, addr = next(mem_iter)
-            return addr
-        except StopIteration:
-            return None
-
-    def _mem_latency(self, addr: Optional[int], is_write: bool, result: OOOResult) -> int:
-        if self.memory_system is None or addr is None:
-            return self.fixed_store_latency if is_write else self.fixed_load_latency
-        res = self.memory_system.host_access(addr, is_write)
-        if res.level == "l1":
-            result.l1_hits += 1
-        elif res.level == "l2":
-            result.l2_hits += 1
-        else:
-            result.dram_accesses += 1
-        return res.latency

@@ -108,13 +108,12 @@ class EnergyModel:
         n_mem_ops: int,
         n_edges: int,
         l2_accesses: int = 0,
-        dram_accesses: int = 0,
     ) -> EnergyBreakdown:
         """Energy of one frame invocation on the CGRA.
 
         There is no front-end and no OOO window: ops pay their FU energy,
         each dataflow edge pays one switch+link traversal, and every op
-        latches its result.  Memory ops additionally pay the L2/DRAM cost.
+        latches its result.  Memory ops additionally pay the L2 cost.
         """
         c = self.cgra
         e = self.energy
@@ -123,8 +122,7 @@ class EnergyModel:
             fu_pj=n_int_ops * c.int_fu_pj + n_fp_ops * c.fp_fu_pj,
             network_pj=n_edges * c.network_pj,
             latch_pj=total_ops * c.latch_pj,
-            memory_pj=l2_accesses * e.l2_access_pj
-            + dram_accesses * e.dram_access_pj,
+            memory_pj=l2_accesses * e.l2_access_pj,
         )
 
     def frame_energy_from_dfg(self, dfg: DataflowGraph) -> EnergyBreakdown:

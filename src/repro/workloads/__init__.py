@@ -67,12 +67,20 @@ _ALL = {
 }
 
 
+class UnknownWorkload(KeyError):
+    """A workload name not in the suite; the message lists the known ones."""
+
+    def __str__(self) -> str:
+        return self.args[0]  # KeyError's own str() quotes the message
+
+
 def get(name: str) -> Workload:
-    """Workload by paper name; raises KeyError with suggestions."""
+    """Workload by paper name; raises :class:`UnknownWorkload` with
+    suggestions."""
     try:
         return _ALL[name]
     except KeyError:
-        raise KeyError(
+        raise UnknownWorkload(
             "unknown workload %r; known: %s" % (name, ", ".join(sorted(_ALL)))
         ) from None
 
@@ -100,6 +108,7 @@ __all__ = [
     "ProfiledWorkload",
     "Reset",
     "StoreVal",
+    "UnknownWorkload",
     "Workload",
     "all_names",
     "all_workloads",

@@ -1,11 +1,12 @@
-"""Property tests: the set-associative cache against a reference LRU model,
-dual-port calibration against per-port replays, and OOO-model resource
-monotonicity."""
+"""Property tests: the set-associative cache and each port's replay against
+a reference LRU model, dual-port calibration against per-port replays, and
+OOO-model resource monotonicity."""
 
 from __future__ import annotations
 
 from collections import OrderedDict
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import workloads
@@ -16,6 +17,7 @@ from repro.sim import (
     MemoryHierarchyConfig,
     MemorySystem,
     OOOModel,
+    StreamProfile,
     profile_stream_dual,
 )
 from repro.sim import cache as cache_module
@@ -55,7 +57,7 @@ def test_cache_matches_reference_lru(addrs, sets, assoc):
     cache = Cache(CacheConfig(size_bytes=sets * assoc * line, associativity=assoc, line_bytes=line))
     ref = _ReferenceLRU(sets, assoc, line)
     for addr in addrs:
-        assert cache.access(addr, False) == ref.access(addr), hex(addr)
+        assert cache.access(addr) == ref.access(addr), hex(addr)
 
 
 @st.composite
@@ -98,6 +100,46 @@ def memory_streams(draw):
     ))
 
 
+def _reference_profile(hier, stream, port):
+    """Oracle for one port's replay: reference LRU sets for the L1 and for
+    each L2 bank, latency summed access by access."""
+    l1 = _ReferenceLRU(hier.l1.sets, hier.l1.associativity, hier.l1.line_bytes)
+    l2 = hier.l2
+    bank_sets = l2.size_bytes // hier.l2_banks // (l2.associativity * l2.line_bytes)
+    banks = [_ReferenceLRU(bank_sets, l2.associativity, l2.line_bytes)
+             for _ in range(hier.l2_banks)]
+    to_l2 = (hier.l1.latency if port == "host" else 0) + l2.latency
+    latency = {"load": 0, "store": 0}
+    count = {"load": 0, "store": 0}
+    levels = {"l1": 0, "l2": 0, "dram": 0}
+    for opcode, addr in stream:
+        bank = banks[addr // l2.line_bytes % hier.l2_banks]
+        if port == "host" and l1.access(addr):
+            level, cost = "l1", hier.l1.latency
+        elif bank.access(addr):
+            level, cost = "l2", to_l2
+        else:
+            level, cost = "dram", to_l2 + hier.dram_latency
+        levels[level] += 1
+        latency[opcode] += cost
+        count[opcode] += 1
+    return StreamProfile(
+        avg_load_latency=latency["load"] / count["load"] if count["load"] else 0.0,
+        avg_store_latency=latency["store"] / count["store"] if count["store"] else 0.0,
+        loads=count["load"],
+        stores=count["store"],
+        level_counts=levels,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(hier=hierarchies(), stream=memory_streams(),
+       port=st.sampled_from(["host", "accel"]))
+def test_port_replay_matches_reference_lru(hier, stream, port):
+    assert (MemorySystem(hier).profile_stream(stream, port)
+            == _reference_profile(hier, stream, port))
+
+
 @settings(max_examples=200, deadline=None)
 @given(hier=hierarchies(), stream=memory_streams())
 def test_dual_profile_matches_per_port_replays(hier, stream):
@@ -107,25 +149,36 @@ def test_dual_profile_matches_per_port_replays(hier, stream):
     )
 
 
-def test_suite_streams_take_the_closed_form(monkeypatch):
+#: the small-memory hierarchy of the e2e config grid (benchmarks/e2e/plan.py)
+_SMALL_MEMORY = MemoryHierarchyConfig(
+    l1=CacheConfig(size_bytes=8 * 1024, associativity=2, latency=2),
+    l2=CacheConfig(size_bytes=256 * 1024, associativity=8, latency=30),
+)
+
+
+@pytest.mark.parametrize("hier, declines", [
+    (MemoryHierarchyConfig(), 0),
+    (_SMALL_MEMORY, 19),
+], ids=["default", "small-memory"])
+def test_suite_streams_take_the_closed_form(hier, declines):
     # the first-touch closed form is the whole calibration speedup: a
     # broken exactness check would silently fall back to the replay
-    replays = []
-    replay = cache_module._replay_dual
-
-    def counted(hier, stream):
-        replays.append(len(stream))
-        return replay(hier, stream)
-
-    monkeypatch.setattr(cache_module, "_replay_dual", counted)
-    streams = 0
+    streams = declined = 0
     for workload in workloads.all_workloads():
         trace = profile_workload(workload).trace
-        if trace is not None and trace.memory:
-            profile_stream_dual(None, trace.memory)
-            streams += 1
+        if trace is None or not trace.memory:
+            continue
+        streams += 1
+        closed = cache_module._first_touch_dual(hier, trace.memory)
+        if closed is None:
+            declined += 1
+            continue
+        assert closed == (
+            MemorySystem(hier).profile_stream(trace.memory, "host"),
+            MemorySystem(hier).profile_stream(trace.memory, "accel"),
+        ), workload.name
     assert streams == 29
-    assert replays == []
+    assert declined == declines
 
 
 @settings(max_examples=15, deadline=None)

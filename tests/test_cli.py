@@ -1,3 +1,5 @@
+import pytest
+
 from repro.cli import MISSING_CELL, evaluation_row, main
 from repro.pipeline import AnalysisSummary, WorkloadEvaluation
 
@@ -337,3 +339,18 @@ def test_cli_global_log_level(capsys):
     assert main(["--log-level", "nope", "list"]) == 2
     assert "unknown log level" in capsys.readouterr().err
     main(["--log-level", "WARNING", "list"])  # restore the default
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "nosuch", "--no-cache"],
+    ["analyze", "nosuch", "--no-cache"],
+    ["dump", "nosuch"],
+    ["trace", "nosuch", "--no-cache"],
+    ["report", "table", "nosuch", "--no-cache"],
+], ids=["evaluate", "analyze", "dump", "trace", "report-table"])
+def test_cli_unknown_workload_is_one_clean_error_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown workload 'nosuch'; known: 164.gzip")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
