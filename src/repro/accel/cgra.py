@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..frames.frame import Frame, FrameOp, PsiOp
-from ..ir.instructions import LATENCY, Load, Phi, Store
+from ..ir.instructions import LATENCY, Instruction, Load, Phi, Store
 from ..ir.values import Value
 from ..sim.config import CGRAConfig
 
@@ -165,15 +165,19 @@ class CGRAScheduler:
                 producer[fop.psi.phi] = i
         return producer, psi_index
 
-    def _build_deps(self, frame: Frame) -> List[List[int]]:
-        """Per-op dependence lists (indices into frame.ops).
+    @staticmethod
+    def _value_deps(
+        frame: Frame, producer: Dict[object, int], psi_index: Dict[int, int]
+    ) -> Tuple[List[List[int]], bool]:
+        """Per-op lists of the ops producing what each op reads (indices
+        into frame.ops), and whether every one of them is an earlier op.
 
-        Values are resolved through the frame's φ-resolution map, so a use of
-        a cancelled φ depends on the op producing the replacement value; ψ
-        ops depend on their predicate and both options; undo-log reads must
-        precede their store (the store in turn waits for the undo read).
+        Values are resolved through the frame's φ-resolution map, so a use
+        of a cancelled φ depends on the op producing the replacement value;
+        ψ ops depend on their predicate and both options; an undo-log read
+        depends on its store's address.  Only instructions can be
+        producers, so constant operands are never looked up.
         """
-        producer, psi_index = self._producers(frame)
 
         def resolve(value) -> Optional[int]:
             seen = 0
@@ -185,38 +189,47 @@ class CGRAScheduler:
                     return None
                 value = res
                 seen += 1
-            return producer.get(value)
+            return producer.get(value) if isinstance(value, Instruction) else None
 
+        # each resolved φ maps, once, to the op producing its value
+        index = dict(producer)
+        for phi in frame.phi_resolution:
+            index[phi] = resolve(phi)
         deps: List[List[int]] = []
+        backward = True
         for i, fop in enumerate(frame.ops):
-            d: List[int] = []
-
-            def add(j: Optional[int]) -> None:
-                if j is not None and j != i and j not in d:
-                    d.append(j)
-
             if fop.kind == "op":
-                for operand in fop.inst.operands:
-                    add(resolve(operand))
+                values = fop.inst.operands
             elif fop.kind == "undo":
                 # undo reads the old value at the store's address
-                store_inst = fop.inst
-                add(resolve(store_inst.address))
+                values = (fop.inst.address,)
             elif fop.kind == "guard":
-                add(resolve(fop.guard.branch.cond))
-            elif fop.kind == "psi":
-                add(resolve(fop.psi.predicate) if fop.psi.predicate is not None else None)
-                for _, v in fop.psi.options:
-                    add(resolve(v))
+                values = (fop.guard.branch.cond,)
+            else:  # psi
+                values = [v for _, v in fop.psi.options]
+                if fop.psi.predicate is not None:
+                    values.insert(0, fop.psi.predicate)
+            d: List[int] = []
+            for value in values:
+                j = index.get(value) if isinstance(value, Instruction) else None
+                if j is not None and j != i and j not in d:
+                    d.append(j)
+                    if j > i:
+                        backward = False
             deps.append(d)
+        return deps, backward
 
-        # store -> undo ordering: store must not commit before its undo read
+    def _build_deps(self, frame: Frame) -> List[List[int]]:
+        """Per-op dependence lists (indices into frame.ops): the value
+        dependences of :meth:`_value_deps` plus the memory ordering — a
+        store waits on its undo-log read, which must see the old value,
+        and stores commit in order (the undo log replays in order)."""
+        deps = self._value_deps(frame, *self._producers(frame))[0]
         for i, fop in enumerate(frame.ops):
             if fop.kind == "undo" and i > 0:
                 prev = frame.ops[i - 1]
                 if prev.kind == "op" and isinstance(prev.inst, Store):
                     deps[i - 1].append(i)  # store depends on undo read
-        # store commit order (undo log replays in order)
         last_store: Optional[int] = None
         for i, fop in enumerate(frame.ops):
             if fop.kind == "op" and isinstance(fop.inst, Store):
@@ -265,45 +278,59 @@ class CGRAScheduler:
         loads, guards and ψ ops as one fixed cycle — and only the triples
         no other triple dominates survive, so the result depends on the
         frame alone and :meth:`recurrence_from_summary` prices it under
-        any load/store latency.  Raises ``RuntimeError`` on a cyclic
-        dependence graph, as :meth:`schedule` does.
+        any load/store latency.
+
+        ``deps`` are :meth:`schedule`'s dependence lists, already proven
+        acyclic by placing every op.  Without them the frame's value
+        dependences are built here, and a cyclic dependence graph raises
+        ``RuntimeError`` as :meth:`schedule` does.
         """
+        producer, psi_index = self._producers(frame)
         if deps is None:
-            deps = self._build_deps(frame)
-        _require_acyclic(deps)
-        chains = [_op_chain(fop) for fop in frame.ops]
-        producer = self._producers(frame)[0]
-        # φ -> indices of the ops reading it
-        consumers: Dict[object, List[int]] = {}
-        for i, fop in enumerate(frame.ops):
-            for v in _operands(fop):
-                value = self._chase(frame, v)
-                if isinstance(value, Phi):
-                    ops = consumers.setdefault(value, [])
-                    if not ops or ops[-1] != i:
-                        ops.append(i)
+            deps, backward = self._value_deps(frame, producer, psi_index)
+            if not backward:
+                # an op reads a later one: only the full graph can say
+                # whether that closes a cycle
+                _require_acyclic(self._build_deps(frame))
+        ops = frame.ops
         summary: List[Chain] = []
         for phi, def_value in loop_carried:
             def_chased = self._chase(frame, def_value)
             if isinstance(def_chased, PsiOp):
                 def_chased = def_chased.phi
+            if not isinstance(def_chased, Instruction):
+                continue  # a constant or argument def closes no chain
             def_idx = producer.get(def_chased)
-            starts = consumers.get(phi)
-            if def_idx is None or not starts or starts[0] > def_idx:
+            if def_idx is None:
                 continue
-            # longest chains from a consumer of the φ to each reached op.
-            # Ops come in dependence order, so one forward sweep settles
-            # each op before its users; the only later-op dependence (a
-            # store waiting on its undo read) is not yet in ``longest``
-            # when its store is reached, so it never extends a chain.
+            # Stores, undo reads and guards produce no value, so a chain
+            # to the def runs through its backward slice alone: the ops it
+            # reaches over dependences on earlier ops.
+            in_slice = {def_idx}
+            stack = [def_idx]
+            while stack:
+                i = stack.pop()
+                for j in deps[i]:
+                    if j < i and j not in in_slice:
+                        in_slice.add(j)
+                        stack.append(j)
+            # an op consumes the φ when it reads the φ itself or a
+            # cancelled φ that resolves to it; operands are compared by
+            # identity, so none is hashed
+            aliases = {
+                id(v) for v in frame.phi_resolution
+                if self._chase(frame, v) is phi
+            }
+            # longest chains from a consumer of the φ to each reached op;
+            # in ascending order every earlier dependence is settled first
             longest: Dict[int, Tuple[Chain, ...]] = {}
-            start_set = set(starts)
-            for i in range(starts[0], def_idx + 1):
+            for i in sorted(in_slice):
+                fop = ops[i]
                 reach = [t for j in deps[i] if j in longest for t in longest[j]]
-                if i in start_set:
+                if not aliases.isdisjoint(map(id, _operands(fop))):
                     reach.append((0, 0, 0))  # a chain starts at this op
                 if reach:
-                    a, b, c = chains[i]
+                    a, b, c = _op_chain(fop)
                     longest[i] = tuple(
                         (x + a, y + b, z + c) for x, y, z in _frontier(reach)
                     )

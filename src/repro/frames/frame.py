@@ -21,6 +21,7 @@ buffers or hardware checkpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.cfg import CFG
@@ -85,18 +86,32 @@ class FrameOp:
 
 @dataclass
 class Frame:
-    """A software frame ready for accelerator mapping."""
+    """A software frame ready for accelerator mapping.
+
+    A frame is its ops and its φ resolution; the live values are derived
+    from them on first read, since the braid constituents priced only for
+    their recurrence never read them.
+    """
 
     region: Region
     ops: List[FrameOp]
     guards: List[Guard]
     psis: List[PsiOp]
-    live_ins: List[Value]
-    live_outs: List[Value]
     cancelled_phis: int
     store_count: int
     #: mapping from original φ to its frame replacement (Value or PsiOp)
     phi_resolution: Dict[Phi, object] = field(default_factory=dict)
+
+    @cached_property
+    def live_ins(self) -> List[Value]:
+        """Values the host hands the accelerator (see :func:`_frame_live_ins`)."""
+        return _frame_live_ins(self.region, self.phi_resolution)
+
+    @cached_property
+    def live_outs(self) -> List[Value]:
+        """In-region values the host reads after the frame (see
+        :func:`_frame_live_outs`)."""
+        return _frame_live_outs(self.region)
 
     # -- metrics -----------------------------------------------------------------
 
@@ -162,8 +177,7 @@ def build_frame(region: Region) -> Frame:
     phi_resolution: Dict[Phi, object] = {}
     psis: List[PsiOp] = []
     cancelled = 0
-    cfg = CFG(region.function)
-    dom = DominatorTree.compute(cfg)
+    dom: Optional[DominatorTree] = None  # built for the first braid ψ
 
     prev_in_path: Dict[BasicBlock, Optional[BasicBlock]] = {}
     if is_path:
@@ -197,14 +211,12 @@ def build_frame(region: Region) -> Frame:
             elif len(in_region) == 0:
                 phi_resolution[phi] = "live-in"
             else:
+                if dom is None:
+                    dom = DominatorTree.compute(CFG(region.function))
                 predicate = _diamond_predicate(block, in_region, dom, block_set)
                 psi = PsiOp(phi=phi, predicate=predicate, options=in_region)
                 phi_resolution[phi] = psi
                 psis.append(psi)
-
-    # -- live values ---------------------------------------------------------------
-    live_ins = _frame_live_ins(region, phi_resolution)
-    live_outs = _frame_live_outs(region)
 
     # -- linearise -------------------------------------------------------------------
     ops: List[FrameOp] = []
@@ -255,8 +267,6 @@ def build_frame(region: Region) -> Frame:
         ops=ops,
         guards=guards,
         psis=psis,
-        live_ins=live_ins,
-        live_outs=live_outs,
         cancelled_phis=cancelled,
         store_count=store_count,
         phi_resolution=phi_resolution,

@@ -210,7 +210,11 @@ class AnalysisSummary:
             flavor=w.flavor,
             executed_paths=analysis.profiled.paths.executed_paths,
             total_executions=analysis.profiled.paths.total_executions,
-            dynamic_instructions=analysis.profiled.trace.dynamic_instructions,
+            # from the post-pass block counts, not a re-sum of the stream
+            dynamic_instructions=sum(
+                len(block) * n
+                for block, n in analysis.profiled.edges.block_counts.items()
+            ),
             memory_events=len(analysis.profiled.trace.memory),
             top_path_coverage=top.coverage if top else 0.0,
             top_path_ops=top.ops if top else 0,

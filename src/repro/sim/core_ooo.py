@@ -13,20 +13,21 @@ same address overlap exactly as they would to different ones.
 Complexity is O(n) in trace length with small constants, so whole-workload
 traces simulate in well under a second.
 
-The replay loop consumes pre-decoded micro-ops: the first time a block is
-seen, each instruction is classified once into ``(kind, inst, latency,
-writes_result)`` and the list is memoized on the model, so the per-dynamic-
-instruction cost is an integer dispatch instead of an ``isinstance`` chain
-plus latency-table lookups.  The decode cache lives on the
-:class:`OOOModel` instance — models are cheap and short-lived, which keeps
-the cache trivially coherent with any IR transformation.
+The replay loop reads each block through a decode made the first time the
+block is seen: per non-φ instruction its functional unit, latency and
+instruction operands (constants, arguments and globals are ready at
+allocation, so they are never looked up), the block's event counts, added
+to the result once per visit, and per incoming edge the φ copies the
+rename performs.  The decode cache lives on the :class:`OOOModel`
+instance — models are cheap and short-lived, which keeps the cache
+trivially coherent with any IR transformation.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from ..ir.block import BasicBlock
 from ..ir.instructions import (
@@ -34,11 +35,9 @@ from ..ir.instructions import (
     CondBranch,
     Instruction,
     Load,
-    Phi,
     Ret,
     Store,
 )
-from ..ir.values import Value
 from .config import HostConfig
 
 
@@ -76,16 +75,70 @@ class OOOResult:
         return out
 
 
-#: micro-op kinds produced by block decode
-_UOP_PHI = 0
-_UOP_LOAD = 1
-_UOP_STORE = 2
-_UOP_BRANCH = 3
-_UOP_INT = 4
-_UOP_FP = 5
-
 #: issue-to-done latency of a store
 _STORE_LATENCY = 1
+
+#: functional unit a micro-op issues to
+_FU_NONE = 0  # loads, stores and branches: done = ready + latency
+_FU_ALU = 1
+_FU_FPU = 2
+
+#: :class:`OOOResult` counters a block decode tallies, in order
+_COUNTED = ("phis", "instructions", "int_ops", "fp_ops", "loads", "stores",
+            "branches")
+
+
+class _DecodedBlock:
+    """One block as the walk reads it.
+
+    ``uops`` holds one ``(fu, latency, operands, result)`` tuple per
+    non-φ instruction.  ``operands`` keeps only the instruction operands,
+    the only values that can have a finish time; ``result`` is the
+    instruction when it writes a value, else ``None``.  ``counts`` are the
+    block's :data:`_COUNTED` tallies.  ``moves`` memoizes, per
+    predecessor (``None`` at an invocation start), the φ copies of that
+    edge as ``(φ, source)`` pairs in block order, the source ``None``
+    when it is not an instruction (a value with no finish time).
+    """
+
+    __slots__ = ("phis", "uops", "counts", "moves")
+
+    def __init__(self, block: BasicBlock, load_latency: int):
+        phis = block.phis
+        uops = []
+        counts = dict.fromkeys(_COUNTED, 0)
+        counts["phis"] = len(phis)
+        for inst in block.instructions[len(phis):]:
+            if isinstance(inst, Load):
+                fu, latency, counter = _FU_NONE, load_latency, "loads"
+            elif isinstance(inst, Store):
+                fu, latency, counter = _FU_NONE, _STORE_LATENCY, "stores"
+            elif isinstance(inst, (Branch, CondBranch, Ret)):
+                fu, latency, counter = _FU_NONE, 1, "branches"
+            elif inst.is_float:
+                fu, latency, counter = _FU_FPU, max(1, inst.latency), "fp_ops"
+            else:
+                fu, latency, counter = _FU_ALU, max(1, inst.latency), "int_ops"
+            counts["instructions"] += 1
+            counts[counter] += 1
+            operands = tuple(
+                op for op in inst.operands if isinstance(op, Instruction)
+            )
+            result = None if inst.type.is_void else inst
+            uops.append((fu, latency, operands, result))
+        self.phis = phis
+        self.uops = uops
+        self.counts = tuple(counts.values())
+        self.moves: Dict[Optional[BasicBlock], tuple] = {}
+
+    def moves_from(self, prev: Optional[BasicBlock]) -> tuple:
+        """The φ copies of the edge ``prev`` -> this block."""
+        moves = []
+        for phi in self.phis:
+            src = phi.incoming_for(prev)
+            moves.append((phi, src if isinstance(src, Instruction) else None))
+        moves = self.moves[prev] = tuple(moves)
+        return moves
 
 
 class OOOModel:
@@ -98,133 +151,103 @@ class OOOModel:
     ):
         self.config = config or HostConfig()
         self.fixed_load_latency = fixed_load_latency
-        self._uops: Dict[BasicBlock, List[Tuple[int, Instruction, int, bool]]] = {}
-
-    def _decode(self, block: BasicBlock) -> List[Tuple[int, Instruction, int, bool]]:
-        """Classify each instruction once: (kind, inst, issue latency,
-        writes_result).  Memoized per block on this model instance."""
-        uops = []
-        for inst in block.instructions:
-            writes = not inst.type.is_void
-            if isinstance(inst, Phi):
-                uops.append((_UOP_PHI, inst, 0, writes))
-            elif isinstance(inst, Load):
-                uops.append((_UOP_LOAD, inst, self.fixed_load_latency, writes))
-            elif isinstance(inst, Store):
-                uops.append((_UOP_STORE, inst, _STORE_LATENCY, writes))
-            elif isinstance(inst, (Branch, CondBranch, Ret)):
-                uops.append((_UOP_BRANCH, inst, 1, writes))
-            elif inst.is_float:
-                uops.append((_UOP_FP, inst, max(1, inst.latency), writes))
-            else:
-                uops.append((_UOP_INT, inst, max(1, inst.latency), writes))
-        return uops
+        self._decoded: Dict[BasicBlock, _DecodedBlock] = {}
 
     def simulate(self, block_trace: Iterable[Optional[BasicBlock]]) -> OOOResult:
         """Simulate a block trace (``None`` entries separate invocations)."""
         cfg = self.config
-        result = OOOResult()
+        finish: Dict[Instruction, float] = {}
+        finish_get = finish.get
 
-        finish: Dict[Value, float] = {}
-
-        rob: List[float] = []  # retire times of in-flight window (ring)
-        rob_head = 0
+        fetch_width = cfg.fetch_width
+        rob_entries = cfg.rob_entries
+        retire_width = cfg.retire_width
+        # retire times of the in-flight window; a slot not yet written
+        # holds 0.0, which never stalls allocation
+        rob = [0.0] * rob_entries
+        rob_pos = 0
+        retire_times = [0.0] * retire_width
+        retire_pos = 0
+        last_retire = 0.0
         alloc_cycle = 0.0
         alloc_in_cycle = 0
-        retire_times: List[float] = [0.0] * cfg.retire_width
-        retire_idx = 0
-        last_retire = 0.0
 
         alu_free = [0.0] * cfg.int_alus
         fpu_free = [0.0] * cfg.fp_units
-        heapq.heapify(alu_free)
-        heapq.heapify(fpu_free)
+        heapreplace = heapq.heapreplace
 
-        uop_cache = self._uops
-        fetch_width = cfg.fetch_width
-        retire_width = cfg.retire_width
-        rob_entries = cfg.rob_entries
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
+        decoded = self._decoded
+        load_latency = self.fixed_load_latency
+        visits = []  # the counts of each block visited, summed at the end
         prev_block: Optional[BasicBlock] = None
         for block in block_trace:
             if block is None:
                 prev_block = None
                 continue
-            uops = uop_cache.get(block)
-            if uops is None:
-                uops = self._decode(block)
-                uop_cache[block] = uops
-            for kind, inst, latency, writes in uops:
-                if kind == _UOP_PHI:
-                    # register rename: value forwards from the taken edge
-                    result.phis += 1
-                    if prev_block is not None:
-                        src = inst.incoming_for(prev_block)
-                        finish[inst] = finish.get(src, 0.0) if src is not None else 0.0
-                    else:
-                        finish[inst] = 0.0
-                    continue
+            entry = decoded.get(block)
+            if entry is None:
+                entry = decoded[block] = _DecodedBlock(block, load_latency)
+            if entry.phis:
+                # register rename: each φ forwards from the taken edge
+                moves = entry.moves.get(prev_block)
+                if moves is None:
+                    moves = entry.moves_from(prev_block)
+                for phi, src in moves:
+                    finish[phi] = finish_get(src, 0.0)
+            visits.append(entry.counts)
 
+            for fu, latency, operands, result in entry.uops:
                 # -- allocate (fetch/rename bandwidth + ROB occupancy) ------
                 if alloc_in_cycle >= fetch_width:
                     alloc_cycle += 1
                     alloc_in_cycle = 0
-                if len(rob) >= rob_entries:
-                    oldest = rob[rob_head % rob_entries]
-                    if oldest > alloc_cycle:
-                        alloc_cycle = oldest
-                        alloc_in_cycle = 0
+                oldest = rob[rob_pos]
+                if oldest > alloc_cycle:
+                    alloc_cycle = oldest
+                    alloc_in_cycle = 0
                 alloc_in_cycle += 1
-                result.instructions += 1
 
                 # -- operand readiness ---------------------------------------
                 ready = alloc_cycle
-                for op in inst.operands:
-                    t = finish.get(op)
-                    if t is not None and t > ready:
+                for op in operands:
+                    t = finish_get(op, 0.0)
+                    if t > ready:
                         ready = t
 
                 # -- issue / execute ------------------------------------------
-                if kind == _UOP_INT:
-                    unit = heappop(alu_free)
-                    start = ready if ready > unit else unit
-                    heappush(alu_free, start + 1)
-                    result.int_ops += 1
-                    done = start + latency
-                elif kind == _UOP_FP:
-                    unit = heappop(fpu_free)
-                    start = ready if ready > unit else unit
-                    heappush(fpu_free, start + 1)
-                    result.fp_ops += 1
-                    done = start + latency
-                elif kind == _UOP_LOAD:
+                if fu == _FU_NONE:
                     done = ready + latency
-                    result.loads += 1
-                elif kind == _UOP_STORE:
-                    done = ready + latency
-                    result.stores += 1
-                else:  # _UOP_BRANCH
-                    done = ready + 1
-                    result.branches += 1
+                else:
+                    units = alu_free if fu == _FU_ALU else fpu_free
+                    unit = units[0]
+                    start = ready if ready > unit else unit
+                    heapreplace(units, start + 1)
+                    done = start + latency
 
-                if writes:
-                    finish[inst] = done
+                if result is not None:
+                    finish[result] = done
 
                 # -- retire (in order, retire_width per cycle) -----------------
-                width_slot = retire_times[retire_idx % retire_width]
-                retire = max(done, last_retire, width_slot + 1)
-                retire_times[retire_idx % retire_width] = retire
-                retire_idx += 1
+                retire = done
+                if last_retire > retire:
+                    retire = last_retire
+                slot = retire_times[retire_pos] + 1
+                if slot > retire:
+                    retire = slot
+                retire_times[retire_pos] = retire
+                retire_pos += 1
+                if retire_pos == retire_width:
+                    retire_pos = 0
                 last_retire = retire
-                if len(rob) < rob_entries:
-                    rob.append(retire)
-                else:
-                    rob[rob_head % rob_entries] = retire
-                    rob_head += 1
+                rob[rob_pos] = retire
+                rob_pos += 1
+                if rob_pos == rob_entries:
+                    rob_pos = 0
 
             prev_block = block
 
+        result = OOOResult(
+            **{name: sum(col) for name, col in zip(_COUNTED, zip(*visits))}
+        )
         result.cycles = int(last_retire) if result.instructions else 0
         return result

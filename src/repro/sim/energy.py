@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..analysis.dfg import DataflowGraph
 from .config import CGRAConfig, EnergyConfig
 from .core_ooo import OOOResult
 
@@ -50,11 +49,6 @@ class EnergyBreakdown:
             network_pj=self.network_pj + other.network_pj,
             latch_pj=self.latch_pj + other.latch_pj,
             transfer_pj=self.transfer_pj + other.transfer_pj,
-        )
-
-    def scaled(self, factor: float) -> "EnergyBreakdown":
-        return EnergyBreakdown(
-            **{k: v * factor for k, v in vars(self).items()}
         )
 
 
@@ -124,23 +118,6 @@ class EnergyModel:
             latch_pj=total_ops * c.latch_pj,
             memory_pj=l2_accesses * e.l2_access_pj,
         )
-
-    def frame_energy_from_dfg(self, dfg: DataflowGraph) -> EnergyBreakdown:
-        """Convenience: price a frame's speculative DFG directly."""
-        n_int = n_fp = n_mem = 0
-        n_edges = 0
-        l2 = 0
-        for node in dfg.nodes:
-            inst = node.inst
-            n_edges += len(node.deps)
-            if inst.is_memory:
-                n_mem += 1
-                l2 += 1
-            elif inst.is_float:
-                n_fp += 1
-            else:
-                n_int += 1
-        return self.frame_energy(n_int, n_fp, n_mem, n_edges, l2_accesses=l2)
 
     def transfer_energy(self, n_values: int) -> EnergyBreakdown:
         """Live-in/out movement through the L2."""

@@ -1,7 +1,24 @@
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import workloads
 from repro.ir import I32, F64, IRBuilder, Module, verify_function
-from repro.sim import HostConfig, OOOModel
+from repro.sim import HostConfig, OffloadSimulator, OOOModel
+from repro.workloads.base import profile_workload
 
 from tests.conftest import record_function
+from tests.sim.reference_ooo import ReferenceOOOModel
+from tests.strategies import (
+    RandomFunctionBuilder,
+    rich_values_strategy,
+    shapes_strategy,
+)
+
+#: the reduced host of the benchmark's Table V grid (2-wide, 48-entry ROB)
+NARROW_HOST = HostConfig(
+    fetch_width=2, issue_width=2, retire_width=2, rob_entries=48,
+    int_alus=3, fp_units=1,
+)
 
 
 def _trace_of(m, fn, args):
@@ -138,3 +155,69 @@ def test_merge_results(counted_loop):
     merged = res.merge(res)
     assert merged.cycles == 2 * res.cycles
     assert merged.instructions == 2 * res.instructions
+
+
+# -- the walk against the reference walk ------------------------------------
+
+
+@pytest.mark.parametrize("host", ["default", "narrow"])
+def test_walk_matches_reference_on_every_suite_path(host):
+    """All 849 profiled paths of the suite, once and four times
+    back-to-back, at each workload's calibrated load latency."""
+    config = NARROW_HOST if host == "narrow" else HostConfig()
+    sim = OffloadSimulator()
+    walks = 0
+    for name in workloads.all_names():
+        profiled = profile_workload(workloads.get(name))
+        calibrated = sim.calibrate(profiled.trace).host_load_latency
+        latency = max(1, int(round(calibrated)))
+        model = OOOModel(config, fixed_load_latency=latency)
+        reference = ReferenceOOOModel(config, fixed_load_latency=latency)
+        for pid in profiled.paths.counts:
+            blocks = profiled.paths.decode(pid)
+            for reps in (1, 4):
+                trace = list(blocks) * reps
+                assert vars(model.simulate(trace)) == vars(reference.simulate(trace))
+            walks += 1
+    assert walks == 849
+
+
+def _random_walk(fn, steps):
+    """Blocks along ``fn``'s CFG edges, each step picking a successor;
+    a step of 7, or a block without successors, ends the invocation."""
+    trace = []
+    block = fn.entry
+    for step in steps:
+        trace.append(block)
+        successors = block.successors
+        if step == 7 or not successors:
+            trace.append(None)
+            block = fn.entry
+        else:
+            block = successors[step % len(successors)]
+    return trace
+
+
+@pytest.mark.fuzz
+@settings(deadline=None)
+@given(
+    shapes=shapes_strategy,
+    values=rich_values_strategy,
+    steps=st.lists(st.integers(0, 7), min_size=1, max_size=80),
+    load_latency=st.integers(1, 40),
+    rob=st.integers(2, 8),
+    fetch=st.integers(1, 4),
+    retire=st.integers(1, 4),
+)
+def test_walk_matches_reference_on_random_walks(
+    shapes, values, steps, load_latency, rob, fetch, retire
+):
+    """Tiny hosts (one ALU, one FPU, a 2–8 entry ROB) make every walk
+    stall on the ROB and contend for the units."""
+    _m, fn = RandomFunctionBuilder(shapes, values, rich=True).build()
+    config = HostConfig(fetch_width=fetch, retire_width=retire,
+                        rob_entries=rob, int_alus=1, fp_units=1)
+    trace = _random_walk(fn, steps)
+    got = OOOModel(config, fixed_load_latency=load_latency).simulate(trace)
+    want = ReferenceOOOModel(config, fixed_load_latency=load_latency).simulate(trace)
+    assert vars(got) == vars(want)

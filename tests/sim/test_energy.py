@@ -1,5 +1,3 @@
-from repro.analysis import DataflowGraph
-from repro.ir import F64, IRBuilder, Module
 from repro.sim import DEFAULT_CONFIG, EnergyModel, OOOResult
 
 
@@ -36,34 +34,7 @@ def test_frame_energy_uses_table_v_constants():
     assert bd.frontend_pj == 0 and bd.window_pj == 0  # the whole point
 
 
-def test_frame_energy_from_dfg_counts():
-    m = Module()
-    g = m.add_global("a", F64, 8)
-    fn = m.add_function("f", [("x", F64)], F64)
-    b = IRBuilder(fn)
-    b.set_block(b.add_block("entry"))
-    addr = b.gep(g, 0, 8)
-    v = b.load(F64, addr)
-    y = b.fmul(v, fn.arg("x"))
-    z = b.fadd(y, 1.0)
-    b.store(z, addr)
-    b.ret(z)
-    insts = [i for i in fn.entry.instructions if not i.is_terminator]
-    dfg = DataflowGraph.build(insts)
-    bd = _model().frame_energy_from_dfg(dfg)
-    c = DEFAULT_CONFIG.cgra
-    # 1 gep (int) + 2 fp + 2 mem ops
-    assert bd.fu_pj == 1 * c.int_fu_pj + 2 * c.fp_fu_pj
-    assert bd.latch_pj == 5 * c.latch_pj
-    assert bd.memory_pj == 2 * DEFAULT_CONFIG.energy.l2_access_pj
-
-
 def test_transfer_energy():
     bd = _model().transfer_energy(7)
     assert bd.transfer_pj == 7 * DEFAULT_CONFIG.energy.transfer_per_value_pj
     assert bd.total_pj == bd.transfer_pj
-
-
-def test_breakdown_scaled():
-    bd = _model().transfer_energy(4).scaled(0.5)
-    assert bd.transfer_pj == 2 * DEFAULT_CONFIG.energy.transfer_per_value_pj

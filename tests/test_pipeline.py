@@ -1,4 +1,5 @@
 from repro import NeedlePipeline, workloads
+from repro.pipeline import AnalysisSummary
 
 
 def test_analyse_produces_all_artifacts():
@@ -9,6 +10,16 @@ def test_analyse_produces_all_artifacts():
     assert a.path_frame is not None and a.braid_frame is not None
     assert a.top_path is a.ranked[0]
     assert a.top_braid is a.braids[0]
+
+
+def test_summary_counts_every_recorded_instruction():
+    # the count comes from the edge profile's block counts, not the stream
+    p = NeedlePipeline()
+    for name in workloads.all_names():
+        a = p.analyse(workloads.get(name))
+        assert AnalysisSummary.from_analysis(a).dynamic_instructions == (
+            a.profiled.trace.dynamic_instructions
+        ), name
 
 
 def test_analyse_is_cached():
