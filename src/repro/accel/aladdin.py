@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..frames.frame import Frame, FrameOp
-from ..ir.instructions import LATENCY, Load, Store
+from .cgra import CGRAScheduler, list_schedule
 
 #: op class -> (dynamic energy pJ, leakage uW per unit, area um^2 per unit)
 FU_LIBRARY: Dict[str, Tuple[float, float, float]] = {
@@ -127,53 +127,28 @@ class AladdinEstimator:
         self.load_latency = load_latency
         self.store_latency = store_latency
 
-    def _latency(self, fop: FrameOp) -> int:
-        if fop.kind == "undo":
-            return self.load_latency
-        if fop.kind in ("guard", "psi"):
-            return 1
-        inst = fop.inst
-        if isinstance(inst, Load):
-            return self.load_latency
-        if isinstance(inst, Store):
-            return self.store_latency
-        return max(1, LATENCY[inst.opcode])
-
     def schedule(self, frame: Frame, config: Optional[AladdinConfig] = None) -> AladdinResult:
-        """Resource-constrained list scheduling of the frame's DDDG."""
-        from .cgra import CGRAScheduler
-
+        """Resource-constrained list scheduling of the frame's DDDG: the
+        CGRA's dependence graph, op latencies and placement loop, with one
+        cap per FU class."""
         config = config or AladdinConfig()
-        deps = CGRAScheduler()._build_deps(frame)
-        n = len(frame.ops)
-        finish = [0] * n
-        placed = [False] * n
-        usage: Dict[Tuple[str, int], int] = {}
+        cgra = CGRAScheduler(
+            load_latency=self.load_latency, store_latency=self.store_latency
+        )
+        classes = [op_class(fop) for fop in frame.ops]
+        latencies = cgra._latencies(frame)
+        _start, finish, order = list_schedule(
+            cgra._build_deps(frame),
+            latencies,
+            [(cls,) for cls in classes],
+            {cls: max(1, n) for cls, n in config.provisioned().items()},
+        )
         busy: Dict[str, int] = {}
         dynamic_pj = 0.0
-        remaining = n
-        while remaining:
-            progressed = False
-            for i in range(n):
-                if placed[i] or any(not placed[j] for j in deps[i]):
-                    continue
-                fop = frame.ops[i]
-                cls = op_class(fop)
-                limit = max(1, config.limit(cls))
-                ready = max((finish[j] for j in deps[i]), default=0)
-                cycle = ready
-                while usage.get((cls, cycle), 0) >= limit:
-                    cycle += 1
-                usage[(cls, cycle)] = usage.get((cls, cycle), 0) + 1
-                lat = self._latency(fop)
-                finish[i] = cycle + lat
-                placed[i] = True
-                remaining -= 1
-                progressed = True
-                busy[cls] = busy.get(cls, 0) + lat
-                dynamic_pj += FU_LIBRARY[cls][0]
-            if not progressed:  # pragma: no cover - deps are acyclic
-                raise RuntimeError("cyclic DDDG")
+        for i in order:
+            cls = classes[i]
+            busy[cls] = busy.get(cls, 0) + latencies[i]
+            dynamic_pj += FU_LIBRARY[cls][0]
 
         leak = sum(
             count * FU_LIBRARY[cls][1] for cls, count in config.provisioned().items()

@@ -6,14 +6,16 @@ multiple configurations, each switch costing the 16-cycle reconfiguration
 penalty.  Execution is dataflow: the schedule below is classic
 resource-constrained list scheduling over the frame's *speculative*
 dependence graph (loads hoist above stores; guards depend only on their
-predicates and never block compute).
+predicates and never block compute).  The Aladdin-style estimator
+(:mod:`repro.accel.aladdin`) schedules the same graph with the same
+:func:`list_schedule`, under per-class FU caps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..frames.frame import Frame, FrameOp, PsiOp
 from ..ir.instructions import LATENCY, Instruction, Load, Phi, Store
@@ -136,6 +138,55 @@ def _require_acyclic(deps: List[List[int]]) -> None:
         raise RuntimeError("cyclic frame dependence graph")
 
 
+def list_schedule(
+    deps: List[List[int]],
+    latencies: List[int],
+    uses: List[Sequence[str]],
+    caps: Dict[str, int],
+) -> Tuple[List[int], List[int], List[int]]:
+    """Resource-constrained list scheduling: ``(start, finish, order)``.
+
+    Sweeps the ops in index order, repeating the sweep until every op is
+    placed: ``deps`` may point forward (a store waits on its undo read,
+    the next op).  An op whose dependences are all placed goes at the
+    first cycle, counting from its operands' finish, where every resource
+    in ``uses[i]`` is below its cap in ``caps``; it finishes
+    ``latencies[i]`` cycles later.  ``order`` lists the op indices in
+    placement order.  A sweep that places nothing means a dependence
+    cycle and raises ``RuntimeError``.
+    """
+    n = len(deps)
+    start = [0] * n
+    finish = [0] * n
+    placed = [False] * n
+    order: List[int] = []
+    used: Dict[str, Dict[int, int]] = {r: {} for r in caps}
+    while len(order) < n:
+        progressed = False
+        for i in range(n):
+            if placed[i] or any(not placed[j] for j in deps[i]):
+                continue
+            cycle = max((finish[j] for j in deps[i]), default=0)
+            slots = [(used[r], caps[r]) for r in uses[i]]
+            while True:  # until every resource has room at ``cycle``
+                for count, cap in slots:
+                    if count.get(cycle, 0) >= cap:
+                        cycle += 1
+                        break
+                else:
+                    break
+            for count, _cap in slots:
+                count[cycle] = count.get(cycle, 0) + 1
+            start[i] = cycle
+            finish[i] = cycle + latencies[i]
+            placed[i] = True
+            order.append(i)
+            progressed = True
+        if not progressed:
+            raise RuntimeError("cyclic frame dependence graph")
+    return start, finish, order
+
+
 class CGRAScheduler:
     """Maps frames onto the CGRA with list scheduling."""
 
@@ -245,10 +296,13 @@ class CGRAScheduler:
             max(1, int(round(self.store_latency))),
         )
 
-    def _latency(self, fop: FrameOp) -> int:
-        loads, stores, fixed = _op_chain(fop)
+    def _latencies(self, frame: Frame) -> List[int]:
+        """Each frame op's latency in whole cycles."""
         load_cycles, store_cycles = self._rounded_latencies()
-        return loads * load_cycles + stores * store_cycles + fixed
+        return [
+            loads * load_cycles + stores * store_cycles + fixed
+            for loads, stores, fixed in map(_op_chain, frame.ops)
+        ]
 
     # -- loop-carried recurrence ---------------------------------------------------
 
@@ -368,78 +422,45 @@ class CGRAScheduler:
         if n == 0:
             return result
 
-        # per-cycle resource usage
-        fu_used: Dict[int, int] = {}
-        mem_used: Dict[int, int] = {}
-        finish: List[int] = [0] * n
-        scheduled: List[ScheduledOp] = []
+        issue_cap = min(cfg.fu_count, cfg.issue_width)
+        is_mem = [
+            fop.kind == "undo"
+            or (fop.kind == "op" and fop.inst is not None and fop.inst.is_memory)
+            for fop in frame.ops
+        ]
+        start, finish, order = list_schedule(
+            deps,
+            self._latencies(frame),
+            [("fu", "mem") if m else ("fu",) for m in is_mem],
+            {"fu": issue_cap, "mem": cfg.memory_ports},
+        )
+        for fop, mem in zip(frame.ops, is_mem):
+            if fop.kind == "guard":
+                result.guard_ops += 1
+            elif mem:
+                result.mem_ops += 1
+            elif fop.kind == "psi":
+                result.int_ops += 1
+            elif fop.inst is not None and fop.inst.is_float:
+                result.fp_ops += 1
+            else:
+                result.int_ops += 1
 
-        # deps lists may contain forward references (store->undo ordering),
-        # so iterate until all placed (two passes suffice: the only forward
-        # edge pattern is store after its undo read, adjacent ops)
-        placed = [False] * n
-        remaining = n
-        guard_count = 0
-        while remaining:
-            progressed = False
-            for i in range(n):
-                if placed[i]:
-                    continue
-                if any(not placed[j] for j in deps[i]):
-                    continue
-                fop = frame.ops[i]
-                ready = max((finish[j] for j in deps[i]), default=0)
-                is_mem = (
-                    fop.kind == "undo"
-                    or (fop.kind == "op" and fop.inst is not None and fop.inst.is_memory)
-                )
-                issue_cap = min(cfg.fu_count, cfg.issue_width)
-                cycle = ready
-                while True:
-                    if fu_used.get(cycle, 0) >= issue_cap:
-                        cycle += 1
-                        continue
-                    if is_mem and mem_used.get(cycle, 0) >= cfg.memory_ports:
-                        cycle += 1
-                        continue
-                    break
-                fu_used[cycle] = fu_used.get(cycle, 0) + 1
-                if is_mem:
-                    mem_used[cycle] = mem_used.get(cycle, 0) + 1
-                lat = self._latency(fop)
-                finish[i] = cycle + lat
-                scheduled.append(
-                    ScheduledOp(frame_op=fop, start=cycle, finish=cycle + lat, deps=list(deps[i]))
-                )
-                placed[i] = True
-                remaining -= 1
-                progressed = True
-
-                if fop.kind == "guard":
-                    guard_count += 1
-                elif is_mem:
-                    result.mem_ops += 1
-                elif fop.kind == "psi":
-                    result.int_ops += 1
-                elif fop.inst is not None and fop.inst.is_float:
-                    result.fp_ops += 1
-                else:
-                    result.int_ops += 1
-            if not progressed:
-                raise RuntimeError("cyclic frame dependence graph")
-
-        result.guard_ops = guard_count
         result.edges = sum(len(d) for d in deps)
         makespan = max(finish)
         # time-multiplexing over multiple fabric configurations
         reconfig = (result.n_configs - 1) * cfg.reconfig_cycles
         result.cycles = makespan + reconfig
-        result.ops = scheduled
+        result.ops = [
+            ScheduledOp(frame_op=frame.ops[i], start=start[i],
+                        finish=finish[i], deps=list(deps[i]))
+            for i in order
+        ]
 
         # -- initiation interval for pipelined back-to-back invocations ------
         result.resource_ii = max(
             1,
-            math.ceil(n / min(cfg.fu_count, cfg.issue_width)),
+            math.ceil(n / issue_cap),
             math.ceil(result.mem_ops / cfg.memory_ports),
         )
         result.recurrence_ii = self.recurrence_from_summary(

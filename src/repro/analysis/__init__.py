@@ -1,12 +1,9 @@
-"""Static analyses over the mini IR: CFG, dominators, loops, liveness,
-dataflow graphs, and the control-flow characterisation used by Table I."""
+"""Static analyses over the mini IR: CFG, dominators, loops, and the
+control-flow characterisation used by Table I."""
 
-from .alias import may_alias, must_alias, same_value
 from .cfg import CFG
 from .dominators import DominatorTree, PostDominatorTree, VIRTUAL_EXIT
 from .loops import Loop, LoopInfo, back_edges
-from .liveness import Liveness, region_live_values
-from .dfg import DataflowGraph, DFGNode
 from .dependence import (
     BranchMemStats,
     backward_slice,
@@ -23,11 +20,8 @@ from .predication import (
 __all__ = [
     "CFG",
     "BranchMemStats",
-    "DataflowGraph",
-    "DFGNode",
     "DominatorTree",
     "HyperblockSizeStats",
-    "Liveness",
     "Loop",
     "LoopInfo",
     "PostDominatorTree",
@@ -38,9 +32,5 @@ __all__ = [
     "branch_memory_stats",
     "control_dependence",
     "hyperblock_size_stats",
-    "may_alias",
-    "must_alias",
     "predication_stats",
-    "region_live_values",
-    "same_value",
 ]

@@ -12,7 +12,8 @@ fully-speculative unit:
 * every store is instrumented with an **undo-log** entry so externally
   visible state can be reverted on guard failure;
 * all remaining operations are free to hoist above guards — the speculative
-  dataflow graph keeps only store→store ordering.
+  dependence graph (``CGRAScheduler._build_deps``) keeps only store→store
+  ordering.
 
 The frame is accelerator-microarchitecture independent: it needs no store
 buffers or hardware checkpoints.
@@ -25,7 +26,6 @@ from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.cfg import CFG
-from ..analysis.dfg import DataflowGraph
 from ..analysis.dominators import DominatorTree
 from ..ir.block import BasicBlock
 from ..ir.instructions import (
@@ -143,13 +143,6 @@ class Frame:
             1 for i, o in enumerate(self.ops) if i > first and o.kind != "guard"
         )
 
-    def speculative_dfg(self) -> DataflowGraph:
-        """Dependence DAG under frame semantics: loads hoist above stores
-        (the undo log serialises store commit), guards only depend on their
-        predicates."""
-        insts = [o.inst for o in self.ops if o.kind == "op" and o.inst is not None]
-        return DataflowGraph.build(insts, speculative_memory=True)
-
     def __repr__(self) -> str:
         return "<Frame %s: %d ops, %d guards, %d psis, %d live-in, %d live-out>" % (
             self.region.kind,
@@ -185,6 +178,7 @@ def build_frame(region: Region) -> Frame:
         for a, b in zip(order, order[1:]):
             prev_in_path[b] = a
 
+    earlier: Set[BasicBlock] = set()  # the blocks before ``block``
     for block in order:
         for phi in block.phis:
             if block is region.entry:
@@ -202,8 +196,10 @@ def build_frame(region: Region) -> Frame:
                 phi_resolution[phi] = val
                 cancelled += 1
                 continue
+            # an incoming from this block or a later one arrives over a
+            # back edge, which one invocation never takes
             in_region = [
-                (blk, val) for blk, val in phi.incoming if blk in block_set
+                (blk, val) for blk, val in phi.incoming if blk in earlier
             ]
             if len(in_region) == 1:
                 phi_resolution[phi] = in_region[0][1]
@@ -217,6 +213,7 @@ def build_frame(region: Region) -> Frame:
                 psi = PsiOp(phi=phi, predicate=predicate, options=in_region)
                 phi_resolution[phi] = psi
                 psis.append(psi)
+        earlier.add(block)
 
     # -- linearise -------------------------------------------------------------------
     ops: List[FrameOp] = []

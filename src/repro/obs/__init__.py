@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Iterable, Optional
 
 from . import events, export
 from .ledger import CHARGE_CLASSES, AttributionLedger
@@ -41,7 +40,6 @@ from .logconfig import logging_setup
 from .metrics import (
     Counter,
     Gauge,
-    Histogram,
     Metric,
     MetricTypeError,
     MetricsRegistry,
@@ -155,16 +153,6 @@ def gauge(name: str, value: float, semantic: bool = False,
     registry().gauge(name, help=help, semantic=semantic).set(value, **labels)
 
 
-def observe(name: str, value: float, semantic: bool = False, help: str = "",
-            buckets: Optional[Iterable[float]] = None, **labels) -> None:
-    """Record a histogram observation (no-op while disabled)."""
-    if not _ENABLED:
-        return
-    registry().histogram(
-        name, help=help, semantic=semantic, buckets=buckets
-    ).observe(value, **labels)
-
-
 def span(name: str, **labels):
     """Context manager timing one named stretch of work.
 
@@ -181,7 +169,6 @@ __all__ = [
     "CHARGE_CLASSES",
     "Counter",
     "Gauge",
-    "Histogram",
     "Metric",
     "MetricTypeError",
     "MetricsRegistry",
@@ -199,7 +186,6 @@ __all__ = [
     "ledger",
     "logging_setup",
     "merge",
-    "observe",
     "registry",
     "scoped",
     "set_registry",

@@ -73,12 +73,11 @@ def _prom_value_escape(value) -> str:
     )
 
 
-def _prom_labels(labels: dict, extra: Optional[List[str]] = None) -> str:
+def _prom_labels(labels: dict) -> str:
     parts = [
         '%s="%s"' % (_LABEL_RE.sub("_", k), _prom_value_escape(v))
         for k, v in sorted(labels.items())
     ]
-    parts.extend(extra or ())
     return "{%s}" % ",".join(parts) if parts else ""
 
 
@@ -113,35 +112,10 @@ def to_prometheus(source=None) -> str:
         lines.append("# TYPE %s %s" % (name, metric["kind"]))
         for series in sorted(metric.get("series", ()), key=_series_sort_key):
             labels = series.get("labels", {})
-            if metric["kind"] == "histogram":
-                buckets, total, count = series["value"]
-                bounds = list(metric.get("buckets", ()))
-                cumulative = 0
-                for bound, n in zip(bounds, buckets):
-                    cumulative += n
-                    lines.append(
-                        "%s_bucket%s %d"
-                        % (name, _prom_labels(labels, ['le="%g"' % bound]),
-                           cumulative)
-                    )
-                cumulative += buckets[-1] if len(buckets) > len(bounds) else 0
-                lines.append(
-                    "%s_bucket%s %d"
-                    % (name, _prom_labels(labels, ['le="+Inf"']), cumulative)
-                )
-                lines.append(
-                    "%s_sum%s %s" % (name, _prom_labels(labels),
-                                     _format_value(total))
-                )
-                lines.append(
-                    "%s_count%s %d" % (name, _prom_labels(labels), count)
-                )
-            else:
-                lines.append(
-                    "%s%s %s"
-                    % (name, _prom_labels(labels),
-                       _format_value(series["value"]))
-                )
+            lines.append(
+                "%s%s %s"
+                % (name, _prom_labels(labels), _format_value(series["value"]))
+            )
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -164,11 +138,7 @@ def render_metrics(source=None) -> str:
                 "%s=%s" % (k, v) for k, v in sorted(labels.items())
             )
             value = series["value"]
-            if metric["kind"] == "histogram":
-                value = "count=%d sum=%s" % (
-                    value[2], _format_value(value[1])
-                )
-            elif isinstance(value, float):
+            if isinstance(value, float):
                 value = "%.6g" % value
             rows.append(
                 ("%s%s" % (marker, metric["name"]), metric["kind"],

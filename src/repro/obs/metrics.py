@@ -1,13 +1,11 @@
 """Metric primitives and the registry they live in.
 
-Three metric kinds, all labelled:
+Two metric kinds, both labelled:
 
 * :class:`Counter` — monotonically accumulating totals (events, cycles,
   instructions).  Merging registries *adds* counter series.
 * :class:`Gauge` — point-in-time values (wall seconds, utilisation).
   Merging keeps the incoming value (last writer wins).
-* :class:`Histogram` — bucketed distributions with ``sum`` and ``count``.
-  Merging adds bucket contents.
 
 Each metric carries a ``semantic`` flag separating two determinism
 classes.  *Semantic* series are derived from pipeline result records and
@@ -25,19 +23,13 @@ back through the process pool, and the parent folds it in with
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .ledger import AttributionLedger
 from .spans import SpanNode
 
 #: canonical form of a label set: sorted (key, value-as-str) pairs
 LabelKey = Tuple[Tuple[str, str], ...]
-
-#: histogram bucket upper bounds used when none are supplied (seconds-ish
-#: scale, but dimensionless: callers pick their own unit)
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0,
-)
 
 
 def label_key(labels: Dict[str, object]) -> LabelKey:
@@ -74,10 +66,7 @@ class Metric:
             type(self).__name__, self.name, len(self.values)
         )
 
-    # -- snapshot / merge ---------------------------------------------------
-
-    def _snapshot_value(self, value) -> object:
-        return value
+    # -- merge --------------------------------------------------------------
 
     def _merge_value(self, key: LabelKey, value) -> None:
         raise NotImplementedError
@@ -114,64 +103,7 @@ class Gauge(Metric):
         self.values[key] = value
 
 
-class Histogram(Metric):
-    """Bucketed distribution; merge adds buckets, sums and counts.
-
-    Stored per label set as ``[bucket_counts, sum, count]`` where
-    ``bucket_counts[i]`` counts observations ``<= buckets[i]`` exclusive of
-    earlier buckets, plus one trailing overflow cell.
-    """
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        semantic: bool = False,
-        buckets: Optional[Iterable[float]] = None,
-    ):
-        super().__init__(name, help=help, semantic=semantic)
-        self.buckets: Tuple[float, ...] = tuple(
-            sorted(buckets if buckets is not None else DEFAULT_BUCKETS)
-        )
-
-    def observe(self, value: float, **labels) -> None:
-        key = label_key(labels)
-        state = self.values.get(key)
-        if state is None:
-            state = [[0] * (len(self.buckets) + 1), 0.0, 0]
-            self.values[key] = state
-        idx = len(self.buckets)  # overflow cell
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                idx = i
-                break
-        state[0][idx] += 1
-        state[1] += value
-        state[2] += 1
-
-    def stats(self, **labels) -> Optional[Dict[str, object]]:
-        state = self.values.get(label_key(labels))
-        if state is None:
-            return None
-        return {"buckets": list(state[0]), "sum": state[1], "count": state[2]}
-
-    def _snapshot_value(self, value) -> object:
-        return [list(value[0]), value[1], value[2]]
-
-    def _merge_value(self, key: LabelKey, value) -> None:
-        state = self.values.get(key)
-        if state is None:
-            self.values[key] = [list(value[0]), value[1], value[2]]
-            return
-        for i, n in enumerate(value[0]):
-            state[0][i] += n
-        state[1] += value[1]
-        state[2] += value[2]
-
-
-_KINDS = {cls.kind: cls for cls in (Counter, Gauge, Histogram)}
+_KINDS = {cls.kind: cls for cls in (Counter, Gauge)}
 
 
 class MetricsRegistry:
@@ -193,10 +125,10 @@ class MetricsRegistry:
 
     # -- metric access -----------------------------------------------------
 
-    def _get_or_create(self, cls, name: str, help: str, semantic: bool, **kw):
+    def _get_or_create(self, cls, name: str, help: str, semantic: bool):
         metric = self._metrics.get(name)
         if metric is None:
-            metric = cls(name, help=help, semantic=semantic, **kw)
+            metric = cls(name, help=help, semantic=semantic)
             self._metrics[name] = metric
         elif not isinstance(metric, cls):
             raise MetricTypeError(
@@ -210,17 +142,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, help: str = "", semantic: bool = False) -> Gauge:
         return self._get_or_create(Gauge, name, help, semantic)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        semantic: bool = False,
-        buckets: Optional[Iterable[float]] = None,
-    ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, help, semantic, buckets=buckets
-        )
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
@@ -265,24 +186,19 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """Plain-dict, picklable/JSON-able image of the registry."""
-        metrics = []
-        for metric in self.metrics():
-            entry = {
+        metrics = [
+            {
                 "name": metric.name,
                 "kind": metric.kind,
                 "help": metric.help,
                 "semantic": metric.semantic,
                 "series": [
-                    {
-                        "labels": dict(key),
-                        "value": metric._snapshot_value(value),
-                    }
+                    {"labels": dict(key), "value": value}
                     for key, value in metric.series()
                 ],
             }
-            if isinstance(metric, Histogram):
-                entry["buckets"] = list(metric.buckets)
-            metrics.append(entry)
+            for metric in self.metrics()
+        ]
         return {
             "metrics": metrics,
             "spans": [node.to_dict() for node in self.span_roots],
@@ -290,21 +206,17 @@ class MetricsRegistry:
         }
 
     def merge_snapshot(self, snapshot: dict) -> None:
-        """Fold a snapshot in: counters/histograms add, gauges overwrite,
+        """Fold a snapshot in: counters add, gauges overwrite,
         span trees attach under the innermost open span."""
         for entry in snapshot.get("metrics", ()):
             cls = _KINDS.get(entry.get("kind"))
             if cls is None:
                 continue
-            kw = {}
-            if cls is Histogram and entry.get("buckets"):
-                kw["buckets"] = entry["buckets"]
             metric = self._get_or_create(
                 cls,
                 entry["name"],
                 entry.get("help", ""),
                 bool(entry.get("semantic")),
-                **kw,
             )
             for series in entry.get("series", ()):
                 metric._merge_value(
@@ -330,7 +242,7 @@ class MetricsRegistry:
             if not metric.semantic:
                 continue
             for key, value in metric.series():
-                out.append((metric.name, key, metric._snapshot_value(value)))
+                out.append((metric.name, key, value))
         return out
 
     def __repr__(self) -> str:
@@ -340,10 +252,8 @@ class MetricsRegistry:
 
 
 __all__ = [
-    "DEFAULT_BUCKETS",
     "Counter",
     "Gauge",
-    "Histogram",
     "LabelKey",
     "Metric",
     "MetricTypeError",

@@ -5,9 +5,10 @@ block*.  The union of their blocks forms a single-entry single-exit acyclic
 region containing multiple flows of control: branches whose sides all stay
 inside the Braid become ordinary IFs (executed under non-speculative
 predication on the accelerator), while branches that can leave the region
-remain guards.  Coverage is the sum of the merged paths' coverages, and the
-live-in/out sets are unchanged because every merged path shares the entry
-and exit block.
+remain guards.  Coverage is the sum of the merged paths' coverages.  Every
+merged path shares the entry and exit block, so the braid's frame takes the
+live-ins its paths take; its live-outs can only shrink, as a merged arm no
+longer reads a value from outside the region.
 """
 
 from __future__ import annotations
@@ -123,8 +124,12 @@ def braid_table_row(fn: Function, braids: Sequence[Braid]) -> BraidTableRow:
     """Summarise a function's braids the way Table IV reports them."""
     if not braids:
         return BraidTableRow(fn.name, 0, 0.0, 0.0, 0, 0, 0, 0, 0)
+    # frames are built from regions, so the import waits for the call
+    from ..frames.frame import build_frame
+
     top = braids[0]
-    live_ins, live_outs = top.region.live_values()
+    # C7 counts what each invocation of the top braid's frame transfers
+    frame = build_frame(top.region)
     return BraidTableRow(
         function=fn.name,
         n_braids=len(braids),
@@ -133,8 +138,8 @@ def braid_table_row(fn: Function, braids: Sequence[Braid]) -> BraidTableRow:
         top_ops=top.region.op_count,
         top_guards=len(top.region.guard_branches()),
         top_ifs=len(top.region.internal_branches()),
-        live_ins=len(live_ins),
-        live_outs=len(live_outs),
+        live_ins=len(frame.live_ins),
+        live_outs=len(frame.live_outs),
     )
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..analysis.cfg import CFG
-from ..analysis.liveness import region_live_values
 from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import CondBranch
@@ -115,12 +114,6 @@ class Region:
                 if s not in self._block_set:
                     out.append((b, s))
         return out
-
-    # -- data transfer --------------------------------------------------------------
-
-    def live_values(self) -> Tuple[List, List]:
-        """(live-ins, live-outs) of the region (Table II:C5 / IV:C7)."""
-        return region_live_values(self.function, self.blocks)
 
     @property
     def coverage_per_op(self) -> float:

@@ -96,10 +96,7 @@ def _flatten_obs(data: dict, out: Dict[str, float]) -> None:
         for series in metric.get("series", ()):
             key = "%s{%s}" % (name, _labels_text(series.get("labels", {})))
             value = series.get("value")
-            if isinstance(value, (list, tuple)):  # histogram state
-                out[key + ".sum"] = float(value[1])
-                out[key + ".count"] = float(value[2])
-            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
                 out[key] = float(value)
     for entry in data.get("ledger", {}).get("entries", ()):
         key = "ledger{workload=%s,strategy=%s,region=%s,charge=%s}" % (

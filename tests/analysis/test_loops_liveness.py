@@ -1,9 +1,7 @@
 from repro.analysis import (
     CFG,
-    Liveness,
     LoopInfo,
     back_edges,
-    region_live_values,
 )
 
 
@@ -102,51 +100,3 @@ def test_nested_loops():
     assert li.innermost_loop_containing(ol) is outer
     assert li.innermost_loop_containing(ex) is None
     assert li.backward_branch_count == 2
-
-
-def test_liveness_diamond(diamond):
-    _, fn = diamond
-    lv = Liveness.compute(fn)
-    entry = fn.get_block("entry")
-    then = fn.get_block("then")
-    a = fn.arg("a")
-    b_ = fn.arg("b")
-    # both args are live into entry; 'a' is live into then
-    assert a in lv.live_in[entry] and b_ in lv.live_in[entry]
-    assert a in lv.live_in[then]
-    assert b_ not in lv.live_in[then]
-
-
-def test_liveness_loop_carried(counted_loop):
-    _, fn = counted_loop
-    lv = Liveness.compute(fn)
-    header = fn.get_block("header")
-    body = fn.get_block("body")
-    phis = header.phis
-    # loop-carried phis live around the loop: live out of body via edge use
-    for phi in phis:
-        assert phi in lv.live_in[body] or phi in lv.live_out[header]
-    n = fn.arg("n")
-    assert n in lv.live_in[header]
-
-
-def test_region_live_values(counted_loop):
-    _, fn = counted_loop
-    body = fn.get_block("body")
-    live_ins, live_outs = region_live_values(fn, [body])
-    names_in = {getattr(v, "name", "?") for v in live_ins}
-    assert "i" in names_in and "acc" in names_in
-    # i.next and acc.next feed header phis (outside region)
-    assert len(live_outs) == 2
-
-
-def test_region_live_values_whole_loop(counted_loop):
-    _, fn = counted_loop
-    header = fn.get_block("header")
-    body = fn.get_block("body")
-    live_ins, live_outs = region_live_values(fn, [header, body])
-    # n flows in; acc flows out (used by ret)
-    in_names = {getattr(v, "name", "?") for v in live_ins}
-    assert "n" in in_names
-    out_names = {getattr(v, "name", "?") for v in live_outs}
-    assert "acc" in out_names

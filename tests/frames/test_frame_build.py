@@ -1,8 +1,11 @@
 import pytest
 
-from repro.profiling import rank_paths
-from repro.regions import build_braids, path_to_region
+from repro.accel import CGRAScheduler
 from repro.frames import Frame, FrameBuildError, build_frame
+from repro.ir import I32, IRBuilder, Module, verify_function
+from repro.ir.instructions import Load, Store
+from repro.profiling import rank_paths
+from repro.regions import Region, build_braids, path_to_region
 from tests.regions.conftest import profile_function
 
 
@@ -124,16 +127,71 @@ def test_hoisted_op_count(profiled_loop_with_branch):
         assert frame.hoisted_op_count <= after
 
 
-def test_speculative_dfg(profiled_loop_with_branch):
-    m, fn, pp, frame = _hot_path_frame(profiled_loop_with_branch)
-    dfg = frame.speculative_dfg()
-    assert len(dfg) == sum(1 for o in frame.ops if o.kind == "op")
-    assert dfg.critical_path_length() >= 1
+def _straight_line_memory_frame():
+    """One block: store a -> buf[0]; x = load buf[1] + a; store x -> buf[1];
+    return x + load buf[0]."""
+    m = Module()
+    g = m.add_global("buf", I32, 8)
+    fn = m.add_function("f", [("a", I32)], I32)
+    b = IRBuilder(fn)
+    entry = b.add_block("entry")
+    b.set_block(entry)
+    a = fn.arg("a")
+    addr0 = b.gep(g, 0, 4)
+    addr1 = b.gep(g, 1, 4)
+    b.store(a, addr0)
+    x = b.add(b.load(I32, addr1), a)
+    b.store(x, addr1)
+    b.ret(b.add(x, b.load(I32, addr0)))
+    verify_function(fn)
+    region = Region(kind="bl-path", function=fn, blocks=[entry], entry=entry,
+                    exit=entry)
+    return build_frame(region)
+
+
+def test_speculative_dfg():
+    """§V: in the frame's speculative dataflow graph
+    (``CGRAScheduler._build_deps``) a load hoists above earlier stores;
+    stores commit in order, each after the undo-log read of the value it
+    overwrites."""
+    frame = _straight_line_memory_frame()
+    deps = CGRAScheduler()._build_deps(frame)
+    index = {id(fop.inst): i for i, fop in enumerate(frame.ops)
+             if fop.kind == "op"}
+    loads = [i for i, fop in enumerate(frame.ops)
+             if fop.kind == "op" and isinstance(fop.inst, Load)]
+    stores = [i for i, fop in enumerate(frame.ops)
+              if fop.kind == "op" and isinstance(fop.inst, Store)]
+    assert len(loads) == 2 and len(stores) == 2
+    # a load waits only for its address, never for a store
+    for i in loads:
+        assert deps[i] == [index[id(frame.ops[i].inst.address)]]
+    assert stores[0] < loads[0] and stores[1] < loads[1]
+    # each store depends on the previous store
+    assert stores[0] in deps[stores[1]]
+    # each store waits on its undo read, the op after it
+    for i in stores:
+        undo = frame.ops[i + 1]
+        assert undo.kind == "undo" and undo.inst is frame.ops[i].inst
+        assert i + 1 in deps[i]
+
+
+def test_braid_holding_its_back_edge_frames_one_iteration(counted_loop):
+    """A braid entering a loop from the function entry holds the loop's
+    back edge.  One invocation never takes it, so the header φs take
+    their value from the entry edge alone and the frame is acyclic."""
+    _, fn = counted_loop
+    entry, header, body = (fn.get_block(n) for n in ("entry", "header", "body"))
+    region = Region(kind="braid", function=fn, blocks=[entry, header, body],
+                    entry=entry, exit=body)
+    frame = build_frame(region)
+    assert frame.psis == [] and frame.cancelled_phis == 2
+    for phi in header.phis:
+        assert frame.phi_resolution[phi] is phi.incoming_for(entry)
+    assert CGRAScheduler().schedule(frame).cycles > 0
 
 
 def test_empty_region_rejected(diamond):
-    from repro.regions import Region
-
     _, fn = diamond
     region = Region(
         kind="bl-path", function=fn, blocks=[], entry=None, exit=None

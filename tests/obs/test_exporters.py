@@ -14,7 +14,6 @@ def _sample_registry() -> MetricsRegistry:
     c.inc(800, workload="470.lbm")
     reg.gauge("pipeline.evaluate_seconds",
               help="wall time").set(0.25, workload="dwt53")
-    reg.histogram("lat", buckets=(0.1, 1.0)).observe(0.05)
     return reg
 
 
@@ -23,12 +22,6 @@ GOLDEN_PROM = """\
 # TYPE interp_instructions_retired counter
 interp_instructions_retired{workload="470.lbm"} 800
 interp_instructions_retired{workload="dwt53"} 1200
-# TYPE lat histogram
-lat_bucket{le="0.1"} 1
-lat_bucket{le="1"} 1
-lat_bucket{le="+Inf"} 1
-lat_sum 0.05
-lat_count 1
 # HELP pipeline_evaluate_seconds wall time
 # TYPE pipeline_evaluate_seconds gauge
 pipeline_evaluate_seconds{workload="dwt53"} 0.25
@@ -72,7 +65,6 @@ def test_render_metrics_marks_semantic_and_aligns():
     text = export.render_metrics(_sample_registry())
     assert "*interp.instructions_retired" in text
     assert " pipeline.evaluate_seconds" in text
-    assert "count=1 sum=0.05" in text
     assert "* = semantic" in text
 
 

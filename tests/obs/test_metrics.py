@@ -5,7 +5,6 @@ import pytest
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricTypeError,
     MetricsRegistry,
     label_key,
@@ -43,17 +42,6 @@ def test_gauge_last_write_wins():
     assert g.value(run="x") == 7
 
 
-def test_histogram_buckets_and_sum():
-    reg = MetricsRegistry()
-    h = reg.histogram("lat", buckets=(1.0, 10.0))
-    for v in (0.5, 5.0, 50.0):
-        h.observe(v)
-    stats = h.stats()
-    assert stats["count"] == 3
-    assert stats["sum"] == pytest.approx(55.5)
-    assert stats["buckets"] == [1, 1, 1]  # <=1, <=10, overflow
-
-
 def test_kind_conflict_raises():
     reg = MetricsRegistry()
     reg.counter("x")
@@ -66,22 +54,19 @@ def test_get_or_create_returns_same_instance():
     assert reg.counter("x") is reg.counter("x")
 
 
-def test_snapshot_merge_adds_counters_and_histograms():
+def test_snapshot_merge_adds_counters_and_overwrites_gauges():
     a = MetricsRegistry()
     a.counter("n").inc(2, k="v")
-    a.histogram("h", buckets=(1.0,)).observe(0.5)
+    a.gauge("g").set(4)
 
     b = MetricsRegistry()
     b.counter("n").inc(3, k="v")
     b.counter("n").inc(1, k="w")
-    b.histogram("h", buckets=(1.0,)).observe(2.0)
     b.gauge("g").set(9)
 
     a.merge_snapshot(b.snapshot())
     assert a.counter("n").value(k="v") == 5
     assert a.counter("n").value(k="w") == 1
-    stats = a.histogram("h", buckets=(1.0,)).stats()
-    assert stats["count"] == 2 and stats["buckets"] == [1, 1]
     assert a.gauge("g").value() == 9
 
 
@@ -99,7 +84,7 @@ def test_snapshot_roundtrip_is_plain_data():
 
     reg = MetricsRegistry()
     reg.counter("n", semantic=True).inc(4, k="v")
-    reg.histogram("h").observe(0.01)
+    reg.gauge("g").set(0.01, k="v")
     snap = reg.snapshot()
     assert json.loads(json.dumps(snap)) == snap
 
@@ -119,4 +104,3 @@ def test_semantic_series_filters_operational_metrics():
 def test_metric_kinds():
     assert Counter.kind == "counter"
     assert Gauge.kind == "gauge"
-    assert Histogram.kind == "histogram"

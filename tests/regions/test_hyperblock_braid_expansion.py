@@ -93,21 +93,25 @@ def test_braid_coverage_is_sum_of_paths(profiled_anticorrelated):
 
 
 def test_braid_live_values_match_constituent_paths(profiled_anticorrelated):
-    """§IV-B: merging same-entry/exit paths leaves live-ins/outs unchanged."""
+    """§IV-B: merging same-entry/exit paths leaves the frame's live-ins
+    unchanged; its live-outs can only shrink, as a merged arm no longer
+    reads a value from outside the region."""
+    from repro.frames import build_frame
     from repro.regions import path_to_region
 
     m, fn, pp, ep = profiled_anticorrelated
     ranked = rank_paths(pp)
     braids = build_braids(fn, ranked)
     top = braids[0]
-    braid_ins, braid_outs = top.region.live_values()
-    # live-outs of the braid equal the union over constituent paths
-    path_outs = set()
-    for p in top.paths:
-        _, outs = path_to_region(fn, p).live_values()
-        path_outs |= set(outs)
-    assert set(braid_outs) <= path_outs | set(braid_outs)
-    assert len(braid_outs) <= len(path_outs) + 1
+    assert top.n_paths == 2
+    braid = build_frame(top.region)
+    paths = [build_frame(path_to_region(fn, p)) for p in top.paths]
+    for path in paths:
+        assert set(path.live_ins) == set(braid.live_ins)
+    path_outs = set().union(*(path.live_outs for path in paths))
+    assert set(braid.live_outs) < path_outs
+    # each path's untaken arm reads the merge φ ``mid`` outside its region
+    assert {v.name for v in path_outs - set(braid.live_outs)} == {"mid"}
 
 
 def test_braid_guards_vs_ifs(profiled_anticorrelated):

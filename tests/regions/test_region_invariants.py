@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import DominatorTree
 from repro.analysis.loops import back_edges
+from repro.frames import build_frame
 from repro.profiling import rank_paths
 from repro.regions import (
     Region,
@@ -76,5 +77,7 @@ def test_region_membership_and_metrics(diamond):
     assert region.op_count > 0
     assert region.phi_count == 1
     assert region.float_op_count == 0
-    ins, outs = region.live_values()
-    assert ins  # the args flow in
+    frame = build_frame(region)
+    # the args flow in; the return reads the merged value in-region
+    assert {v.name for v in frame.live_ins} == {"a", "b"}
+    assert frame.live_outs == []

@@ -112,35 +112,29 @@ def test_lbm_is_fp_flavoured_and_path_scarce():
     assert top.memory_op_count >= 25
 
 
-def test_gcc_has_no_ilp():
-    from repro.analysis import DataflowGraph
+def _top_path_ilp(name: str) -> float:
+    """Frame ops over the longest unit-latency chain of the top path
+    frame's dependence graph."""
+    from repro.accel.cgra import CGRAScheduler, list_schedule
+    from repro.frames import build_frame
+    from repro.regions import path_to_region
 
-    p = profile_workload(get("403.gcc"))
+    p = profile_workload(get(name))
     top = rank_paths(p.paths, limit=1)[0]
-    insts = [
-        i
-        for blk in top.blocks
-        for i in blk.instructions
-        if i.opcode != "phi" and not i.is_terminator
-    ]
-    dfg = DataflowGraph.build(insts)
+    frame = build_frame(path_to_region(p.function, top))
+    deps = CGRAScheduler()._build_deps(frame)
+    n = len(deps)
+    _start, finish, _order = list_schedule(deps, [1] * n, [()] * n, {})
+    return n / max(finish)
+
+
+def test_gcc_has_no_ilp():
     # serial chain: parallelism stays low
-    assert dfg.average_parallelism() < 3.0
+    assert _top_path_ilp("403.gcc") < 3.0
 
 
 def test_equake_has_wide_ilp():
-    from repro.analysis import DataflowGraph
-
-    p = profile_workload(get("183.equake"))
-    top = rank_paths(p.paths, limit=1)[0]
-    insts = [
-        i
-        for blk in top.blocks
-        for i in blk.instructions
-        if i.opcode != "phi" and not i.is_terminator
-    ]
-    dfg = DataflowGraph.build(insts, speculative_memory=True)
-    assert dfg.average_parallelism() > 4.0
+    assert _top_path_ilp("183.equake") > 4.0
 
 
 def test_expected_metadata_present():
