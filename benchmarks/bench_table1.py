@@ -4,6 +4,7 @@ Reproduces the four statistics: Branch=>Mem (memory ops control-dependent
 on a branch), Mem=>Branch (memory ops feeding a branch condition),
 predication bits for full if-conversion, and backward-branch counts,
 plus the hyperblock-vs-basic-block size ratio discussed in §II.
+``tests/claims/test_table1.py`` asserts the claims on these rows.
 """
 
 from repro.analysis import (
@@ -46,9 +47,3 @@ def test_table1_control_flow_characteristics(benchmark, analyses):
         title="Table I: control flow characteristics (hot function)",
     )
     save_result("table1", text)
-    # sanity: branch-dependent memory exists somewhere, every fn has a loop
-    assert any(r[1] > 0 for r in rows)
-    assert all(r[4] >= 1 for r in rows)
-    # hyperblocks enlarge blocks but modestly (paper: ~2.2x typical)
-    ratios = [r[5] for r in rows]
-    assert sum(ratios) / len(ratios) > 1.5

@@ -2,6 +2,7 @@
 
 C1 executed paths, C2 top-5 coverage, C3 instructions, C4 branches,
 C5 live in/out values, C6 cancelled phis, C7 memory ops, C8 overlap.
+``tests/claims/test_table2.py`` asserts the claims on these rows.
 """
 
 from repro.profiling import path_overlap_count
@@ -53,14 +54,3 @@ def test_table2_path_characteristics(benchmark, analyses):
         title="Table II: BL path characteristics (top five paths)",
     )
     save_result("table2", text)
-
-    by_name = {r[0]: r for r in rows}
-    # path-diffuse workloads have (relatively) many executed paths
-    assert by_name["458.sjeng"][1] > 10 * by_name["470.lbm"][1]
-    # lbm's paths are the big straight-line FP bodies
-    assert by_name["470.lbm"][3] > 200
-    # blackscholes paths cross many branches but carry ~no memory ops
-    assert by_name["blackscholes"][4] >= 15
-    assert by_name["blackscholes"][7] <= 2
-    # every workload cancels at least the entry phis
-    assert all(r[6] >= 0 for r in rows)

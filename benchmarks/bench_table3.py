@@ -2,7 +2,8 @@
 
 For each workload: how biased is the hottest path's successor in the path
 trace, does the same path repeat (2x unroll opportunity), and how much does
-chaining grow the offload unit.
+chaining grow the offload unit.  ``tests/claims/test_table3.py`` asserts
+the claims on these rows.
 """
 
 from collections import defaultdict
@@ -44,15 +45,3 @@ def test_table3_target_expansion(benchmark, analyses):
         for b, ws in sorted(buckets.items(), reverse=True)
     )
     save_result("table3", text + "\n\nBucket summary\n" + summary)
-
-    # paper: 15/29 workloads in the 90-100% bucket; ours should have a
-    # comfortable majority of strongly-biased successors
-    assert len(buckets["90-100%"]) >= 10
-    # and a non-trivial <70% population (gzip/crafty/sjeng-style)
-    assert len(buckets["<70%"]) >= 3
-    # most workloads repeat the same path (paper: 17/29)
-    same = sum(1 for r in rows if r[3] == "same")
-    assert same >= 10
-    # expansion grows the offload unit (paper: +72% average)
-    growth = [r[4] for r in rows]
-    assert sum(growth) / len(growth) > 1.3

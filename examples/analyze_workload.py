@@ -9,8 +9,8 @@ import argparse
 import sys
 
 from repro import PipelineOptions, workloads
-from repro.analysis import branch_memory_stats, predication_stats
-from repro.profiling import PathTraceAnalysis, path_overlap_count
+from repro.analysis import LoopInfo, branch_memory_stats, predication_stats
+from repro.profiling import path_overlap_count
 from repro.regions import summarise_expansion
 
 
@@ -53,7 +53,7 @@ def main(argv=None):
     print("Branch=>Mem         : %.1f    Mem=>Branch: %.1f"
           % (bm.avg_mem_dependent_on_branch, bm.avg_mem_branch_depends_on))
     print("predication bits    : %d forward, %d backward branches"
-          % (pred.forward_branches, pred.backward_branches))
+          % (pred.forward_branches, LoopInfo.compute(fn).backward_branch_count))
 
     print("\ntop paths by Pwt:")
     for p in analysis.ranked[: args.top]:
@@ -64,7 +64,6 @@ def main(argv=None):
           % path_overlap_count(analysis.ranked))
 
     exp = summarise_expansion(profile, analysis.ranked)
-    trace = PathTraceAnalysis(profile.trace)
     print("successor bias      : %.0f%% (%s, %s path next) -> x%.2f ops"
           % (exp.bias * 100, exp.bias_bucket,
              "same" if exp.repeats_same_path else "different",
@@ -77,7 +76,7 @@ def main(argv=None):
             continue
         print("%s frame: %d ops (%d guards, %d psi, %d undo-log, %d hoisted)"
               % (label, frame.op_count, frame.guard_count, len(frame.psis),
-                 frame.undo_log_ops, frame.hoisted_op_count))
+                 frame.store_count, frame.hoisted_op_count))
         print("    live-ins %d, live-outs %d, cancelled phis %d"
               % (len(frame.live_ins), len(frame.live_outs),
                  frame.cancelled_phis))

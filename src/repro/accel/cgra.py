@@ -99,6 +99,19 @@ def _operands(fop: FrameOp) -> list:
     return []
 
 
+def _chase(frame: Frame, value):
+    """Follow ``value`` through the frame's φ resolution to where it ends:
+    a non-φ value, a ψ, a live-in φ, or None for an unresolved φ."""
+    seen = 0
+    while isinstance(value, Phi) and seen < 64:
+        res = frame.phi_resolution.get(value)
+        if res == "live-in" or res is None or isinstance(res, PsiOp):
+            return value if res == "live-in" else res
+        value = res
+        seen += 1
+    return value
+
+
 def _frontier(chains: List[Chain]) -> Tuple[Chain, ...]:
     """The chains no other chain dominates componentwise, ascending.
 
@@ -229,23 +242,16 @@ class CGRAScheduler:
         depends on its store's address.  Only instructions can be
         producers, so constant operands are never looked up.
         """
-
-        def resolve(value) -> Optional[int]:
-            seen = 0
-            while isinstance(value, Phi) and seen < 64:
-                res = frame.phi_resolution.get(value)
-                if isinstance(res, PsiOp):
-                    return psi_index.get(id(res))
-                if res == "live-in" or res is None:
-                    return None
-                value = res
-                seen += 1
-            return producer.get(value) if isinstance(value, Instruction) else None
-
         # each resolved φ maps, once, to the op producing its value
         index = dict(producer)
         for phi in frame.phi_resolution:
-            index[phi] = resolve(phi)
+            end = _chase(frame, phi)
+            if isinstance(end, PsiOp):
+                index[phi] = psi_index.get(id(end))
+            elif isinstance(end, Instruction):
+                index[phi] = producer.get(end)
+            else:
+                index[phi] = None
         deps: List[List[int]] = []
         backward = True
         for i, fop in enumerate(frame.ops):
@@ -306,17 +312,6 @@ class CGRAScheduler:
 
     # -- loop-carried recurrence ---------------------------------------------------
 
-    def _chase(self, frame: Frame, value):
-        """Follow φ-resolution chains to the terminal value."""
-        seen = 0
-        while isinstance(value, Phi) and seen < 64:
-            res = frame.phi_resolution.get(value)
-            if res == "live-in" or res is None or isinstance(res, PsiOp):
-                return value if res == "live-in" else res
-            value = res
-            seen += 1
-        return value
-
     def recurrence_summary(
         self,
         frame: Frame,
@@ -349,7 +344,7 @@ class CGRAScheduler:
         ops = frame.ops
         summary: List[Chain] = []
         for phi, def_value in loop_carried:
-            def_chased = self._chase(frame, def_value)
+            def_chased = _chase(frame, def_value)
             if isinstance(def_chased, PsiOp):
                 def_chased = def_chased.phi
             if not isinstance(def_chased, Instruction):
@@ -373,7 +368,7 @@ class CGRAScheduler:
             # identity, so none is hashed
             aliases = {
                 id(v) for v in frame.phi_resolution
-                if self._chase(frame, v) is phi
+                if _chase(frame, v) is phi
             }
             # longest chains from a consumer of the φ to each reached op;
             # in ascending order every earlier dependence is settled first

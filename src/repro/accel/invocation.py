@@ -60,14 +60,33 @@ class HistoryPredictor:
 
 @dataclass
 class PredictorEvaluation:
-    """Invocation decisions over a path trace, with accuracy statistics."""
+    """Invocation decisions over a path trace, with accuracy statistics.
+
+    :func:`evaluate_predictor` fills ``decisions`` and ``outcomes``, one
+    entry per event; :func:`evaluate_predictor_runs` fills ``segments``,
+    (pid, invoke, length) runs that partition the trace in order, within
+    which the path id and the decision are constant.  Both count the same
+    four integers, and the trace-kernel property tests hold them equal.
+    """
 
     decisions: List[bool] = field(default_factory=list)  # invoke at step k?
     outcomes: List[bool] = field(default_factory=list)  # was path k offloadable?
+    segments: List[Tuple[int, bool, int]] = field(default_factory=list)
     true_positives: int = 0
     false_positives: int = 0
     true_negatives: int = 0
     false_negatives: int = 0
+
+    def count(self, invoke: bool, offloadable: bool, n: int = 1) -> None:
+        """Add ``n`` decisions of one kind to the confusion counts."""
+        if invoke and offloadable:
+            self.true_positives += n
+        elif invoke:
+            self.false_positives += n
+        elif offloadable:
+            self.false_negatives += n
+        else:
+            self.true_negatives += n
 
     @property
     def precision(self) -> float:
@@ -104,49 +123,10 @@ def evaluate_predictor(
         offloadable = pid in target_paths
         ev.decisions.append(invoke)
         ev.outcomes.append(offloadable)
-        if invoke and offloadable:
-            ev.true_positives += 1
-        elif invoke:
-            ev.false_positives += 1
-        elif offloadable:
-            ev.false_negatives += 1
-        else:
-            ev.true_negatives += 1
+        ev.count(invoke, offloadable)
         predictor.update(key, offloadable)
         history.append(pid)
     return ev
-
-
-@dataclass
-class RunPredictorEvaluation:
-    """Run-level invocation decisions: (pid, invoke, length) segments.
-
-    The segments partition the trace in order; within a segment the path
-    id and the predictor's decision are constant, so downstream
-    accounting folds each segment in closed form.  The accuracy census
-    carries the same four integers as :class:`PredictorEvaluation` and
-    must match it exactly (the trace-kernel property tests enforce this).
-    """
-
-    segments: List[Tuple[int, bool, int]] = field(default_factory=list)
-    true_positives: int = 0
-    false_positives: int = 0
-    true_negatives: int = 0
-    false_negatives: int = 0
-
-    @property
-    def precision(self) -> float:
-        d = self.true_positives + self.false_positives
-        return self.true_positives / d if d else 1.0
-
-    @property
-    def recall(self) -> float:
-        d = self.true_positives + self.false_negatives
-        return self.true_positives / d if d else 0.0
-
-    @property
-    def invocations(self) -> int:
-        return self.true_positives + self.false_positives
 
 
 #: constant-key predictor updates needed to saturate a 2-bit counter from
@@ -160,7 +140,7 @@ def evaluate_predictor_runs(
     target_paths: Set[int],
     predictor,
     history_length: int = 3,
-) -> RunPredictorEvaluation:
+) -> PredictorEvaluation:
     """Replay a *run-length encoded* path trace through a predictor.
 
     Exactly equivalent to :func:`evaluate_predictor` over the expanded
@@ -176,20 +156,10 @@ def evaluate_predictor_runs(
     saturating state — both :class:`OraclePredictor` (stateless) and
     :class:`HistoryPredictor` qualify.
     """
-    ev = RunPredictorEvaluation()
+    ev = PredictorEvaluation()
     segments = ev.segments
     history: deque = deque(maxlen=history_length)
     explicit_cap = history_length + _SATURATION_STEPS
-
-    def account(invoke: bool, offloadable: bool, n: int) -> None:
-        if invoke and offloadable:
-            ev.true_positives += n
-        elif invoke:
-            ev.false_positives += n
-        elif offloadable:
-            ev.false_negatives += n
-        else:
-            ev.true_negatives += n
 
     def emit(pid: int, invoke: bool, n: int) -> None:
         if segments and segments[-1][0] == pid and segments[-1][1] == invoke:
@@ -203,7 +173,7 @@ def evaluate_predictor_runs(
         for _ in range(explicit):
             key = tuple(history)
             invoke = predictor.predict(key, pid)
-            account(invoke, offloadable, 1)
+            ev.count(invoke, offloadable)
             emit(pid, invoke, 1)
             predictor.update(key, offloadable)
             history.append(pid)
@@ -212,6 +182,6 @@ def evaluate_predictor_runs(
             # history is pinned at (pid,)*history_length and the counter
             # is saturated: decision constant, updates no-ops
             invoke = predictor.predict(tuple(history), pid)
-            account(invoke, offloadable, tail)
+            ev.count(invoke, offloadable, tail)
             emit(pid, invoke, tail)
     return ev

@@ -25,7 +25,6 @@ class PredicationStats:
 
     function: str
     forward_branches: int  # == predication bits to if-convert fully
-    backward_branches: int  # loop back edges
     total_cond_branches: int
 
 
@@ -33,30 +32,25 @@ def predication_stats(fn: Function) -> PredicationStats:
     """Count predication bits needed to if-convert ``fn``.
 
     Every forward conditional branch needs one predicate bit; loop-back
-    branches cannot be predicated away and are reported separately
-    (Table I "Loops").
+    branches cannot be predicated away.  Table I's backward-branch count
+    is :attr:`LoopInfo.backward_branch_count`.
     """
     cfg = CFG(fn)
     dom = DominatorTree.compute(cfg)
     backs = {(u, v) for u, v in back_edges(cfg, dom)}
 
     forward = 0
-    backward = 0
     total = 0
     for block in cfg.blocks:
         term = block.terminator
         if not isinstance(term, CondBranch):
             continue
         total += 1
-        is_back = any((block, succ) in backs for succ in cfg.succs(block))
-        if is_back:
-            backward += 1
-        else:
+        if not any((block, succ) in backs for succ in cfg.succs(block)):
             forward += 1
     return PredicationStats(
         function=fn.name,
         forward_branches=forward,
-        backward_branches=backward,
         total_cond_branches=total,
     )
 

@@ -98,8 +98,16 @@ def _finish_metrics(
     opts: PipelineOptions,
     pipeline: Optional[NeedlePipeline] = None,
     names: Optional[List[str]] = None,
+    tracks: Optional[dict] = None,
+    render: bool = True,
 ) -> None:
-    """Emit whatever metrics/timeline output the run asked for."""
+    """Emit whatever metrics/timeline output the run asked for.
+
+    ``tracks`` are simulated timelines the command already replayed; when
+    None, ``--timeline-out`` replays them here.  ``render=False`` leaves
+    out the ``--metrics`` table, for a command that printed the metrics
+    itself.
+    """
     if opts.metrics_out is not None:
         with open(opts.metrics_out, "w") as fh:
             fh.write(obs_export.to_json(None))
@@ -107,9 +115,10 @@ def _finish_metrics(
         obs_timeline.write_chrome_trace(
             opts.timeline_out,
             span_roots=obs.registry().span_roots,
-            sim_tracks=_sim_tracks(pipeline, names),
+            sim_tracks=(_sim_tracks(pipeline, names) if tracks is None
+                        else tracks),
         )
-    if opts.metrics:
+    if render and opts.metrics:
         print()
         print(obs_export.render_metrics(None))
 
@@ -291,15 +300,7 @@ def _cmd_metrics(args) -> int:
         print(obs_export.to_prometheus(None))
     else:
         print(obs_export.render_metrics(None))
-    if opts.metrics_out is not None:
-        with open(opts.metrics_out, "w") as fh:
-            fh.write(obs_export.to_json(None))
-    if opts.timeline_out is not None:
-        obs_timeline.write_chrome_trace(
-            opts.timeline_out,
-            span_roots=obs.registry().span_roots,
-            sim_tracks=_sim_tracks(pipeline, names),
-        )
+    _finish_metrics(opts, pipeline, names, render=False)
     return 0
 
 
@@ -361,15 +362,7 @@ def _cmd_trace(args) -> int:
                   file=sys.stderr)
             return 1
         print(obs_export.render_trace(None))
-    if opts.metrics_out is not None:
-        with open(opts.metrics_out, "w") as fh:
-            fh.write(obs_export.to_json(None))
-    if opts.timeline_out is not None:
-        if tracks is None:
-            tracks = _sim_tracks(pipeline, names)
-        obs_timeline.write_chrome_trace(
-            opts.timeline_out, span_roots=roots, sim_tracks=tracks,
-        )
+    _finish_metrics(opts, pipeline, names, tracks, render=False)
     return 0
 
 

@@ -20,11 +20,10 @@ cost one flag test each when no plan is installed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..interp.interpreter import binop_fn, compare_fn
+from ..interp.interpreter import binop_fn, compare_fn, unop_fn
 from ..interp.memory import Memory
 from ..obs import counter as _obs_counter, enabled as _obs_enabled
 from ..ir.block import BasicBlock
@@ -311,7 +310,9 @@ class FrameExecutor:
             c = self._eval(inst.operands[0], env)
             env[inst] = self._eval(inst.operands[1 if c else 2], env)
         elif isinstance(inst, UnaryOp):
-            env[inst] = self._eval_unop(inst, env)
+            a = inst.operands[0]
+            env[inst] = unop_fn(inst.opcode, a.type, inst.type)(
+                self._eval(a, env))
         elif isinstance(inst, Alloca):
             env[inst] = self.memory.alloc(inst.size_bytes)
         elif isinstance(inst, Call):
@@ -351,21 +352,3 @@ class FrameExecutor:
             raise FrameExecutionError(
                 "value %%%s not available in frame" % getattr(value, "name", "?")
             ) from None
-
-    def _eval_unop(self, inst: UnaryOp, env):
-        a = self._eval(inst.operands[0], env)
-        op = inst.opcode
-        if op == "fneg":
-            return -a
-        if op == "fabs":
-            return abs(a)
-        if op == "fsqrt":
-            return math.sqrt(a) if a >= 0 else float("nan")
-        if op == "sitofp":
-            return float(a)
-        if op == "fptosi":
-            return inst.type.wrap(int(a))
-        if op == "zext":
-            src_bits = inst.operands[0].type.bits
-            return inst.type.wrap(a & ((1 << src_bits) - 1))
-        return inst.type.wrap(a)  # sext / trunc

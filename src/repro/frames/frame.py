@@ -98,7 +98,7 @@ class Frame:
     guards: List[Guard]
     psis: List[PsiOp]
     cancelled_phis: int
-    store_count: int
+    store_count: int  # each store has one undo-log op
     #: mapping from original φ to its frame replacement (Value or PsiOp)
     phi_resolution: Dict[Phi, object] = field(default_factory=dict)
 
@@ -123,10 +123,6 @@ class Frame:
     @property
     def compute_op_count(self) -> int:
         return sum(1 for o in self.ops if o.kind in ("op", "psi"))
-
-    @property
-    def undo_log_ops(self) -> int:
-        return sum(1 for o in self.ops if o.kind == "undo")
 
     @property
     def guard_count(self) -> int:

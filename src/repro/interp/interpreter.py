@@ -24,10 +24,11 @@ cells directly, calling :meth:`Memory.read`/:meth:`Memory.write` only when
 a check fails.  The dispatch loop records each block, charges its
 instruction count against the fuel, and calls its function.
 
-Each binary opcode's and comparison's semantics is stated once, as an
-expression template in :data:`_BINOP_EXPR` and :data:`_CMP_EXPR`: the
-generator emits from it, and :func:`binop_fn`/:func:`compare_fn` build
-the callables the frame executor and the constant folder evaluate with.
+Each opcode's semantics is stated once, as an expression template in
+:data:`_BINOP_EXPR`, :data:`_CMP_EXPR` and :data:`_UNOP_EXPR`: the
+generator emits from it, and :func:`binop_fn`/:func:`compare_fn`/
+:func:`unop_fn` build the callables the frame executor and the constant
+folder evaluate with.
 """
 
 from __future__ import annotations
@@ -143,6 +144,21 @@ _CMP_EXPR = {
     ("fcmp", "oge"): "{a} >= {b}",
 }
 
+#: Each unary opcode's and cast's semantics, once: a Python expression
+#: over the operand ``{a}`` (an atom) and, for ``zext``, the source type's
+#: bit mask ``{m}``.  A float result is the expression itself; an integer
+#: or pointer result gets the result type's wrap around it.
+_UNOP_EXPR = {
+    "fneg": "-{a}",
+    "fabs": "abs({a})",
+    "fsqrt": "_sqrt({a}) if {a} >= 0 else float('nan')",
+    "sitofp": "float({a})",
+    "fptosi": "int({a})",
+    "zext": "({a} & {m})",
+    "sext": "int({a})",
+    "trunc": "int({a})",
+}
+
 #: the helpers and constants the templates and generated code refer to
 _RUNTIME = {
     "_sdiv": _sdiv,
@@ -158,6 +174,27 @@ def _binop_source(opcode: str, type_: Type, a: str, b: str) -> str:
     return _BINOP_EXPR[opcode].format(a=a, b=b, m=(1 << type_.bits) - 1)
 
 
+def _wrap_source(type_: Type, expr: str, coerce: bool = True) -> str:
+    """``type_.wrap(expr)`` inlined, for a non-void ``type_``.
+    ``coerce=False`` leaves out the ``int()`` of an integer or pointer
+    wrap."""
+    if type_.is_float:
+        return "float(%s)" % expr
+    if coerce:
+        expr = "int(%s)" % expr
+    if type_.is_ptr:
+        return "(%s & %d)" % (expr, _U64)
+    if type_.bits == 1:
+        return "(%s & 1)" % expr
+    sign = 1 << (type_.bits - 1)
+    return "(((%s & %d) ^ %d) - %d)" % (expr, 2 * sign - 1, sign, sign)
+
+
+def _unop_source(opcode: str, src: Type, dst: Type, a: str) -> str:
+    expr = _UNOP_EXPR[opcode].format(a=a, m=(1 << src.bits) - 1)
+    return expr if dst.is_float else _wrap_source(dst, expr, coerce=False)
+
+
 @lru_cache(maxsize=None)
 def binop_fn(opcode: str, type_: Type):
     """``(a, b) -> unwrapped result`` of a binary opcode at ``type_``,
@@ -171,6 +208,14 @@ def compare_fn(opcode: str, predicate: str):
     """``(a, b) -> bool`` of a comparison, built from its template."""
     return eval("lambda a, b: " + _CMP_EXPR[opcode, predicate].format(
         a="a", b="b"), dict(_RUNTIME))
+
+
+@lru_cache(maxsize=None)
+def unop_fn(opcode: str, src: Type, dst: Type):
+    """``a -> result`` of a unary opcode or cast from ``src`` to ``dst``,
+    built from its template, the result type's wrap included."""
+    return eval("lambda a: " + _unop_source(opcode, src, dst, "a"),
+                dict(_RUNTIME))
 
 
 def _ignore(item) -> None:
@@ -326,20 +371,10 @@ class _FunctionSource:
             self._emit("env[%d] = %s" % (self.slots[inst], name))
 
     def _wrap(self, type_: Type, expr: str, coerce: bool = True) -> str:
-        """``type_.wrap(expr)``, inlined.  ``coerce=False`` leaves out the
-        ``int()`` of an integer or pointer wrap."""
-        if type_.is_float:
-            return "float(%s)" % expr
-        if not (type_.is_ptr or type_.is_int):  # void: wrap raises
+        """:func:`_wrap_source`, or a call that raises for void."""
+        if type_.is_void:
             return "%s.wrap(%s)" % (self.bind(type_, "T"), expr)
-        if coerce:
-            expr = "int(%s)" % expr
-        if type_.is_ptr:
-            return "(%s & %d)" % (expr, _U64)
-        if type_.bits == 1:
-            return "(%s & 1)" % expr
-        sign = 1 << (type_.bits - 1)
-        return "(((%s & %d) ^ %d) - %d)" % (expr, 2 * sign - 1, sign, sign)
+        return _wrap_source(type_, expr, coerce)
 
     def _block(self, block: BasicBlock) -> None:
         for inst in self.body[block]:
@@ -400,7 +435,9 @@ class _FunctionSource:
                 self.ref(inst.operands[1], hoist=False), cond,
                 self.ref(inst.operands[2], hoist=False)))
         elif isinstance(inst, UnaryOp):
-            self._define(inst, self._unary(inst))
+            a = inst.operands[0]
+            self._define(inst, _unop_source(
+                inst.opcode, a.type, inst.type, self.ref(a)))
         elif isinstance(inst, Alloca):
             self._define(inst, "_alloc(%d)" % inst.size_bytes)
         elif isinstance(inst, Call):
@@ -412,24 +449,6 @@ class _FunctionSource:
                 self._define(inst, call)
         else:  # pragma: no cover - inventory is closed
             self._emit("raise _IE(%r)" % ("cannot execute opcode %r" % inst.opcode))
-
-    def _unary(self, inst: UnaryOp) -> str:
-        a = self.ref(inst.operands[0])
-        op = inst.opcode
-        if op == "fneg":
-            return "-%s" % a
-        if op == "fabs":
-            return "abs(%s)" % a
-        if op == "fsqrt":
-            return "_sqrt(%s) if %s >= 0 else float('nan')" % (a, a)
-        if op == "sitofp":
-            return "float(%s)" % a
-        if op == "fptosi":
-            return self._wrap(inst.type, "int(%s)" % a, coerce=False)
-        if op == "zext":
-            mask = (1 << inst.operands[0].type.bits) - 1
-            return self._wrap(inst.type, "(%s & %d)" % (a, mask), coerce=False)
-        return self._wrap(inst.type, a)  # sext / trunc
 
     def _terminator(self, block: BasicBlock, inst) -> None:
         if isinstance(inst, CondBranch):

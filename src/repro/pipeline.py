@@ -387,7 +387,6 @@ class NeedlePipeline:
                 analysis.braid_frame,
                 "oracle",
                 profiled.trace,
-                coverage=analysis.top_braid.coverage,
             )
 
         hls = None

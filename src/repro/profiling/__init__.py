@@ -12,7 +12,6 @@ from .edge_profile import EdgeProfile
 from .ranking import (
     RankedPath,
     count_ops,
-    function_weight,
     latency_weight,
     path_overlap_count,
     rank_paths,
@@ -38,7 +37,6 @@ __all__ = [
     "SuccessorStats",
     "compare_frequency_vs_sampling",
     "count_ops",
-    "function_weight",
     "latency_weight",
     "path_overlap_count",
     "rank_paths",

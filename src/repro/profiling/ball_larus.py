@@ -192,17 +192,6 @@ class BallLarusNumbering:
         path_id += self.edge_value(prev, EXIT)
         return path_id
 
-    def path_instruction_count(self, path_id: int, include_phis: bool = False) -> int:
-        """Static instruction count along a path (φs excluded by default)."""
-        blocks = self.decode(path_id)
-        total = 0
-        for b in blocks:
-            for inst in b.instructions:
-                if inst.opcode == "phi" and not include_phis:
-                    continue
-                total += 1
-        return total
-
     def __repr__(self) -> str:
         return "<BallLarusNumbering %s: %d static paths>" % (
             self.function.name,

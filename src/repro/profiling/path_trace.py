@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 
 @dataclass
@@ -48,33 +48,3 @@ class PathTraceAnalysis:
             return SuccessorStats(path_id, 0, None, 0)
         best, count = hist.most_common(1)[0]
         return SuccessorStats(path_id, total, best, count)
-
-    def successors_of(self, path_id: int) -> List[Tuple[int, int]]:
-        return self._succ.get(path_id, Counter()).most_common()
-
-    def sequence_bias_bucket(self, path_id: int) -> str:
-        """Table III bucket of the path's successor bias."""
-        bias = self.successor_stats(path_id).bias
-        if bias >= 0.9:
-            return "90-100%"
-        if bias >= 0.7:
-            return "70-90%"
-        return "<70%"
-
-    def repetition_run_lengths(self, path_id: int) -> List[int]:
-        """Lengths of consecutive runs of ``path_id`` in the trace."""
-        runs: List[int] = []
-        run = 0
-        for pid in self.trace:
-            if pid == path_id:
-                run += 1
-            elif run:
-                runs.append(run)
-                run = 0
-        if run:
-            runs.append(run)
-        return runs
-
-    def average_run_length(self, path_id: int) -> float:
-        runs = self.repetition_run_lengths(path_id)
-        return sum(runs) / len(runs) if runs else 0.0

@@ -120,14 +120,6 @@ def rank_paths(
     return result
 
 
-def function_weight(profile: PathProfile) -> int:
-    """Fwt: the sum of all path weights in the function."""
-    return sum(
-        freq * count_ops(profile.decode(pid))
-        for pid, freq in profile.counts.items()
-    )
-
-
 def top_k_coverage(profile: PathProfile, k: int = 5) -> List[float]:
     """Coverage fractions of the top-``k`` paths (Fig. 6 stacks)."""
     return [p.coverage for p in rank_paths(profile, limit=k)]

@@ -2,12 +2,7 @@
 baselines, Braids, and back-edge target expansion."""
 
 from .region import Region, order_blocks_topologically
-from .path_region import (
-    cancelled_phi_count,
-    path_guard_count,
-    path_region_is_valid,
-    path_to_region,
-)
+from .path_region import path_to_region
 from .superblock import (
     SuperblockDiagnosis,
     build_superblock,
@@ -49,14 +44,11 @@ __all__ = [
     "build_hyperblock",
     "build_loop_hyperblock",
     "build_superblock",
-    "cancelled_phi_count",
     "diagnose_superblock",
     "expand_path",
     "hottest_innermost_loop",
     "hyperblock_cold_stats",
     "order_blocks_topologically",
-    "path_guard_count",
-    "path_region_is_valid",
     "path_to_region",
     "summarise_expansion",
     "superblock_is_feasible",

@@ -68,21 +68,13 @@ def expand_path(
     """
     analysis = trace_analysis or PathTraceAnalysis(profile.trace)
     stats = analysis.successor_stats(ranked.path_id)
-    if stats.best_successor is None or stats.bias < min_bias:
-        return ExpandedPath(
-            base=ranked,
-            successor_id=stats.best_successor,
-            successor_blocks=[],
-            bias=stats.bias,
-            repeats_same_path=bool(stats.repeats_itself),
-        )
-    succ_blocks = profile.decode(stats.best_successor)
+    expand = stats.best_successor is not None and stats.bias >= min_bias
     return ExpandedPath(
         base=ranked,
         successor_id=stats.best_successor,
-        successor_blocks=succ_blocks,
+        successor_blocks=profile.decode(stats.best_successor) if expand else [],
         bias=stats.bias,
-        repeats_same_path=stats.best_successor == ranked.path_id,
+        repeats_same_path=stats.repeats_itself,
     )
 
 

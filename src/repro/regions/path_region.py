@@ -7,8 +7,6 @@ from the path at runtime triggers a guard failure and rollback to the host.
 
 from __future__ import annotations
 
-
-from ..ir.instructions import CondBranch
 from ..profiling.ranking import RankedPath
 from .region import Region
 
@@ -26,40 +24,3 @@ def path_to_region(fn, ranked_path: RankedPath) -> Region:
         source_paths=[ranked_path.path_id],
         frequency=ranked_path.freq,
     )
-
-
-def path_guard_count(region: Region) -> int:
-    """Number of guards a BL-path frame needs: every conditional branch on
-    the path whose *other* side leaves the path.
-
-    For a pure path this is every conditional branch traversed, except ones
-    whose both targets fall on the path (rare, e.g. ``condbr %c, B, B``).
-    """
-    count = 0
-    for i, block in enumerate(region.blocks[:-1]):
-        term = block.terminator
-        if not isinstance(term, CondBranch):
-            continue
-        nxt = region.blocks[i + 1]
-        if any(succ is not nxt for succ in term.successors):
-            count += 1
-    return count
-
-
-def cancelled_phi_count(region: Region) -> int:
-    """φ-nodes that become trivial once the region pins control flow.
-
-    Along a single path each φ has exactly one live incoming edge, so every
-    φ in a non-entry position cancels (Table II:C6).  For the entry block,
-    φs still cancel because the path fixes the incoming edge (the previous
-    path block or the host-side entry).
-    """
-    return region.phi_count
-
-
-def path_region_is_valid(region: Region) -> bool:
-    """Check the single-flow invariant: consecutive blocks are CFG-linked."""
-    for a, b in zip(region.blocks, region.blocks[1:]):
-        if b not in a.successors:
-            return False
-    return True

@@ -18,6 +18,7 @@ from ..analysis.cfg import CFG
 from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import CondBranch
+from ..profiling.ranking import count_ops
 
 
 @dataclass
@@ -50,29 +51,11 @@ class Region:
     @property
     def op_count(self) -> int:
         """Instructions in the region, φs excluded (Table II:C3 / IV:C4)."""
-        return sum(
-            1
-            for b in self.blocks
-            for i in b.instructions
-            if i.opcode != "phi"
-        )
+        return count_ops(self.blocks)
 
     @property
     def memory_op_count(self) -> int:
         return sum(1 for b in self.blocks for i in b.instructions if i.is_memory)
-
-    @property
-    def phi_count(self) -> int:
-        return sum(1 for b in self.blocks for i in b.instructions if i.opcode == "phi")
-
-    @property
-    def float_op_count(self) -> int:
-        return sum(
-            1
-            for b in self.blocks
-            for i in b.instructions
-            if i.is_float and not i.is_terminator
-        )
 
     # -- control structure -------------------------------------------------------
 

@@ -25,9 +25,9 @@ single simulated number:
 * **simulation memo** — each simulator owns one in-memory
   :class:`~repro.sim.memo.SimulationMemo` keyed by object identity plus
   a config slice: calibration per trace, per-path host costs per
-  profile, CGRA schedules and the braid's effective II per frame, and
-  the run-length view per profile.  The three strategies the pipeline
-  evaluates share one replay, one OOO table and one schedule pool.
+  profile, CGRA schedules per frame, and the run-length view per
+  profile.  The three strategies the pipeline evaluates share one
+  replay, one OOO table and one schedule pool.
   Nothing is persisted; a fresh simulator starts with an empty memo.
 """
 
@@ -280,13 +280,6 @@ class OffloadSimulator:
 
     # -- baseline --------------------------------------------------------------------------
 
-    def baseline(
-        self, profile: PathProfile, costs: Dict[int, PathCost]
-    ) -> Tuple[float, float]:
-        """(cycles, energy_pj) of host-only execution of the whole trace."""
-        cycles, energy, _attr = self.baseline_attributed(profile, costs)
-        return cycles, energy
-
     def baseline_attributed(
         self, profile: PathProfile, costs: Dict[int, PathCost]
     ) -> Tuple[float, float, Dict[str, Tuple[float, float]]]:
@@ -300,15 +293,7 @@ class OffloadSimulator:
         """
         attr: Dict[str, List[float]] = {}
         for pid, count in profile.counts.items():
-            c = costs[pid]
-            eb = self.energy_model.host_energy(c.census)
-            levels = self.energy_model.host_memory_energy_levels(c.census)
-            _charge(attr, CHARGE_HOST_COMPUTE,
-                    cycles=count * c.cycles,
-                    energy=count * (eb.frontend_pj + eb.window_pj + eb.fu_pj))
-            _charge(attr, CHARGE_HOST_MEM_L1, energy=count * levels["l1"])
-            _charge(attr, CHARGE_HOST_MEM_L2, energy=count * levels["l2"])
-            _charge(attr, CHARGE_HOST_MEM_DRAM, energy=count * levels["dram"])
+            self._host_side_charges(attr, CHARGE_HOST_COMPUTE, count, costs[pid])
         cycles, energy = fold_attribution(attr)
         return cycles, energy, _freeze(attr)
 
@@ -346,54 +331,46 @@ class OffloadSimulator:
         through the rounded load/store latencies, so its frame and
         latency-symbolic summary are built once per (profile, path) and
         kept on the profile; each configuration only evaluates the
-        summaries.  Also memoized per (frame, CGRA config).
+        summaries.
         """
         if frame.region.kind != "braid" or len(frame.region.source_paths) < 2:
             return float(sched.initiation_interval)
 
-        def compute() -> float:
-            with _obs_span("effective_ii"):
-                total_freq = 0
-                weighted = 0.0
-                for pid in frame.region.source_paths:
-                    freq = profile.counts.get(pid, 0)
-                    if freq <= 0:
-                        continue
-                    summary = profile.recurrence_summary(
-                        pid,
-                        lambda: self._constituent_summary(
-                            profile, frame.region.function, pid, freq,
-                            scheduler,
-                        ),
-                    )
-                    if isinstance(summary, _SummaryFailure):
-                        # constituent falls back to the whole-region II —
-                        # count it on every evaluation so schedule
-                        # regressions are visible, not silent
-                        if _obs_enabled():
-                            _obs_counter(
-                                "sim.effective_ii_fallbacks", 1,
-                                help="braid constituent paths that failed to "
-                                     "re-schedule for the pipelined II",
-                                error=summary.error,
-                            )
-                        logger.debug(
-                            "effective-II fallback: constituent path %d of %s "
-                            "failed to schedule: %s",
-                            pid, frame.region.function.name, summary.message,
+        with _obs_span("effective_ii"):
+            total_freq = 0
+            weighted = 0.0
+            for pid in frame.region.source_paths:
+                freq = profile.counts.get(pid, 0)
+                if freq <= 0:
+                    continue
+                summary = profile.recurrence_summary(
+                    pid,
+                    lambda: self._constituent_summary(
+                        profile, frame.region.function, pid, freq, scheduler),
+                )
+                if isinstance(summary, _SummaryFailure):
+                    # constituent falls back to the whole-region II —
+                    # count it on every evaluation so schedule
+                    # regressions are visible, not silent
+                    if _obs_enabled():
+                        _obs_counter(
+                            "sim.effective_ii_fallbacks", 1,
+                            help="braid constituent paths that failed to "
+                                 "re-schedule for the pipelined II",
+                            error=summary.error,
                         )
-                        continue
-                    weighted += freq * scheduler.recurrence_from_summary(summary)
-                    total_freq += freq
-                if total_freq == 0:
-                    return float(sched.initiation_interval)
-                avg_recurrence = weighted / total_freq
-                return float(max(sched.resource_ii, avg_recurrence))
-
-        return self.memo.get(
-            "effective_ii", frame, self._scheduler_fingerprint(scheduler),
-            compute,
-        )
+                    logger.debug(
+                        "effective-II fallback: constituent path %d of %s "
+                        "failed to schedule: %s",
+                        pid, frame.region.function.name, summary.message,
+                    )
+                    continue
+                weighted += freq * scheduler.recurrence_from_summary(summary)
+                total_freq += freq
+            if total_freq == 0:
+                return float(sched.initiation_interval)
+            avg_recurrence = weighted / total_freq
+            return float(max(sched.resource_ii, avg_recurrence))
 
     def _constituent_summary(self, profile: PathProfile, function, pid: int,
                              freq: int, scheduler):

@@ -52,14 +52,6 @@ class RLETrace:
             out.extend([pid] * length)
         return out
 
-    def per_pid_run_stats(self) -> Dict[int, Tuple[int, int, int]]:
-        """pid -> (runs, events, longest run) summary statistics."""
-        stats: Dict[int, Tuple[int, int, int]] = {}
-        for pid, length in self.runs:
-            n_runs, n_events, longest = stats.get(pid, (0, 0, 0))
-            stats[pid] = (n_runs + 1, n_events + length, max(longest, length))
-        return stats
-
 
 def run_length_encode(trace: Sequence[int]) -> RLETrace:
     """RLE of a path trace; computed once per workload and memoized by

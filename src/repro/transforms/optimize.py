@@ -8,9 +8,10 @@ of the LLVM passes Needle assumes.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Set
 
-from ..interp.interpreter import binop_fn, compare_fn
+from ..interp.interpreter import binop_fn, compare_fn, unop_fn
 from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -48,24 +49,13 @@ def _fold_one(inst: Instruction) -> Optional[Constant]:
             return chosen
         return None
     if isinstance(inst, UnaryOp) and isinstance(ops[0], Constant):
-        import math
-
-        v = ops[0].value
         try:
-            if inst.opcode == "fneg":
-                return Constant(inst.type, -v)
-            if inst.opcode == "fabs":
-                return Constant(inst.type, abs(v))
-            if inst.opcode == "fsqrt" and v >= 0:
-                return Constant(inst.type, math.sqrt(v))
-            if inst.opcode == "sitofp":
-                return Constant(inst.type, float(v))
-            if inst.opcode == "fptosi":
-                return Constant(inst.type, int(v))
-            if inst.opcode in ("zext", "sext", "trunc"):
-                return Constant(inst.type, v)
+            value = unop_fn(inst.opcode, ops[0].type, inst.type)(ops[0].value)
         except Exception:
+            return None  # fptosi of a NaN etc. must stay dynamic
+        if isinstance(value, float) and not math.isfinite(value):
             return None
+        return Constant(inst.type, value)
     return None
 
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro import workloads
 from repro.accel.cgra import (
     CGRAScheduler,
+    _chase,
     _frontier,
     _op_chain,
     _operands,
@@ -73,7 +74,7 @@ def reference_recurrence_ii(scheduler: CGRAScheduler, frame, loop_carried) -> in
 
     worst = 1
     for phi, def_value in loop_carried:
-        def_chased = scheduler._chase(frame, def_value)
+        def_chased = _chase(frame, def_value)
         if isinstance(def_chased, PsiOp):
             def_chased = def_chased.phi
         def_idx = producer.get(def_chased)
@@ -89,7 +90,7 @@ def reference_recurrence_ii(scheduler: CGRAScheduler, frame, loop_carried) -> in
                 operands = [fop.guard.branch.cond]
             else:
                 operands = []
-            consumes = any(scheduler._chase(frame, v) is phi for v in operands)
+            consumes = any(_chase(frame, v) is phi for v in operands)
             lat = _reference_latency(scheduler, fop)
             base = lat if consumes else float("-inf")
             carried = max(
@@ -162,14 +163,14 @@ def sweep_recurrence_summary(scheduler: CGRAScheduler, frame, loop_carried):
     consumers = {}
     for i, fop in enumerate(frame.ops):
         for v in _operands(fop):
-            value = scheduler._chase(frame, v)
+            value = _chase(frame, v)
             if isinstance(value, Phi):
                 ops = consumers.setdefault(value, [])
                 if not ops or ops[-1] != i:
                     ops.append(i)
     summary = []
     for phi, def_value in loop_carried:
-        def_chased = scheduler._chase(frame, def_value)
+        def_chased = _chase(frame, def_value)
         if isinstance(def_chased, PsiOp):
             def_chased = def_chased.phi
         def_idx = producer.get(def_chased)

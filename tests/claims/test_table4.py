@@ -6,7 +6,7 @@ import pytest
 
 from benchmarks.bench_table4 import _compute
 from repro.frames import build_frame
-from repro.regions import build_braids, path_guard_count, path_to_region
+from repro.regions import build_braids
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +57,6 @@ def test_braids_have_fewer_guards_than_paths(analyses):
             continue
         total += 1
         braid_guards = len(braids[0].region.guard_branches())
-        path_guards = path_guard_count(
-            path_to_region(a.profiled.function, a.ranked[0])
-        )
-        if braid_guards <= path_guards:
+        if braid_guards <= a.path_frame.guard_count:
             fewer += 1
     assert fewer >= total * 0.6

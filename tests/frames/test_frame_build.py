@@ -58,7 +58,7 @@ def test_undo_ops_accompany_stores(array_sum):
     assert frame.store_count == region.memory_op_count - sum(
         1 for b in region.blocks for i in b.instructions if i.opcode == "load"
     )
-    assert frame.undo_log_ops == frame.store_count
+    assert sum(1 for o in frame.ops if o.kind == "undo") == frame.store_count
 
 
 def test_store_frame_has_undo_ops():
@@ -94,7 +94,7 @@ def test_store_frame_has_undo_ops():
     region = path_to_region(fn, rank_paths(pp)[0])
     frame = build_frame(region)
     assert frame.store_count == 1
-    assert frame.undo_log_ops == 1
+    assert [o.kind for o in frame.ops].count("undo") == 1
     assert frame.op_count == frame.compute_op_count + frame.guard_count + 1
 
 

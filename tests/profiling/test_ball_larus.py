@@ -1,7 +1,12 @@
 import pytest
 
 from repro.interp import Interpreter
-from repro.profiling import BallLarusNumbering, PathNumberingError, PathProfile
+from repro.profiling import (
+    BallLarusNumbering,
+    PathNumberingError,
+    PathProfile,
+    count_ops,
+)
 
 from tests.conftest import profile_function
 
@@ -79,10 +84,8 @@ def test_path_instruction_count_excludes_phis(counted_loop):
     for pid in range(bl.total_paths):
         blocks = bl.decode(pid)
         raw = sum(len(b.instructions) for b in blocks)
-        no_phi = bl.path_instruction_count(pid)
-        with_phi = bl.path_instruction_count(pid, include_phis=True)
-        assert with_phi == raw
-        assert no_phi <= raw
+        assert count_ops(blocks, include_phis=True) == raw
+        assert count_ops(blocks) == raw - sum(len(b.phis) for b in blocks)
 
 
 def test_profile_counts_match_execution(counted_loop):

@@ -127,13 +127,14 @@ def test_braid_guards_vs_ifs(profiled_anticorrelated):
 
 
 def test_braid_fewer_guards_than_paths(profiled_anticorrelated):
-    from repro.regions import path_guard_count, path_to_region
+    from repro.frames import build_frame
+    from repro.regions import path_to_region
 
     m, fn, pp, ep = profiled_anticorrelated
     ranked = rank_paths(pp)
     top = build_braids(fn, ranked)[0]
     braid_guards = len(top.region.guard_branches())
-    path_guards = path_guard_count(path_to_region(fn, top.paths[0]))
+    path_guards = build_frame(path_to_region(fn, top.paths[0])).guard_count
     assert braid_guards <= path_guards
 
 

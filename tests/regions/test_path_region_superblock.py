@@ -1,10 +1,8 @@
+from repro.frames import build_frame
 from repro.profiling import rank_paths
 from repro.regions import (
     build_superblock,
-    cancelled_phi_count,
     diagnose_superblock,
-    path_guard_count,
-    path_region_is_valid,
     path_to_region,
     superblock_is_feasible,
 )
@@ -17,7 +15,8 @@ def test_path_region_roundtrip(profiled_loop_with_branch):
     assert region.kind == "bl-path"
     assert region.entry is ranked[0].blocks[0]
     assert region.exit is ranked[0].blocks[-1]
-    assert path_region_is_valid(region)
+    # single flow of control: consecutive blocks are CFG-linked
+    assert all(b in a.successors for a, b in zip(region.blocks, region.blocks[1:]))
     assert region.coverage == ranked[0].coverage
     assert region.op_count == ranked[0].ops
     assert region.source_paths == [ranked[0].path_id]
@@ -28,8 +27,10 @@ def test_path_region_metrics(profiled_loop_with_branch):
     region = path_to_region(fn, rank_paths(pp)[0])
     assert region.memory_op_count == 0
     assert region.op_count > 0
-    assert path_guard_count(region) >= 1
-    assert cancelled_phi_count(region) == region.phi_count
+    frame = build_frame(region)
+    assert frame.guard_count >= 1
+    # entry φs are live-ins; every other φ on the path cancels
+    assert frame.cancelled_phis == sum(len(b.phis) for b in region.blocks[1:])
     # blocks membership
     for b in region.blocks:
         assert b in region

@@ -39,7 +39,7 @@ def test_baseline_is_count_weighted_sum():
     m, fn, profile, trace = _profiled(build_counted_loop, [30])
     sim = OffloadSimulator()
     costs = sim.path_costs(profile, 2)
-    cycles, energy = sim.baseline(profile, costs)
+    cycles, energy, _attr = sim.baseline_attributed(profile, costs)
     manual = sum(profile.counts[pid] * costs[pid].cycles for pid in costs)
     assert abs(cycles - manual) < 1e-9
     assert energy > 0

@@ -68,12 +68,11 @@ def test_rle_round_trip(trace):
 
 @given(run_traces)
 def test_rle_per_pid_stats(trace):
-    stats = run_length_encode(trace).per_pid_run_stats()
-    assert sum(events for _, events, _ in stats.values()) == len(trace)
-    for pid, (n_runs, n_events, longest) in stats.items():
-        assert trace.count(pid) == n_events
-        assert 1 <= longest <= n_events
-        assert n_runs <= n_events
+    runs = run_length_encode(trace).runs
+    for pid in set(trace):
+        lengths = [n for p, n in runs if p == pid]
+        assert sum(lengths) == trace.count(pid)
+        assert min(lengths) >= 1
 
 
 # -- predictor evaluation: runs vs events ----------------------------------
@@ -187,7 +186,7 @@ def test_empty_trace_guards():
     assert rle.n_runs == 0 and rle.n_events == 0
     assert rle.rle_ratio == 1.0
     assert rle.expand() == []
-    assert rle.per_pid_run_stats() == {}
+    assert rle.runs == ()
 
 
 @pytest.mark.parametrize("pipelined", (False, True))

@@ -58,19 +58,19 @@ def test_unroll_grows_block_count():
 
 def test_unroll_enlarges_bl_paths():
     """The point of unrolling in the paper: bigger acyclic offload units."""
-    from repro.profiling import BallLarusNumbering
+    from repro.profiling import BallLarusNumbering, count_ops
 
     m, fn = build_counted_loop()
     base = BallLarusNumbering(fn)
     base_max = max(
-        base.path_instruction_count(p) for p in range(base.total_paths)
+        count_ops(base.decode(p)) for p in range(base.total_paths)
     )
 
     m2, fn2 = build_counted_loop()
     unroll_hottest_loop(fn2, 4)
     unrolled = BallLarusNumbering(fn2)
     unrolled_max = max(
-        unrolled.path_instruction_count(p) for p in range(unrolled.total_paths)
+        count_ops(unrolled.decode(p)) for p in range(unrolled.total_paths)
     )
     assert unrolled_max > 2.5 * base_max
 
