@@ -5,7 +5,7 @@ C5 live in/out values, C6 cancelled phis, C7 memory ops, C8 overlap.
 ``tests/claims/test_table2.py`` asserts the claims on these rows.
 """
 
-from repro.profiling import path_overlap_count
+from repro.profiling import branch_blocks, count_memory_ops, path_overlap_count
 from repro.reporting import format_table
 
 from .conftest import save_result
@@ -19,10 +19,10 @@ def _compute(analyses):
         cov5 = sum(p.coverage for p in top5) * 100
         ins = round(sum(p.ops for p in top5) / max(1, len(top5)))
         branches = round(
-            sum(p.branch_count for p in top5) / max(1, len(top5))
+            sum(len(branch_blocks(p.blocks)) for p in top5) / max(1, len(top5))
         )
         mem = round(
-            sum(p.memory_op_count for p in top5) / max(1, len(top5))
+            sum(count_memory_ops(p.blocks) for p in top5) / max(1, len(top5))
         )
         frame = a.path_frame
         live_in = len(frame.live_ins) if frame else 0

@@ -10,7 +10,7 @@ import sys
 
 from repro import PipelineOptions, workloads
 from repro.analysis import LoopInfo, branch_memory_stats, predication_stats
-from repro.profiling import path_overlap_count
+from repro.profiling import branch_blocks, count_memory_ops, path_overlap_count
 from repro.regions import summarise_expansion
 
 
@@ -58,8 +58,8 @@ def main(argv=None):
     print("\ntop paths by Pwt:")
     for p in analysis.ranked[: args.top]:
         print("  #%-6d freq=%-6d ops=%-4d branches=%-2d mem=%-3d cov=%5.1f%%"
-              % (p.path_id, p.freq, p.ops, p.branch_count,
-                 p.memory_op_count, p.coverage * 100))
+              % (p.path_id, p.freq, p.ops, len(branch_blocks(p.blocks)),
+                 count_memory_ops(p.blocks), p.coverage * 100))
     print("block overlap (C8)  : %.1f paths share a typical hot block"
           % path_overlap_count(analysis.ranked))
 

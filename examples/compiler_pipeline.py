@@ -12,7 +12,7 @@ Run:  python examples/compiler_pipeline.py
 from repro.frames import build_frame
 from repro.interp import Interpreter
 from repro.ir import format_function, parse_module, verify_module
-from repro.profiling import PathProfile, rank_paths
+from repro.profiling import PathProfile, branch_blocks, rank_paths
 from repro.regions import build_braids
 from repro.sim import OffloadSimulator
 from repro.transforms import inline_all, optimize, unroll_hottest_loop
@@ -91,7 +91,7 @@ def main():
     print("\npaths after transforms: %d executed" % profile.executed_paths)
     for p in ranked[:3]:
         print("  cov %5.1f%%  ops %3d  branches %d"
-              % (p.coverage * 100, p.ops, p.branch_count))
+              % (p.coverage * 100, p.ops, len(branch_blocks(p.blocks))))
 
     braid = build_braids(hot, ranked)[0]
     frame = build_frame(braid.region)

@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..frames.frame import Frame, FrameOp, PsiOp
+from ..frames.frame import Frame, FrameBuildError, FrameOp, PsiOp, path_incoming
+from ..ir.block import BasicBlock
 from ..ir.instructions import LATENCY, Instruction, Load, Phi, Store
 from ..ir.values import Value
 from ..sim.config import CGRAConfig
@@ -129,6 +130,18 @@ def _frontier(chains: List[Chain]) -> Tuple[Chain, ...]:
         ):
             keep.append(c)
     return tuple(reversed(keep))
+
+
+def _extend(fop: FrameOp, reach: List[Chain]) -> Tuple[Chain, ...]:
+    """The per-op propagation: an op's chains are the frontier of the
+    chains that reach it through what it reads, plus its own triple.  A
+    chain starts at an op that reads its source as ``(0, 0, 0)``."""
+    a, b, c = _op_chain(fop)
+    return tuple((x + a, y + b, z + c) for x, y, z in _frontier(reach))
+
+
+#: one value's chains, keyed by the value each chain starts from
+Chains = Dict[Value, Tuple[Chain, ...]]
 
 
 def _require_acyclic(deps: List[List[int]]) -> None:
@@ -327,7 +340,9 @@ class CGRAScheduler:
         loads, guards and ψ ops as one fixed cycle — and only the triples
         no other triple dominates survive, so the result depends on the
         frame alone and :meth:`recurrence_from_summary` prices it under
-        any load/store latency.
+        any load/store latency.  Each op's chains come from the per-op
+        propagation (:func:`_extend`) that the braid constituents' block
+        summaries apply too (:func:`block_summary`).
 
         ``deps`` are :meth:`schedule`'s dependence lists, already proven
         acyclic by placing every op.  Without them the frame's value
@@ -379,10 +394,7 @@ class CGRAScheduler:
                 if not aliases.isdisjoint(map(id, _operands(fop))):
                     reach.append((0, 0, 0))  # a chain starts at this op
                 if reach:
-                    a, b, c = _op_chain(fop)
-                    longest[i] = tuple(
-                        (x + a, y + b, z + c) for x, y, z in _frontier(reach)
-                    )
+                    longest[i] = _extend(fop, reach)
             summary.extend(longest.get(def_idx, ()))
         return _frontier(summary)
 
@@ -466,3 +478,162 @@ class CGRAScheduler:
         # exactly what resource_ii already charges.
         result.initiation_interval = max(result.resource_ii, result.recurrence_ii)
         return result
+
+
+# -- braid constituents ------------------------------------------------------------
+
+
+def block_summary(frame: Frame) -> Dict[Instruction, Chains]:
+    """The chains through one block, from the frame of its one-block path.
+
+    For each value the block defines, the chains to it from each value it
+    reads from elsewhere (one of its φs, or a value of another block),
+    keyed by that value.  A constituent path's frame holds the ops of
+    each of its blocks' frames, so composing these summaries along the
+    path gives its frame's chains.
+    """
+    defined = {id(fop.inst) for fop in frame.ops if fop.kind == "op"}
+    out: Dict[Instruction, Chains] = {}
+    for fop in frame.ops:
+        if fop.kind != "op" or fop.inst.type.is_void:
+            continue  # stores and undo reads produce no value
+        reach: Dict[Value, List[Chain]] = {}
+        for v in _operands(fop):
+            if not isinstance(v, Instruction):
+                continue
+            if id(v) not in defined:
+                reach.setdefault(v, []).append((0, 0, 0))
+            else:
+                for source, chains in out.get(v, {}).items():
+                    reach.setdefault(source, []).extend(chains)
+        if reach:
+            out[fop.inst] = {
+                source: _extend(fop, chains) for source, chains in reach.items()
+            }
+    return out
+
+
+class _Prefix:
+    """A node of the constituents' prefix trie: one block of a path."""
+
+    __slots__ = ("children", "through", "ends")
+
+    def __init__(self):
+        self.children: Dict[BasicBlock, "_Prefix"] = {}
+        self.through: List[int] = []  # path ids whose prefix this is
+        self.ends: List[int] = []  # path ids that end here
+
+
+def constituent_summaries(
+    paths: Dict[int, List[BasicBlock]],
+    block_frames: Dict[BasicBlock, object],
+) -> Dict[int, object]:
+    """The :meth:`CGRAScheduler.recurrence_summary` of each path's frame,
+    without building it: ``block_frames`` holds each path block's
+    one-block frame, or the exception that stopped its lowering.
+
+    The block summaries compose along each path as its frame would be
+    built: a block's φs resolve to their incoming from the path
+    predecessor, the φs of the path's first block read as the chain
+    ``(0, 0, 0)`` of their own, and each loop-carried def reads its
+    chains from the φ it feeds.  Paths that share a prefix share its
+    state.  A path maps to its summary, or to the exception its frame
+    build would have raised (a φ without an incoming from the path
+    predecessor) or that lowering one of its blocks raised.
+    """
+    # only values another block reads (a φ incoming or an operand) leave
+    # their block; a path's blocks are all among ``block_frames``
+    read_elsewhere = set()
+    for block in block_frames:
+        for inst in block.instructions:
+            phi = isinstance(inst, Phi)
+            for v in inst.operands:
+                if isinstance(v, Instruction) and (phi or v.parent is not block):
+                    read_elsewhere.add(v)
+    summaries: Dict[BasicBlock, object] = {}
+    for block, frame in block_frames.items():
+        if isinstance(frame, Exception):
+            summaries[block] = frame
+        else:
+            summaries[block] = {
+                d: per_input for d, per_input in block_summary(frame).items()
+                if d in read_elsewhere
+            }
+
+    root = _Prefix()
+    for pid, blocks in paths.items():
+        node = root
+        for block in blocks:
+            child = node.children.get(block)
+            if child is None:
+                child = node.children[block] = _Prefix()
+            node = child
+            node.through.append(pid)
+        node.ends.append(pid)
+
+    results: Dict[int, object] = {}
+    state: Dict[Value, Chains] = {}  # value -> its chains per start φ
+    alias: Dict[Phi, Value] = {}  # φ -> the value it resolves to
+
+    def resolve(v):
+        return alias.get(v, v) if isinstance(v, Phi) else v
+
+    def visit(node: _Prefix, block: BasicBlock, pred, first) -> None:
+        summary = summaries[block]
+        if isinstance(summary, Exception):
+            for pid in node.through:
+                results[pid] = summary
+            return
+        added: List[Value] = []
+        resolved: List[Phi] = []
+        error = None
+        if pred is None:
+            first = block
+            for phi in block.phis:
+                state[phi] = {phi: ((0, 0, 0),)}
+                added.append(phi)
+        else:
+            try:
+                for phi in block.phis:
+                    v = path_incoming(phi, pred)
+                    # a constant or argument resolves to None: no chains
+                    alias[phi] = (
+                        resolve(v) if isinstance(v, Instruction) else None
+                    )
+                    resolved.append(phi)
+            except FrameBuildError as exc:
+                error = exc
+        if error is not None:
+            for pid in node.through:
+                results[pid] = error
+        else:
+            for d, per_input in summary.items():
+                acc: Dict[object, List[Chain]] = {}
+                for u, ts in per_input.items():
+                    for source, cs in state.get(resolve(u), {}).items():
+                        acc.setdefault(source, []).extend(
+                            (x + a, y + b, z + c)
+                            for x, y, z in cs for a, b, c in ts
+                        )
+                if acc:
+                    state[d] = {src: _frontier(cs) for src, cs in acc.items()}
+                    added.append(d)
+            for pid in node.ends:
+                # the (φ, back-edge def) pairs OffloadSimulator._loop_carried
+                # takes for the path's frame
+                chains: List[Chain] = []
+                for phi in first.phis:
+                    end = resolve(phi.incoming_for(block))
+                    if isinstance(end, Instruction) and not isinstance(end, Phi):
+                        chains.extend(state.get(end, {}).get(phi, ()))
+                results[pid] = _frontier(chains)
+            for child_block, child in node.children.items():
+                visit(child, child_block, block, first)
+        for v in added:
+            del state[v]
+        for phi in resolved:
+            del alias[phi]
+
+    for block, node in root.children.items():
+        visit(node, block, None, None)
+    return results

@@ -10,7 +10,9 @@ Keys
 An artifact key is the SHA-256 of four components:
 
 * the workload's full IR text (``format_module`` of the built module) —
-  any change to the synthetic kernel invalidates its artifacts;
+  any change to the synthetic kernel invalidates its artifacts — and the
+  initial values of its globals, its input data, which the text leaves
+  out;
 * the ``repr`` of the run arguments — different inputs, different dynamic
   behaviour;
 * a fingerprint of the :class:`~repro.sim.config.SystemConfig` — Table V
@@ -82,13 +84,14 @@ def config_fingerprint(config) -> str:
     return repr(config)
 
 
-def workload_key(workload, config, extra: str = "") -> Tuple[str, object]:
+def workload_key(workload, config) -> Tuple[str, object]:
     """(artifact key, built (module, fn, args)) for one workload.
 
     Building the synthetic module is ~2 ms per workload — three orders of
     magnitude cheaper than profiling it — so the key hashes the *actual* IR
-    text rather than trusting the workload name to pin content.  The built
-    triple is returned so a cache miss can reuse it instead of rebuilding.
+    text and global initialisers rather than trusting the workload name to
+    pin content.  The built triple is returned so a cache miss can reuse it
+    instead of rebuilding.
     """
     from .ir.printer import format_module
 
@@ -96,6 +99,12 @@ def workload_key(workload, config, extra: str = "") -> Tuple[str, object]:
     module, _fn, args = built
     h = hashlib.sha256()
     h.update(format_module(module).encode())
+    h.update(b"\x00")
+    # the printed globals omit their initial values; a pickle of the
+    # value lists is a fixed, self-delimiting binary encoding (ints and
+    # floats are never memoised), far cheaper than their repr
+    for g in module.globals.values():
+        h.update(pickle.dumps(g.init, protocol=4))
     h.update(b"\x00")
     h.update(repr(args).encode())
     h.update(b"\x00")

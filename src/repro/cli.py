@@ -56,6 +56,7 @@ from .obs import export as obs_export
 from .obs import timeline as obs_timeline
 from .options import PipelineOptions
 from .pipeline import NeedlePipeline, WorkloadEvaluation
+from .profiling.ranking import branch_blocks, count_memory_ops
 from .resilience import WorkloadFailure
 from .resilience.journal import JournalError, RunJournal, resolve_journal_dir
 from .resilience.shutdown import EXIT_DRAINED, SweepDrained
@@ -176,8 +177,8 @@ def _cmd_analyze(args) -> int:
           % (mix.int_share * 100, mix.fp_share * 100,
              mix.memory_share * 100, mix.control_share * 100))
     rows = [
-        (p.path_id, p.freq, p.ops, p.branch_count, p.memory_op_count,
-         p.coverage * 100)
+        (p.path_id, p.freq, p.ops, len(branch_blocks(p.blocks)),
+         count_memory_ops(p.blocks), p.coverage * 100)
         for p in a.ranked[: args.top]
     ]
     print(format_table(
@@ -313,8 +314,16 @@ def _cmd_trace(args) -> int:
     simulated-cycle tracks) for Perfetto.  When no span data was
     recorded the command prints a clean message to stderr and exits 1 —
     never a traceback.  ``--from PATH`` renders a saved snapshot
-    (``tree``/``json`` formats) instead of re-evaluating.
+    (``tree``/``json`` formats) instead of re-evaluating.  ``--metrics``
+    prints the metrics table after the tree; the JSON formats keep
+    stdout one document, so they refuse it (exit 2) for
+    ``--metrics-out``.
     """
+    if args.metrics and args.format != "tree":
+        print("error: --metrics prints a table after the output, and "
+              "--format %s must print one JSON document; write the metrics "
+              "with --metrics-out PATH" % args.format, file=sys.stderr)
+        return 2
     if args.snapshot is not None:
         data = _load_metrics_file(args.snapshot)
         spans = data.get("spans") or []
@@ -333,6 +342,9 @@ def _cmd_trace(args) -> int:
             print(_json.dumps(spans, indent=2, sort_keys=True))
         else:
             print(obs_export.render_trace(data))
+            if args.metrics:
+                print()
+                print(obs_export.render_metrics(data))
         return 0
     opts = _options_from_args(args)
     obs.enable(reset=True)
@@ -362,7 +374,7 @@ def _cmd_trace(args) -> int:
                   file=sys.stderr)
             return 1
         print(obs_export.render_trace(None))
-    _finish_metrics(opts, pipeline, names, tracks, render=False)
+    _finish_metrics(opts, pipeline, names, tracks)
     return 0
 
 

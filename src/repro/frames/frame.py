@@ -154,6 +154,18 @@ class FrameBuildError(Exception):
     """The region cannot be framed (malformed path, cyclic braid...)."""
 
 
+def path_incoming(phi: Phi, pred: Optional[BasicBlock]) -> Value:
+    """The value a path φ takes: its incoming from the path predecessor
+    ``pred``.  A path without one cannot be framed."""
+    val = phi.incoming_for(pred) if pred is not None else None
+    if val is None:
+        raise FrameBuildError(
+            "path φ %%%s in %s lacks an incoming value from %s"
+            % (phi.name, phi.parent.name, pred.name if pred else "?")
+        )
+    return val
+
+
 def build_frame(region: Region) -> Frame:
     """Lower an offload region into a software frame."""
     if not region.blocks:
@@ -182,14 +194,7 @@ def build_frame(region: Region) -> Frame:
                 phi_resolution[phi] = "live-in"
                 continue
             if is_path:
-                pred = prev_in_path.get(block)
-                val = phi.incoming_for(pred) if pred is not None else None
-                if val is None:
-                    raise FrameBuildError(
-                        "path φ %%%s in %s lacks an incoming value from %s"
-                        % (phi.name, block.name, pred.name if pred else "?")
-                    )
-                phi_resolution[phi] = val
+                phi_resolution[phi] = path_incoming(phi, prev_in_path.get(block))
                 cancelled += 1
                 continue
             # an incoming from this block or a later one arrives over a

@@ -124,16 +124,19 @@ class PathProfile:
                          function=self.function.name)
         return blocks
 
-    def recurrence_summary(
-        self, path_id: int, build: Callable[[], object]
-    ) -> object:
-        """The recurrence summary of ``path_id``'s frame: ``build()`` on
-        first use, then kept for the profile's lifetime, so every grid
-        point of a sweep over an in-memory profile shares it."""
-        entry = self._recurrence.get(path_id)
-        if entry is None:
-            entry = self._recurrence[path_id] = build()
-        return entry
+    def recurrence_summaries(
+        self,
+        path_ids: List[int],
+        build: Callable[[List[int]], Dict[int, object]],
+    ) -> List[object]:
+        """The recurrence summaries of the ``path_ids``' frames, in order:
+        ``build(missing)`` maps the ids not yet summarised to theirs, and
+        the profile keeps them for its lifetime, so every grid point of a
+        sweep over an in-memory profile shares them."""
+        missing = [pid for pid in path_ids if pid not in self._recurrence]
+        if missing:
+            self._recurrence.update(build(missing))
+        return [self._recurrence[pid] for pid in path_ids]
 
 
 __all__ = ["PathProfile"]

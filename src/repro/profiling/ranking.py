@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from ..ir.block import BasicBlock
+from ..ir.instructions import CondBranch
 from .path_profile import PathProfile
 
 
@@ -28,6 +29,17 @@ def count_ops(blocks: Sequence[BasicBlock], include_phis: bool = False) -> int:
                 continue
             total += 1
     return total
+
+
+def branch_blocks(blocks: Sequence[BasicBlock]) -> List[BasicBlock]:
+    """The blocks of a sequence that end in a conditional branch: one
+    branch each that a path traverses (Table II:C4)."""
+    return [b for b in blocks if isinstance(b.terminator, CondBranch)]
+
+
+def count_memory_ops(blocks: Sequence[BasicBlock]) -> int:
+    """Memory operations of a block sequence (Table II:C7)."""
+    return sum(1 for b in blocks for i in b.instructions if i.is_memory)
 
 
 def latency_weight(blocks: Sequence[BasicBlock]) -> int:
@@ -59,19 +71,6 @@ class RankedPath:
     @property
     def exit_block(self) -> BasicBlock:
         return self.blocks[-1]
-
-    @property
-    def branch_count(self) -> int:
-        """Conditional branches traversed by the path (Table II:C4)."""
-        return sum(
-            1 for b in self.blocks if b.terminator is not None
-            and b.terminator.opcode == "condbr"
-        )
-
-    @property
-    def memory_op_count(self) -> int:
-        """Memory operations along the path (Table II:C7)."""
-        return sum(1 for b in self.blocks for i in b.instructions if i.is_memory)
 
     def __repr__(self) -> str:
         return "<RankedPath id=%d freq=%d ops=%d cov=%.1f%%>" % (

@@ -17,8 +17,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 from ..analysis.cfg import CFG
 from ..ir.block import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import CondBranch
-from ..profiling.ranking import count_ops
+from ..profiling.ranking import branch_blocks, count_ops
 
 
 @dataclass
@@ -53,17 +52,7 @@ class Region:
         """Instructions in the region, φs excluded (Table II:C3 / IV:C4)."""
         return count_ops(self.blocks)
 
-    @property
-    def memory_op_count(self) -> int:
-        return sum(1 for b in self.blocks for i in b.instructions if i.is_memory)
-
     # -- control structure -------------------------------------------------------
-
-    def branch_blocks(self) -> List[BasicBlock]:
-        """Blocks ending in a conditional branch."""
-        return [
-            b for b in self.blocks if isinstance(b.terminator, CondBranch)
-        ]
 
     def guard_branches(self) -> List[BasicBlock]:
         """Branches with at least one successor *leaving* the region.
@@ -73,7 +62,7 @@ class Region:
         has completed, so it merely tells the host where to resume.
         """
         out = []
-        for b in self.branch_blocks():
+        for b in branch_blocks(self.blocks):
             if b is self.exit:
                 continue
             if any(s not in self._block_set for s in b.successors):
@@ -85,7 +74,7 @@ class Region:
         Braid introduces when merging paths (Table IV:C6)."""
         return [
             b
-            for b in self.branch_blocks()
+            for b in branch_blocks(self.blocks)
             if all(s in self._block_set for s in b.successors)
         ]
 

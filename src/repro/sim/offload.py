@@ -327,27 +327,39 @@ class OffloadSimulator:
         (short-chain) arm does not serialise behind the cold arm's chain.
         We weight each constituent path's recurrence by its frequency.
 
+        No constituent chain outlasts a braid chain: a constituent's frame
+        holds the braid's ops on its blocks, and each of its value
+        dependences is either the braid's own or one the braid routes
+        through a ψ, one cycle longer; the braid and its paths share the
+        entry φs and, when the braid's last block is its exit, the
+        back-edge defs.  So a braid whose recurrence II is within its
+        resource II prices no constituent.
+
         A constituent's recurrence depends on the configuration only
-        through the rounded load/store latencies, so its frame and
-        latency-symbolic summary are built once per (profile, path) and
-        kept on the profile; each configuration only evaluates the
-        summaries.
+        through the rounded load/store latencies, so its latency-symbolic
+        summary is composed once per (profile, path) and kept on the
+        profile; each configuration only evaluates the summaries.
         """
-        if frame.region.kind != "braid" or len(frame.region.source_paths) < 2:
+        region = frame.region
+        if region.kind != "braid" or len(region.source_paths) < 2:
             return float(sched.initiation_interval)
+        if (sched.recurrence_ii <= sched.resource_ii
+                and region.blocks[-1] is region.exit):
+            return float(sched.resource_ii)
 
         with _obs_span("effective_ii"):
+            live = [
+                (pid, profile.counts.get(pid, 0)) for pid in region.source_paths
+            ]
+            live = [(pid, freq) for pid, freq in live if freq > 0]
+            summaries = profile.recurrence_summaries(
+                [pid for pid, _freq in live],
+                lambda missing: self._constituent_summaries(
+                    profile, region, missing),
+            )
             total_freq = 0
             weighted = 0.0
-            for pid in frame.region.source_paths:
-                freq = profile.counts.get(pid, 0)
-                if freq <= 0:
-                    continue
-                summary = profile.recurrence_summary(
-                    pid,
-                    lambda: self._constituent_summary(
-                        profile, frame.region.function, pid, freq, scheduler),
-                )
+            for (pid, freq), summary in zip(live, summaries):
                 if isinstance(summary, _SummaryFailure):
                     # constituent falls back to the whole-region II —
                     # count it on every evaluation so schedule
@@ -362,7 +374,7 @@ class OffloadSimulator:
                     logger.debug(
                         "effective-II fallback: constituent path %d of %s "
                         "failed to schedule: %s",
-                        pid, frame.region.function.name, summary.message,
+                        pid, region.function.name, summary.message,
                     )
                     continue
                 weighted += freq * scheduler.recurrence_from_summary(summary)
@@ -372,29 +384,39 @@ class OffloadSimulator:
             avg_recurrence = weighted / total_freq
             return float(max(sched.resource_ii, avg_recurrence))
 
-    def _constituent_summary(self, profile: PathProfile, function, pid: int,
-                             freq: int, scheduler):
-        """Recurrence summary of one braid constituent path's frame, or a
-        :class:`_SummaryFailure` when the frame cannot be built or
-        scheduled."""
+    @staticmethod
+    def _constituent_summaries(profile: PathProfile, region, pids) -> Dict[int, object]:
+        """Recurrence summaries of the braid constituent paths ``pids``,
+        composed from one frame per braid block; a path with a block that
+        cannot be lowered, or a φ that cannot be resolved, gets a
+        :class:`_SummaryFailure`."""
         # imported at call time, so a wrapper installed on
-        # repro.frames.frame.build_frame sees every constituent build
+        # repro.frames.frame.build_frame sees every block build
+        from ..accel.cgra import constituent_summaries
         from ..frames.frame import build_frame as _build_frame
-        from ..regions.path_region import path_to_region as _path_to_region
-        from ..profiling.ranking import RankedPath as _RankedPath
+        from ..regions.region import Region as _Region
 
-        try:
-            blocks = profile.decode(pid)
-            rp = _RankedPath(
-                path_id=pid, blocks=blocks, freq=freq,
-                ops=count_ops(blocks), weight=0, coverage=0.0,
-            )
-            pframe = _build_frame(_path_to_region(function, rp))
-            return scheduler.recurrence_summary(
-                pframe, self._loop_carried(pframe)
-            )
-        except Exception as exc:
-            return _SummaryFailure(type(exc).__name__, str(exc))
+        def lower(block):  # the frame of the block's one-block path
+            try:
+                return _build_frame(_Region(
+                    kind="bl-path", function=region.function, blocks=[block],
+                    entry=block, exit=block,
+                ))
+            except Exception as exc:
+                return exc
+
+        paths = {pid: profile.decode(pid) for pid in pids}
+        block_frames: Dict[object, object] = {}
+        for blocks in paths.values():
+            for block in blocks:
+                if block not in block_frames:
+                    block_frames[block] = lower(block)
+        results = constituent_summaries(paths, block_frames)
+        return {
+            pid: (_SummaryFailure(type(r).__name__, str(r))
+                  if isinstance(r, Exception) else r)
+            for pid, r in results.items()
+        }
 
     @staticmethod
     def _loop_carried(frame: Frame):

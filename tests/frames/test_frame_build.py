@@ -4,7 +4,7 @@ from repro.accel import CGRAScheduler
 from repro.frames import Frame, FrameBuildError, build_frame
 from repro.ir import I32, IRBuilder, Module, verify_function
 from repro.ir.instructions import Load, Store
-from repro.profiling import rank_paths
+from repro.profiling import count_memory_ops, rank_paths
 from repro.regions import Region, build_braids, path_to_region
 from tests.regions.conftest import profile_function
 
@@ -55,7 +55,7 @@ def test_undo_ops_accompany_stores(array_sum):
     region = path_to_region(fn, ranked[0])
     frame = build_frame(region)
     # array_sum's hot path has loads but no stores
-    assert frame.store_count == region.memory_op_count - sum(
+    assert frame.store_count == count_memory_ops(region.blocks) - sum(
         1 for b in region.blocks for i in b.instructions if i.opcode == "load"
     )
     assert sum(1 for o in frame.ops if o.kind == "undo") == frame.store_count

@@ -1,5 +1,5 @@
 from repro.frames import build_frame
-from repro.profiling import rank_paths
+from repro.profiling import count_memory_ops, rank_paths
 from repro.regions import (
     build_superblock,
     diagnose_superblock,
@@ -25,7 +25,7 @@ def test_path_region_roundtrip(profiled_loop_with_branch):
 def test_path_region_metrics(profiled_loop_with_branch):
     m, fn, pp, ep = profiled_loop_with_branch
     region = path_to_region(fn, rank_paths(pp)[0])
-    assert region.memory_op_count == 0
+    assert count_memory_ops(region.blocks) == 0
     assert region.op_count > 0
     frame = build_frame(region)
     assert frame.guard_count >= 1

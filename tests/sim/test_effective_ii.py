@@ -1,10 +1,12 @@
 """Braid effective-II: per-profile recurrence summaries and their fallbacks.
 
-A braid constituent's frame and recurrence summary are built once per
-(profile, path id) and kept on the :class:`PathProfile`; every
-configuration afterwards only prices the summary.  A constituent that
-cannot be framed is cached as a failure and still counted in
-``sim.effective_ii_fallbacks`` on every evaluation that meets it.
+A braid constituent's recurrence summary is composed once per (profile,
+path id), from one frame per braid block, and kept on the
+:class:`PathProfile`; every configuration afterwards only prices the
+summary.  A constituent whose block cannot be framed is cached as a
+failure and still counted in ``sim.effective_ii_fallbacks`` on every
+evaluation that meets it.  A braid whose own recurrence II is within its
+resource II prices no constituent.
 """
 
 from collections import Counter
@@ -29,6 +31,9 @@ from repro.workloads.base import clear_profile_cache, profile_workload
 
 #: a braid of five constituent paths
 WORKLOAD = "164.gzip"
+#: a braid of two constituent paths whose recurrence II is within its
+#: resource II
+BOUNDED = "fft-2d"
 
 #: the Table V system with a smaller fabric and a slower L2 — a different
 #: CGRA slice and different rounded load/store latencies
@@ -47,23 +52,23 @@ def _fresh_profiles():
     clear_profile_cache()
 
 
-def _braid_frame():
-    w = workloads.get(WORKLOAD)
-    return PipelineOptions(no_cache=True).build_pipeline().analyse(w).braid_frame
+def _analysis(name=WORKLOAD):
+    w = workloads.get(name)
+    return PipelineOptions(no_cache=True).build_pipeline().analyse(w)
 
 
-def _count_constituent_builds(monkeypatch, fail=None):
-    """Count path-frame builds per path id where effective-II looks
-    ``build_frame`` up; building path ``fail`` raises."""
+def _count_block_builds(monkeypatch, fail=None):
+    """Count one-block frame builds per block where effective-II looks
+    ``build_frame`` up; building block ``fail`` raises."""
     builds = Counter()
     original = frame_module.build_frame
 
     def build(region):
-        if region.kind == "bl-path":
-            (pid,) = region.source_paths
-            builds[pid] += 1
-            if pid == fail:
-                raise FrameBuildError("injected for path %d" % pid)
+        if region.kind == "bl-path" and not region.source_paths:
+            (block,) = region.blocks
+            builds[block] += 1
+            if block is fail:
+                raise FrameBuildError("injected for block %s" % block.name)
         return original(region)
 
     monkeypatch.setattr(frame_module, "build_frame", build)
@@ -105,41 +110,66 @@ def _scheduled_ii(frame, sched, profile, scheduler, skip=()):
 
 
 def test_failed_constituent_is_counted_on_every_evaluation(monkeypatch):
-    braid = _braid_frame()
-    victim = braid.region.source_paths[1]
+    analysis = _analysis()
+    paths = {pid: analysis.profiled.paths.decode(pid)
+             for pid in analysis.braid_frame.region.source_paths}
+    # a block on some constituents but not all: theirs fail
+    victim = next(
+        block for block in analysis.braid_frame.region.blocks
+        if 0 < sum(block in blocks for blocks in paths.values()) < len(paths)
+    )
+    failed = [pid for pid, blocks in paths.items() if victim in blocks]
     iis = _record_braid_iis(monkeypatch)
-    builds = _count_constituent_builds(monkeypatch, fail=victim)
+    builds = _count_block_builds(monkeypatch, fail=victim)
     w = workloads.get(WORKLOAD)
     with obs.scoped() as reg:
         first = PipelineOptions(no_cache=True).build_pipeline().evaluate(w)
         second = PipelineOptions(no_cache=True).build_pipeline().evaluate(w)
     fallbacks = reg.counter("sim.effective_ii_fallbacks")
-    assert fallbacks.value(error="FrameBuildError") == 2
+    assert fallbacks.value(error="FrameBuildError") == 2 * len(failed)
     assert builds[victim] == 1  # the failure is cached, not rebuilt
     assert first == second
     assert len(iis) == 2
     for ii, frame, sched, profile, scheduler in iis:
         assert ii == _scheduled_ii(frame, sched, profile, scheduler,
-                                   skip=(victim,))
+                                   skip=failed)
 
 
 def test_summaries_are_built_once_across_configs(monkeypatch):
     iis = _record_braid_iis(monkeypatch)
-    builds = _count_constituent_builds(monkeypatch)
+    builds = _count_block_builds(monkeypatch)
     w = workloads.get(WORKLOAD)
     PipelineOptions(no_cache=True).build_pipeline().evaluate(w)
     PipelineOptions(config=SMALL, no_cache=True).build_pipeline().evaluate(w)
     profile = profile_workload(w).paths
-    live = [pid for pid in iis[0][1].region.source_paths
+    region = iis[0][1].region
+    live = [pid for pid in region.source_paths
             if profile.counts.get(pid, 0) > 0]
     assert len(live) >= 2
-    assert builds == Counter({pid: 1 for pid in live})
+    # one frame per braid block, not one per constituent path
+    assert builds == Counter({block: 1 for block in region.blocks})
     assert sorted(profile._recurrence) == sorted(live)
     default_ii, small_ii = iis
     assert default_ii[4].load_latency != small_ii[4].load_latency
     for ii, frame, sched, prof, scheduler in iis:
         assert prof is profile
         assert ii == _scheduled_ii(frame, sched, prof, scheduler)
+
+
+def test_bounded_braid_prices_no_constituent(monkeypatch):
+    iis = _record_braid_iis(monkeypatch)
+    builds = _count_block_builds(monkeypatch)
+    w = workloads.get(BOUNDED)
+    PipelineOptions(no_cache=True).build_pipeline().evaluate(w)
+    PipelineOptions(config=SMALL, no_cache=True).build_pipeline().evaluate(w)
+    assert not builds
+    assert profile_workload(w).paths._recurrence == {}
+    assert len(iis) == 2
+    for ii, frame, sched, profile, scheduler in iis:
+        assert len(frame.region.source_paths) >= 2
+        assert sched.recurrence_ii <= sched.resource_ii
+        assert ii == float(sched.resource_ii)
+        assert ii == _scheduled_ii(frame, sched, profile, scheduler)
 
 
 def test_summary_table_stays_out_of_the_pickled_profile(tmp_path):

@@ -214,6 +214,12 @@ class RandomFunctionBuilder:
 
 shapes_strategy = st.lists(st.integers(0, 3), min_size=1, max_size=24)
 values_strategy = st.lists(st.integers(0, 99), min_size=1, max_size=24)
+#: shapes whose function opens with two loops, each around an if: run with
+#: several inputs, a loop's iterations take both arms, and the paths from
+#: its header to its latch merge into a multi-path braid (the shapes are
+#: popped from the end)
+braid_shapes_strategy = shapes_strategy.map(
+    lambda shapes: shapes + [2, 0, 3, 0, 0, 2, 0, 3, 1])
 #: the rich builder's values double as i8/i32/i64 constants
 rich_values_strategy = st.lists(
     st.integers(-(2 ** 40), 2 ** 40), min_size=1, max_size=64)

@@ -46,6 +46,27 @@ def test_workload_key_separates_workloads_and_configs():
     assert key_none not in (key_gzip, key_eager)
 
 
+def test_workload_key_hashes_global_initialisers():
+    """The printed IR leaves the globals' initial values out; one changed
+    element of gzip's input window still changes the key."""
+    gzip = workloads.get("164.gzip")
+
+    class FlippedWindow:
+        name = gzip.name
+
+        @staticmethod
+        def build():
+            module, fn, args = gzip.build()
+            module.globals["window"].init[7] ^= 1
+            return module, fn, args
+
+    key, _ = workload_key(gzip, DEFAULT_CONFIG)
+    flipped, (module, _fn, _args) = workload_key(FlippedWindow, DEFAULT_CONFIG)
+    assert flipped != key
+    assert workload_key(FlippedWindow, DEFAULT_CONFIG)[0] == flipped
+    assert module.globals["window"].init[7] != gzip.build()[0].globals["window"].init[7]
+
+
 def test_put_get_roundtrip(cache):
     assert cache.get(EVALUATION_KIND, "ab" * 32) is None
     assert cache.misses == 1

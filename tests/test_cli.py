@@ -232,6 +232,23 @@ def test_cli_evaluate_with_metrics_flag_appends_table(capsys):
     assert "* = semantic" in out  # then the metrics listing
 
 
+def test_cli_trace_with_metrics_flag_appends_table(capsys):
+    assert main(["trace", "dwt53", "--no-cache", "--metrics"]) == 0
+    out = capsys.readouterr().out
+    # the span tree first, then the metrics listing
+    assert out.index("evaluate (workload=dwt53)") < out.index("* = semantic")
+
+
+@pytest.mark.parametrize("fmt", ["json", "chrome"])
+def test_cli_trace_json_formats_refuse_metrics_flag(fmt, capsys):
+    assert main(["trace", "dwt53", "--no-cache", "--format", fmt,
+                 "--metrics"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing evaluated, no partial document
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "--metrics-out" in line
+
+
 def test_cli_evaluate_with_cache_dir_and_jobs(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
     argv = ["evaluate", "482.sphinx3", "--cache-dir", cache_dir]
@@ -293,6 +310,9 @@ def test_cli_trace_from_saved_snapshot(tmp_path, capsys):
     capsys.readouterr()
     assert main(["trace", "--from", str(snap)]) == 0
     assert "evaluate (workload=dwt53)" in capsys.readouterr().out
+    assert main(["trace", "--from", str(snap), "--metrics"]) == 0
+    out = capsys.readouterr().out
+    assert out.index("evaluate (workload=dwt53)") < out.index("* = semantic")
     # chrome needs the live pipeline for its simulated-cycle tracks
     assert main(["trace", "--from", str(snap), "--format", "chrome"]) == 1
     assert "needs a live run" in capsys.readouterr().err

@@ -1,7 +1,12 @@
 import pytest
 
 from repro.ir import verify_module
-from repro.profiling import rank_paths, top_k_coverage
+from repro.profiling import (
+    branch_blocks,
+    count_memory_ops,
+    rank_paths,
+    top_k_coverage,
+)
 from repro.workloads import (
     all_names,
     all_workloads,
@@ -90,8 +95,8 @@ def test_blackscholes_path_is_memory_free_and_huge():
     p = profile_workload(get("blackscholes"))
     top = rank_paths(p.paths, limit=1)[0]
     assert top.ops > 200
-    assert top.memory_op_count <= 2
-    assert top.branch_count >= 15
+    assert count_memory_ops(top.blocks) <= 2
+    assert len(branch_blocks(top.blocks)) >= 15
 
 
 def test_swaptions_is_the_biggest_body():
@@ -109,7 +114,7 @@ def test_lbm_is_fp_flavoured_and_path_scarce():
     p = profile_workload(w)
     assert p.paths.executed_paths <= 8
     top = rank_paths(p.paths, limit=1)[0]
-    assert top.memory_op_count >= 25
+    assert count_memory_ops(top.blocks) >= 25
 
 
 def _top_path_ilp(name: str) -> float:
