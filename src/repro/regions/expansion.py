@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 from ..ir.block import BasicBlock
 from ..profiling.path_profile import PathProfile
-from ..profiling.path_trace import PathTraceAnalysis
+from ..profiling.path_trace import successor_stats
 from ..profiling.ranking import RankedPath, count_ops
 
 
@@ -57,7 +57,6 @@ class ExpandedPath:
 def expand_path(
     profile: PathProfile,
     ranked: RankedPath,
-    trace_analysis: Optional[PathTraceAnalysis] = None,
     min_bias: float = 0.0,
 ) -> ExpandedPath:
     """Chain ``ranked`` with its most likely successor from the path trace.
@@ -66,8 +65,7 @@ def expand_path(
     unexpanded (empty successor block list) but the observed bias is still
     reported, so Table III can bucket every workload.
     """
-    analysis = trace_analysis or PathTraceAnalysis(profile.trace)
-    stats = analysis.successor_stats(ranked.path_id)
+    stats = successor_stats(profile.trace, ranked.path_id)
     expand = stats.best_successor is not None and stats.bias >= min_bias
     return ExpandedPath(
         base=ranked,
