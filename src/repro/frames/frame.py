@@ -101,6 +101,11 @@ class Frame:
     store_count: int  # each store has one undo-log op
     #: mapping from original φ to its frame replacement (Value or PsiOp)
     phi_resolution: Dict[Phi, object] = field(default_factory=dict)
+    #: CGRA schedules of this frame, keyed by
+    #: :class:`~repro.sim.memo.SimulationMemo`; never compared
+    memo_table: Dict[tuple, object] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @cached_property
     def live_ins(self) -> List[Value]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.block import BasicBlock
 from ..ir.function import Function
@@ -28,6 +28,23 @@ class FunctionTrace:
     blocks: List[Optional[BasicBlock]] = field(default_factory=list)
     memory: List[Tuple[str, int]] = field(default_factory=list)
     invocations: int = 0
+    #: simulation products of this trace (memory calibration), keyed by
+    #: :class:`~repro.sim.memo.SimulationMemo`; never pickled or compared
+    memo_table: Dict[tuple, object] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["memo_table"]
+        return state
+
+    def __setstate__(self, state):
+        # setattr interns the names as default unpickling does, so a
+        # loaded trace pickles to the same bytes again
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.memo_table = {}
 
     @property
     def dynamic_instructions(self) -> int:

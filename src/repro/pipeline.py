@@ -281,16 +281,17 @@ class NeedlePipeline:
         if isinstance(cache, str):
             cache = ArtifactCache(cache)
         self.cache = cache
-        # the simulator owns the pipeline's simulation memo: the three
-        # strategies of each evaluation share calibration/path-cost/
-        # schedule sub-simulations
+        # the simulator's memo keeps each sub-simulation on the trace,
+        # profile or frame it comes from, so strategies and pipelines
+        # over the same in-memory profile share it
         self.simulator = OffloadSimulator(self.config)
         self._analyses: Dict[str, WorkloadAnalysis] = {}
         self._evaluations: Dict[str, WorkloadEvaluation] = {}
 
     @property
     def sim_memo(self):
-        """The simulator's in-memory :class:`~repro.sim.memo.SimulationMemo`."""
+        """The simulator's :class:`~repro.sim.memo.SimulationMemo`: its
+        ``hits``/``misses`` count this pipeline's lookups."""
         return self.simulator.memo
 
     # -- step 1 + 2 -------------------------------------------------------------

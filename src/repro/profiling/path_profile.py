@@ -33,11 +33,13 @@ class PathProfile:
     _decoded: Dict[int, List[BasicBlock]] = field(
         default_factory=dict, compare=False, repr=False
     )
-    # per-path recurrence summaries (braid effective-II): config-independent
-    # integer tuples, or a build failure, built once per profile; never
-    # pickled, so profile artifacts keep their bytes
-    _recurrence: Dict[int, object] = field(
-        default_factory=dict, compare=False, repr=False
+    #: products computed from this profile, keyed ``(kind, extra)``: the
+    #: per-path recurrence summaries (``("recurrence", path id)``) and the
+    #: :class:`~repro.sim.memo.SimulationMemo` entries (host path costs,
+    #: run-length view, predictor census); never pickled or compared, so
+    #: profile artifacts keep their bytes
+    memo_table: Dict[tuple, object] = field(
+        default_factory=dict, init=False, compare=False, repr=False
     )
 
     @classmethod
@@ -86,7 +88,7 @@ class PathProfile:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        del state["_recurrence"]
+        del state["memo_table"]
         return state
 
     def __setstate__(self, state):
@@ -94,7 +96,7 @@ class PathProfile:
         # loaded profile pickles to the same bytes again
         for name, value in state.items():
             setattr(self, name, value)
-        self._recurrence = {}
+        self.memo_table = {}
 
     @property
     def executed_paths(self) -> int:
@@ -132,11 +134,14 @@ class PathProfile:
         """The recurrence summaries of the ``path_ids``' frames, in order:
         ``build(missing)`` maps the ids not yet summarised to theirs, and
         the profile keeps them for its lifetime, so every grid point of a
-        sweep over an in-memory profile shares them."""
-        missing = [pid for pid in path_ids if pid not in self._recurrence]
+        sweep over an in-memory profile shares them.  A summary reads no
+        configuration, so its key is the path id alone."""
+        table = self.memo_table
+        missing = [pid for pid in path_ids if ("recurrence", pid) not in table]
         if missing:
-            self._recurrence.update(build(missing))
-        return [self._recurrence[pid] for pid in path_ids]
+            for pid, summary in build(missing).items():
+                table["recurrence", pid] = summary
+        return [table["recurrence", pid] for pid in path_ids]
 
 
 __all__ = ["PathProfile"]

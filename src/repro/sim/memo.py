@@ -1,31 +1,40 @@
-"""Shared per-pipeline simulation memo (perf layer 3, second half).
+"""Simulation memo: each product lives on the object it is computed from.
 
 Evaluating one workload runs :meth:`OffloadSimulator.simulate_offload`
-three times — host-vs-path-oracle, path-history, braid — and every call
-used to pay the full sub-simulation bill again: replay the memory stream
-through both cache ports, OOO-simulate every path, and re-schedule the
-frame.  None of those depend on the strategy.  :class:`SimulationMemo`
-memoizes each expensive sub-simulation per (input object, configuration
-slice), so the three strategies share one calibration, one host-cost
-table, one schedule pool and one run-length view.
+three times — host-vs-path-oracle, path-history, braid — and a design-space
+sweep evaluates the same in-memory profiles under many configurations.
+None of the expensive sub-simulations reads the strategy, and most read
+only a narrow slice of the configuration.  :class:`SimulationMemo` keeps
+each one in the ``memo_table`` dict of its input, keyed ``(kind, extra)``
+where ``extra`` names exactly the config fields the computation reads:
 
-The memo is one in-memory, identity-keyed table with the lifetime of the
-simulator that owns it: nothing is persisted, and nothing travels between
-processes.  The config slice in each key is deliberately narrow —
-calibration keys only the memory hierarchy, path costs only the host core
-and the rounded load latency.
+* ``calibration`` on the :class:`~repro.interp.events.FunctionTrace`,
+  keyed by the memory hierarchy;
+* ``pathcosts`` on the :class:`~repro.profiling.path_profile.PathProfile`,
+  keyed by the host core, the rounded host load latency and the
+  amortisation depth;
+* ``rle`` on the profile, keyed by nothing;
+* ``census`` on the profile, keyed by the frame's target paths, the
+  predictor kind and whether invocations pipeline;
+* ``schedule`` on the :class:`~repro.frames.frame.Frame`, keyed by the
+  CGRA and the scheduler's rounded latencies.
+
+An entry lives exactly as long as its input: every simulator and every
+pipeline over the same profile shares it, and releasing the profile
+releases its tables.  Tables are never pickled and never compared, so
+artifacts keep their bytes.  The memo object itself only counts lookups.
 
 Nothing about *how* a value was computed enters a key.  Calibration
 takes the first-touch closed form or the exact replay
 (:func:`~repro.sim.cache.profile_stream_dual`), and both give the same
 bits.  :class:`~repro.sim.offload.EventOracleSimulator` differs from
-production only in the census fold, which is never memoized.
+production only in the census fold, which it recomputes on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..obs import counter as _obs_counter, enabled as _obs_enabled
 
@@ -47,27 +56,23 @@ class Calibration:
 
 
 class SimulationMemo:
-    """Get-or-compute table for calibration, path costs and schedules."""
+    """Get-or-compute over the inputs' ``memo_table`` dicts, with counters."""
 
     def __init__(self):
-        self._entries: Dict[tuple, Tuple[object, object]] = {}
         self.hits = 0
         self.misses = 0
 
     def get(self, kind: str, obj, extra, compute):
-        """Memoize ``compute()`` by ``(kind, id(obj), extra)``.
+        """Memoize ``compute()`` in ``obj.memo_table`` under ``(kind, extra)``.
 
-        ``kind`` labels the table in the ``simcache`` counters.  A strong
-        reference to ``obj`` is kept with the entry so a reused ``id()``
-        after garbage collection can never alias a stale value.
+        ``kind`` labels the table in the ``simcache`` counters.
         """
-        key = (kind, id(obj), extra)
-        entry = self._entries.get(key)
-        if entry is not None and entry[0] is obj:
+        table = obj.memo_table
+        key = (kind, extra)
+        if key in table:
             self._note(kind, hit=True)
-            return entry[1]
-        value = compute()
-        self._entries[key] = (obj, value)
+            return table[key]
+        value = table[key] = compute()
         self._note(kind, hit=False)
         return value
 
@@ -84,9 +89,7 @@ class SimulationMemo:
             )
 
     def __repr__(self) -> str:
-        return "<SimulationMemo %d entries: %d hits, %d misses>" % (
-            len(self._entries), self.hits, self.misses,
-        )
+        return "<SimulationMemo: %d hits, %d misses>" % (self.hits, self.misses)
 
 
 __all__ = ["Calibration", "SimulationMemo"]

@@ -22,13 +22,11 @@ single simulated number:
   :class:`EventOracleSimulator` computes the same census event by event
   (the reference tests compare against), so the shared
   census→cycles/energy fold is bitwise-identical by construction;
-* **simulation memo** — each simulator owns one in-memory
-  :class:`~repro.sim.memo.SimulationMemo` keyed by object identity plus
-  a config slice: calibration per trace, per-path host costs per
-  profile, CGRA schedules per frame, and the run-length view per
-  profile.  The three strategies the pipeline evaluates share one
-  replay, one OOO table and one schedule pool.
-  Nothing is persisted; a fresh simulator starts with an empty memo.
+* **simulation memo** — each sub-simulation is kept on the trace,
+  profile or frame it is computed from, keyed by the config fields it
+  reads (:mod:`repro.sim.memo`), so the three strategies of an
+  evaluation, and every configuration evaluated over the same in-memory
+  profile, share what their slices keep.  Nothing is persisted.
 """
 
 from __future__ import annotations
@@ -195,9 +193,9 @@ class _FrameCostModel:
 class OffloadSimulator:
     """Simulates host-only and Needle-offloaded execution of one workload.
 
-    The simulator owns its :class:`~repro.sim.memo.SimulationMemo`, so
-    every call on one instance shares sub-simulations and a fresh
-    instance shares nothing.
+    ``memo`` (a :class:`~repro.sim.memo.SimulationMemo`) reads and fills
+    the inputs' memo tables and counts this simulator's lookups; any
+    simulator over the same profile shares the entries.
     """
 
     def __init__(self, config: Optional[SystemConfig] = None):
@@ -214,12 +212,14 @@ class OffloadSimulator:
         (:func:`~repro.sim.cache.profile_stream_dual`) yields average load
         latencies *and* the per-level access censuses (the simulated cache
         hit/miss numbers the obs layer reports); L1/L2 hit latencies when
-        there is no stream.  Memoized per (trace, memory config), so the
-        three offload strategies share one profile.
+        there is no stream.  Memoized on the trace per memory config, so
+        the three offload strategies and every config that keeps the
+        hierarchy share one profile; with no trace at all there is nothing
+        to key on, and the trivial record is computed directly.
         """
+        hier = self.config.memory
 
         def compute() -> Calibration:
-            hier = self.config.memory
             host_lat = float(hier.l1.latency)
             accel_lat = float(hier.l2.latency)
             host_levels: Dict[str, int] = {}
@@ -239,9 +239,9 @@ class OffloadSimulator:
                 accel_levels=accel_levels,
             )
 
-        return self.memo.get(
-            "calibration", trace, repr(self.config.memory), compute
-        )
+        if trace is None:
+            return compute()
+        return self.memo.get("calibration", trace, repr(hier), compute)
 
     # -- host path costs ---------------------------------------------------------------
 
@@ -255,9 +255,10 @@ class OffloadSimulator:
 
         Paths that repeat are simulated ``amortise_reps`` times back-to-back
         so the OOO window can overlap iterations (loop pipelining), then
-        averaged.  Memoized per (profile, host config, rounded load
-        latency) — the OOO model only sees the rounded integer latency,
-        so latencies that round alike share one table.
+        averaged.  Memoized on the profile per (host config, rounded load
+        latency, ``amortise_reps``) — the OOO model only sees the rounded
+        integer latency, so latencies that round alike share one table,
+        and no CGRA setting reaches it.
         """
         fixed_latency = max(1, int(round(host_load_latency)))
 
@@ -615,17 +616,23 @@ class OffloadSimulator:
         return _freeze(attr)
 
     def _census(
-        self, workload: str, profile: PathProfile, targets: Set[int], predictor
+        self, workload: str, profile: PathProfile, targets: Set[int],
+        predictor_kind: str,
     ) -> Tuple[ChargeCensus, float]:
         """Classify every trace event into an integer :class:`ChargeCensus`
-        and return it with the predictor's precision.
+        and return it with the precision of a fresh ``predictor_kind``
+        predictor.
 
         The O(#runs) fold: the predictor replays the run-length trace
         into decision segments and each segment collapses in closed form.
+        It reads the targets, the predictor kind and whether invocations
+        pipeline, and nothing else of the configuration, so it is
+        memoized on the profile under exactly those.
         :class:`EventOracleSimulator` overrides this with the O(#events)
-        reference; both give the same census (property-tested), and
-        :meth:`_attribute` is the only place floats accumulate — so both
-        yield bitwise-identical outcomes by construction.
+        reference, recomputed on every call; both give the same census
+        (property-tested), and :meth:`_attribute` is the only place floats
+        accumulate — so both yield bitwise-identical outcomes by
+        construction.
         """
         from ..accel.invocation import evaluate_predictor_runs
 
@@ -637,12 +644,19 @@ class OffloadSimulator:
                      "closed-form fold savings)",
                 workload=workload,
             )
-        run_eval = evaluate_predictor_runs(rle.runs, targets, predictor)
-        census = census_from_segments(
-            run_eval.segments, targets,
-            self.config.offload.pipelined_invocations,
+        pipelined = self.config.offload.pipelined_invocations
+
+        def compute() -> Tuple[ChargeCensus, float]:
+            run_eval = evaluate_predictor_runs(
+                rle.runs, targets, _predictor(predictor_kind, targets)
+            )
+            census = census_from_segments(run_eval.segments, targets, pipelined)
+            return census, run_eval.precision
+
+        return self.memo.get(
+            "census", profile,
+            (frozenset(targets), predictor_kind, pipelined), compute,
         )
-        return census, run_eval.precision
 
     def simulate_offload(
         self,
@@ -683,7 +697,7 @@ class OffloadSimulator:
         )
         cm = self._cost_model(profile, frame, cal, CGRAScheduler)
         census, precision = self._census(
-            workload, profile, cm.targets, _predictor(predictor_kind, cm.targets)
+            workload, profile, cm.targets, predictor_kind
         )
 
         # The reported totals are *defined as* the canonical fold of the
@@ -795,10 +809,12 @@ class EventOracleSimulator(OffloadSimulator):
     benchmarks: the census comes from replaying the predictor and
     classifying the trace one event at a time."""
 
-    def _census(self, workload, profile, targets, predictor):
+    def _census(self, workload, profile, targets, predictor_kind):
         from ..accel.invocation import evaluate_predictor
 
-        evaluation = evaluate_predictor(profile.trace, targets, predictor)
+        evaluation = evaluate_predictor(
+            profile.trace, targets, _predictor(predictor_kind, targets)
+        )
         census = census_from_events(
             profile.trace, evaluation.decisions, targets,
             self.config.offload.pipelined_invocations,

@@ -52,6 +52,12 @@ def _fresh_profiles():
     clear_profile_cache()
 
 
+def _summaries(profile):
+    """The recurrence summaries the profile keeps, by path id."""
+    return {pid: summary for (kind, pid), summary in profile.memo_table.items()
+            if kind == "recurrence"}
+
+
 def _analysis(name=WORKLOAD):
     w = workloads.get(name)
     return PipelineOptions(no_cache=True).build_pipeline().analyse(w)
@@ -148,7 +154,7 @@ def test_summaries_are_built_once_across_configs(monkeypatch):
     assert len(live) >= 2
     # one frame per braid block, not one per constituent path
     assert builds == Counter({block: 1 for block in region.blocks})
-    assert sorted(profile._recurrence) == sorted(live)
+    assert sorted(_summaries(profile)) == sorted(live)
     default_ii, small_ii = iis
     assert default_ii[4].load_latency != small_ii[4].load_latency
     for ii, frame, sched, prof, scheduler in iis:
@@ -163,7 +169,7 @@ def test_bounded_braid_prices_no_constituent(monkeypatch):
     PipelineOptions(no_cache=True).build_pipeline().evaluate(w)
     PipelineOptions(config=SMALL, no_cache=True).build_pipeline().evaluate(w)
     assert not builds
-    assert profile_workload(w).paths._recurrence == {}
+    assert _summaries(profile_workload(w).paths) == {}
     assert len(iis) == 2
     for ii, frame, sched, profile, scheduler in iis:
         assert len(frame.region.source_paths) >= 2
@@ -174,27 +180,38 @@ def test_bounded_braid_prices_no_constituent(monkeypatch):
 
 def test_summary_table_stays_out_of_the_pickled_profile(tmp_path):
     w = workloads.get(WORKLOAD)
-    PipelineOptions(no_cache=True).build_pipeline().evaluate(w)
     profiled = profile_workload(w)
-    table = profiled.paths._recurrence
-    assert table and all(isinstance(s, tuple) for s in table.values())
-
+    # the decode memo pickles with the profile; fill it first, so the bytes
+    # can only move if a memo table leaks into them
+    for pid in profiled.paths.counts:
+        profiled.paths.decode(pid)
     key = profiled.artifact_key
     path = tmp_path / PROFILE_KIND / key[:2] / (key + ".pkl")
     cache = ArtifactCache(str(tmp_path))
     assert cache.put(PROFILE_KIND, key, profiled)
-    with_table = path.read_bytes()
-    saved = dict(table)
-    table.clear()
-    assert cache.put(PROFILE_KIND, key, profiled)
-    assert path.read_bytes() == with_table
-    table.update(saved)
+    before = path.read_bytes()
 
-    # the path profile itself survives a trip through the cache byte for
-    # byte, and comes back without the table
-    assert cache.put(PROFILE_KIND, key, profiled.paths)
-    stored = path.read_bytes()
-    loaded = cache.get(PROFILE_KIND, key)
-    assert loaded._recurrence == {}
-    assert cache.put(PROFILE_KIND, key, loaded)
-    assert path.read_bytes() == stored
+    # two configurations fill the trace's and the profile's tables
+    PipelineOptions(no_cache=True).build_pipeline().evaluate(w)
+    PipelineOptions(config=SMALL, no_cache=True).build_pipeline().evaluate(w)
+    assert profile_workload(w) is profiled
+    summaries = _summaries(profiled.paths)
+    assert summaries and all(isinstance(s, tuple) for s in summaries.values())
+    kinds = {kind for kind, _extra in profiled.paths.memo_table}
+    assert kinds == {"recurrence", "pathcosts", "rle", "census"}
+    # SMALL has its own memory hierarchy: one calibration each
+    assert [kind for kind, _extra in profiled.trace.memo_table] == [
+        "calibration", "calibration"
+    ]
+    assert cache.put(PROFILE_KIND, key, profiled)
+    assert path.read_bytes() == before
+
+    # the path profile and the trace each survive a trip through the
+    # cache byte for byte, and come back with empty tables
+    for part in (profiled.paths, profiled.trace):
+        assert cache.put(PROFILE_KIND, key, part)
+        stored = path.read_bytes()
+        loaded = cache.get(PROFILE_KIND, key)
+        assert loaded.memo_table == {}
+        assert cache.put(PROFILE_KIND, key, loaded)
+        assert path.read_bytes() == stored
