@@ -5,10 +5,10 @@ accelerator chains consecutive invocations (the paper enlarges units 2x by
 sequencing the repeating path).  Turning pipelining off makes every
 invocation pay the full schedule makespan, which is the penalty the
 expansion machinery exists to avoid.
+``tests/claims/test_ablations.py`` asserts the claims on these rows.
 """
 
 import dataclasses
-import statistics
 
 from repro import NeedlePipeline, workloads
 from repro.reporting import format_table
@@ -52,8 +52,3 @@ def test_ablation_invocation_pipelining(benchmark):
         title="Ablation: pipelined invocations (SIV-A expansion benefit)",
     )
     save_result("ablation_expansion", text)
-
-    # pipelining across back-to-back invocations is where the loop-heavy
-    # high-ILP workloads earn most of their speedup
-    assert all(r[3] >= -1e-6 for r in rows)
-    assert statistics.mean(r[3] for r in rows) > 10.0

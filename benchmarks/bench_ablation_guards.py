@@ -4,6 +4,7 @@ The paper's evaluation conservatively detects guard failure only at frame
 end, wasting the entire invocation.  Eager detection aborts around the mean
 guard position; the delta is the price of the conservative assumption and
 only matters where invocations actually fail.
+``tests/claims/test_ablations.py`` asserts the claims on these rows.
 """
 
 import dataclasses
@@ -53,8 +54,3 @@ def test_ablation_guard_detection_point(benchmark):
         title="Ablation: guard failure detection point (history predictor)",
     )
     save_result("ablation_guards", text)
-
-    # eager detection can only help (or tie): failures cost no more
-    assert all(r[4] >= -1e-6 for r in rows)
-    # somewhere in the set, eager detection visibly matters
-    assert any(r[4] > 0.5 for r in rows if r[1] > 0)

@@ -7,7 +7,7 @@ from .aladdin import (
     AladdinResult,
     FU_LIBRARY,
 )
-from .cgra import CGRAScheduler, ScheduledOp, ScheduleResult
+from .cgra import CGRAScheduler, ScheduledOp, ScheduleResult, ScheduleSummary
 from .invocation import (
     HistoryPredictor,
     OraclePredictor,
@@ -35,6 +35,7 @@ __all__ = [
     "OraclePredictor",
     "PredictorEvaluation",
     "ScheduleResult",
+    "ScheduleSummary",
     "ScheduledOp",
     "evaluate_predictor",
 ]

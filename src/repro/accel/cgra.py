@@ -70,6 +70,44 @@ class ScheduleResult:
         return self.total_ops / self.cycles if self.cycles else 0.0
 
 
+@dataclass
+class ScheduleSummary:
+    """Flat record of a CGRA schedule (no ScheduledOp/IR references):
+    every scalar the offload simulator and the evaluation record read."""
+
+    cycles: int
+    n_configs: int
+    initiation_interval: int
+    resource_ii: int
+    recurrence_ii: int
+    total_ops: int
+    int_ops: int
+    fp_ops: int
+    mem_ops: int
+    guard_ops: int
+    edges: int
+    fu_utilization: float
+    ilp: float
+
+    @classmethod
+    def from_schedule(cls, sched: ScheduleResult) -> "ScheduleSummary":
+        return cls(
+            cycles=sched.cycles,
+            n_configs=sched.n_configs,
+            initiation_interval=sched.initiation_interval,
+            resource_ii=sched.resource_ii,
+            recurrence_ii=sched.recurrence_ii,
+            total_ops=sched.total_ops,
+            int_ops=sched.int_ops,
+            fp_ops=sched.fp_ops,
+            mem_ops=sched.mem_ops,
+            guard_ops=sched.guard_ops,
+            edges=sched.edges,
+            fu_utilization=sched.fu_utilization,
+            ilp=sched.ilp,
+        )
+
+
 #: latency of one dependence chain as (loads, stores, fixed cycles): it
 #: costs ``loads * L + stores * S + fixed`` under load/store latencies L, S
 Chain = Tuple[int, int, int]

@@ -53,8 +53,10 @@ from .resilience.faults import (
 #: 3: ProfiledWorkload carries its artifact key, calibration/path-cost
 #: tables are persisted, and the offload fold accumulates per charge class;
 #: 4: OffloadOutcome carries attribution/baseline_attribution charge-class
-#: decompositions, and needle totals are redefined as their canonical fold)
-CACHE_FORMAT_VERSION = 4
+#: decompositions, and needle totals are redefined as their canonical fold;
+#: 5: PathProfile pickles without its decode memo, and ScheduleSummary
+#: moved to repro.accel.cgra)
+CACHE_FORMAT_VERSION = 5
 
 #: environment variable overriding the default cache root
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -43,10 +43,11 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from . import obs
-from .accel.cgra import CGRAScheduler, ScheduleResult
+from .accel.cgra import CGRAScheduler, ScheduleSummary
 from .accel.hls import HLSEstimator, HLSReport
 from .artifacts import (
     EVALUATION_KIND,
@@ -95,7 +96,12 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class WorkloadAnalysis:
-    """Step 1 + 2 products for one workload."""
+    """Step 1 + 2 products for one workload.
+
+    Kept in the profile's table (:meth:`NeedlePipeline.analyse`) and
+    shared by every pipeline over that profile, so nothing may change a
+    product after it is built.
+    """
 
     profiled: ProfiledWorkload
     ranked: List[RankedPath]
@@ -114,6 +120,11 @@ class WorkloadAnalysis:
     @property
     def top_braid(self) -> Optional[Braid]:
         return self.braids[0] if self.braids else None
+
+    @cached_property
+    def summary(self) -> "AnalysisSummary":
+        """The flat record every evaluation of this analysis carries."""
+        return AnalysisSummary.from_analysis(self)
 
 
 @dataclass
@@ -138,43 +149,6 @@ class FrameSummary:
             live_in_count=len(frame.live_ins),
             live_out_count=len(frame.live_outs),
             store_count=frame.store_count,
-        )
-
-
-@dataclass
-class ScheduleSummary:
-    """Flat record of a CGRA schedule (no ScheduledOp/IR references)."""
-
-    cycles: int
-    n_configs: int
-    initiation_interval: int
-    resource_ii: int
-    recurrence_ii: int
-    total_ops: int
-    int_ops: int
-    fp_ops: int
-    mem_ops: int
-    guard_ops: int
-    edges: int
-    fu_utilization: float
-    ilp: float
-
-    @classmethod
-    def from_schedule(cls, sched: ScheduleResult) -> "ScheduleSummary":
-        return cls(
-            cycles=sched.cycles,
-            n_configs=sched.n_configs,
-            initiation_interval=sched.initiation_interval,
-            resource_ii=sched.resource_ii,
-            recurrence_ii=sched.recurrence_ii,
-            total_ops=sched.total_ops,
-            int_ops=sched.int_ops,
-            fp_ops=sched.fp_ops,
-            mem_ops=sched.mem_ops,
-            guard_ops=sched.guard_ops,
-            edges=sched.edges,
-            fu_utilization=sched.fu_utilization,
-            ilp=sched.ilp,
         )
 
 
@@ -259,7 +233,8 @@ class WorkloadEvaluation:
 
 
 class NeedlePipeline:
-    """Caches analyses/evaluations so every benchmark shares one pass.
+    """Caches evaluations so every benchmark shares one pass; analyses
+    live on the profiles they come from.
 
     ``cache`` layers a persistent on-disk artifact store under the
     in-memory dictionaries: pass an :class:`ArtifactCache`, a directory
@@ -285,7 +260,6 @@ class NeedlePipeline:
         # profile or frame it comes from, so strategies and pipelines
         # over the same in-memory profile share it
         self.simulator = OffloadSimulator(self.config)
-        self._analyses: Dict[str, WorkloadAnalysis] = {}
         self._evaluations: Dict[str, WorkloadEvaluation] = {}
 
     @property
@@ -297,36 +271,35 @@ class NeedlePipeline:
     # -- step 1 + 2 -------------------------------------------------------------
 
     def analyse(self, workload: Workload) -> WorkloadAnalysis:
-        cached = self._analyses.get(workload.name)
-        if cached is not None:
-            return cached
+        """Steps 1 and 2 of ``workload``.  They read no configuration, so
+        the analysis is kept on the profile: every pipeline over the same
+        in-memory profile gets the same ranked paths, braids and frames,
+        and with them the frames' tables."""
         with obs.span("analyse", workload=workload.name):
             profiled = profile_workload(workload, artifact_cache=self.cache)
-            ranked = rank_paths(profiled.paths)
-            # offload braids merge hot same-entry/exit paths only (cold
-            # siblings would waste fabric area and energy under predication)
-            braids = build_braids(
-                profiled.function, ranked, min_weight_ratio=0.02
+            return self.sim_memo.get(
+                "analysis", profiled, None, lambda: self._analyse(profiled)
             )
 
-            path_frame = None
-            if ranked:
-                path_frame = build_frame(
-                    path_to_region(profiled.function, ranked[0])
-                )
-            braid_frame = None
-            if braids:
-                braid_frame = build_frame(braids[0].region)
-
-        analysis = WorkloadAnalysis(
+    @staticmethod
+    def _analyse(profiled: ProfiledWorkload) -> WorkloadAnalysis:
+        ranked = rank_paths(profiled.paths)
+        # offload braids merge hot same-entry/exit paths only (cold
+        # siblings would waste fabric area and energy under predication)
+        braids = build_braids(profiled.function, ranked, min_weight_ratio=0.02)
+        path_frame = None
+        if ranked:
+            path_frame = build_frame(path_to_region(profiled.function, ranked[0]))
+        braid_frame = None
+        if braids:
+            braid_frame = build_frame(braids[0].region)
+        return WorkloadAnalysis(
             profiled=profiled,
             ranked=ranked,
             braids=braids,
             path_frame=path_frame,
             braid_frame=braid_frame,
         )
-        self._analyses[workload.name] = analysis
-        return analysis
 
     # -- step 3 ---------------------------------------------------------------------
 
@@ -390,16 +363,24 @@ class NeedlePipeline:
                 profiled.trace,
             )
 
-        hls = None
-        braid_sched = None
-        if analysis.braid_frame is not None:
-            hls = HLSEstimator().estimate(analysis.braid_frame)
-            braid_sched = ScheduleSummary.from_schedule(
-                CGRAScheduler(self.config.cgra).schedule(analysis.braid_frame)
+        hls = braid_sched = None
+        frame = analysis.braid_frame
+        if frame is not None:
+            # kept in the frame's table like the simulator's schedules:
+            # the estimate reads no configuration, the default-latency
+            # schedule only the CGRA
+            cgra = self.config.cgra
+            hls = self.sim_memo.get(
+                "hls", frame, None, lambda: HLSEstimator().estimate(frame)
+            )
+            braid_sched = self.sim_memo.get(
+                "braid_schedule", frame, repr(cgra),
+                lambda: ScheduleSummary.from_schedule(
+                    CGRAScheduler(cgra).schedule(frame)),
             )
 
         return WorkloadEvaluation(
-            summary=AnalysisSummary.from_analysis(analysis),
+            summary=analysis.summary,
             path_oracle=path_oracle,
             path_history=path_history,
             braid=braid_outcome,
@@ -840,7 +821,6 @@ def _evaluate_worker(
             # record memos are per-task: a retry must recompute (its
             # fault sites consulted afresh), and a warm worker must not
             # serve another task's rows from memory
-            pipe._analyses.clear()
             pipe._evaluations.clear()
     finally:
         _faults.uninstall()

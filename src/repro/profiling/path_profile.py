@@ -29,15 +29,16 @@ class PathProfile:
     counts: Counter = field(default_factory=Counter)
     trace: List[int] = field(default_factory=list)
     # decode memo: region discovery decodes the same hot ids repeatedly, so
-    # cache the block sequences; excluded from equality/pickle identity.
+    # cache the block sequences; never pickled or compared, so a profile's
+    # bytes do not depend on how many paths were decoded before a put
     _decoded: Dict[int, List[BasicBlock]] = field(
         default_factory=dict, compare=False, repr=False
     )
     #: products computed from this profile, keyed ``(kind, extra)``: the
     #: per-path recurrence summaries (``("recurrence", path id)``) and the
-    #: :class:`~repro.sim.memo.SimulationMemo` entries (host path costs,
-    #: run-length view, predictor census); never pickled or compared, so
-    #: profile artifacts keep their bytes
+    #: :class:`~repro.sim.memo.SimulationMemo` entries (host path costs
+    #: and baseline, run-length view, predictor census); never pickled or
+    #: compared, so profile artifacts keep their bytes
     memo_table: Dict[tuple, object] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -88,7 +89,7 @@ class PathProfile:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        del state["memo_table"]
+        del state["memo_table"], state["_decoded"]
         return state
 
     def __setstate__(self, state):
@@ -96,6 +97,7 @@ class PathProfile:
         # loaded profile pickles to the same bytes again
         for name, value in state.items():
             setattr(self, name, value)
+        self._decoded = {}
         self.memo_table = {}
 
     @property

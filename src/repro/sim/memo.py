@@ -3,26 +3,41 @@
 Evaluating one workload runs :meth:`OffloadSimulator.simulate_offload`
 three times — host-vs-path-oracle, path-history, braid — and a design-space
 sweep evaluates the same in-memory profiles under many configurations.
-None of the expensive sub-simulations reads the strategy, and most read
-only a narrow slice of the configuration.  :class:`SimulationMemo` keeps
-each one in the ``memo_table`` dict of its input, keyed ``(kind, extra)``
-where ``extra`` names exactly the config fields the computation reads:
+The analysis, and most of what the simulator computes from it, reads only
+a narrow slice of the configuration, or none of it.  :class:`SimulationMemo`
+keeps each product in the ``memo_table`` dict of its input, keyed
+``(kind, extra)`` where ``extra`` names exactly the config fields the
+computation reads:
 
+* ``analysis`` on the :class:`~repro.workloads.base.ProfiledWorkload`,
+  keyed by nothing: the ranked paths, braids, path and braid frames and
+  the analysis summary (:meth:`~repro.pipeline.NeedlePipeline.analyse`);
 * ``calibration`` on the :class:`~repro.interp.events.FunctionTrace`,
   keyed by the memory hierarchy;
 * ``pathcosts`` on the :class:`~repro.profiling.path_profile.PathProfile`,
   keyed by the host core, the rounded host load latency and the
   amortisation depth;
+* ``baseline`` on the profile, keyed by the path-cost slice and the
+  energy prices;
 * ``rle`` on the profile, keyed by nothing;
 * ``census`` on the profile, keyed by the frame's target paths, the
   predictor kind and whether invocations pipeline;
 * ``schedule`` on the :class:`~repro.frames.frame.Frame`, keyed by the
-  CGRA and the scheduler's rounded latencies.
+  CGRA and the scheduler's latencies: the
+  :class:`~repro.accel.cgra.ScheduleSummary` the simulator reads, with
+  the braid effective-II and the constituents that fell back;
+* ``exec_fraction`` on the frame, keyed by nothing;
+* ``hls`` and ``braid_schedule`` on the braid frame, keyed by nothing
+  and by the CGRA: the evaluation's HLS estimate and its default-latency
+  schedule summary.
 
 An entry lives exactly as long as its input: every simulator and every
 pipeline over the same profile shares it, and releasing the profile
-releases its tables.  Tables are never pickled and never compared, so
-artifacts keep their bytes.  The memo object itself only counts lookups.
+releases its tables.  An entry refers to nothing but its input and what
+was computed from it; a frame is only ever simulated against the profile
+it was built from.  Tables are never pickled and never compared, so
+artifacts keep their bytes.  The memo object itself only counts lookups,
+and nothing may change an entry after it is stored.
 
 Nothing about *how* a value was computed enters a key.  Calibration
 takes the first-touch closed form or the exact replay

@@ -171,7 +171,7 @@ class _FrameCostModel:
     fold and the simulated-cycle timeline — one derivation, two
     consumers, so the timeline never drifts from the accounting."""
 
-    sched: object  # CGRA ScheduleResult
+    sched: object  # CGRA ScheduleSummary
     pipeline_ii: float
     run_start_cycles: float  # makespan + live-value transfer (run fill)
     transfer_cycles: float
@@ -202,6 +202,10 @@ class OffloadSimulator:
         self.config = config or DEFAULT_CONFIG
         self.energy_model = EnergyModel(self.config.energy, self.config.cgra)
         self.memo = SimulationMemo()
+        # memo keys name config slices by their reprs; the config is
+        # frozen, so each is taken once per simulator
+        self._reprs = {name: repr(getattr(self.config, name))
+                       for name in ("memory", "host", "cgra", "energy")}
 
     # -- memory latency calibration ------------------------------------------------
 
@@ -241,7 +245,9 @@ class OffloadSimulator:
 
         if trace is None:
             return compute()
-        return self.memo.get("calibration", trace, repr(hier), compute)
+        return self.memo.get(
+            "calibration", trace, self._reprs["memory"], compute
+        )
 
     # -- host path costs ---------------------------------------------------------------
 
@@ -255,28 +261,42 @@ class OffloadSimulator:
 
         Paths that repeat are simulated ``amortise_reps`` times back-to-back
         so the OOO window can overlap iterations (loop pipelining), then
-        averaged.  Memoized on the profile per (host config, rounded load
-        latency, ``amortise_reps``) — the OOO model only sees the rounded
-        integer latency, so latencies that round alike share one table,
-        and no CGRA setting reaches it.
+        averaged.  Memoized on the profile per :meth:`_host_slice` — the
+        OOO model only sees the rounded integer latency, so latencies that
+        round alike share one table, and no CGRA setting reaches it.
         """
-        fixed_latency = max(1, int(round(host_load_latency)))
+        key = self._host_slice(host_load_latency, amortise_reps)
+        fixed_latency = key[1]
 
         def compute() -> Dict[int, PathCost]:
             model = OOOModel(self.config.host, fixed_load_latency=fixed_latency)
             costs: Dict[int, PathCost] = {}
+            # a sweep keeps one table per host slice for the profile's
+            # lifetime, and per-execution counts repeat across paths:
+            # equal values share one float (never -0.0, as the counts
+            # are non-negative)
+            shared: Dict[float, float] = {}
             for pid, count in profile.counts.items():
                 reps = amortise_reps if count >= amortise_reps else 1
                 res = model.simulate(list(profile.decode(pid)) * reps)
                 per_exec = OOOResult()
                 for name in vars(per_exec):
-                    setattr(per_exec, name, getattr(res, name) / reps)
-                costs[pid] = PathCost(cycles=res.cycles / reps, census=per_exec)
+                    value = getattr(res, name) / reps
+                    setattr(per_exec, name, shared.setdefault(value, value))
+                costs[pid] = PathCost(cycles=per_exec.cycles, census=per_exec)
             return costs
 
-        return self.memo.get(
-            "pathcosts", profile,
-            (repr(self.config.host), fixed_latency, amortise_reps), compute,
+        return self.memo.get("pathcosts", profile, key, compute)
+
+    def _host_slice(self, host_load_latency: float,
+                    amortise_reps: int = 4) -> tuple:
+        """The config slice host path costs read (memo key part): the
+        host core, the load latency rounded as the OOO model sees it, and
+        the amortisation depth."""
+        return (
+            self._reprs["host"],
+            max(1, int(round(host_load_latency))),
+            amortise_reps,
         )
 
     # -- baseline --------------------------------------------------------------------------
@@ -303,25 +323,43 @@ class OffloadSimulator:
     def _scheduler_fingerprint(self, scheduler) -> tuple:
         """The config slice a CGRA schedule depends on (memo key part)."""
         return (
-            repr(self.config.cgra),
+            self._reprs["cgra"],
             scheduler.load_latency,
             scheduler.store_latency,
         )
 
-    def _schedule(self, scheduler, frame: Frame):
-        """Memoized CGRA schedule of ``frame`` under this configuration."""
+    def _schedule(self, scheduler, frame: Frame, profile: PathProfile):
+        """``(ScheduleSummary, pipelined II)`` of ``frame`` under this
+        configuration, memoized on the frame: the simulator reads only
+        the schedule's scalars, so the full schedule is not kept.  Every
+        braid constituent whose summary failed is counted on each lookup,
+        so schedule regressions stay visible on every evaluation."""
+        from ..accel.cgra import ScheduleSummary
 
         def compute():
-            return scheduler.schedule(
+            sched = ScheduleSummary.from_schedule(scheduler.schedule(
                 frame, loop_carried=self._loop_carried(frame)
-            )
+            ))
+            return (sched,) + self._effective_ii(frame, sched, profile, scheduler)
 
-        return self.memo.get(
+        sched, pipeline_ii, fallbacks = self.memo.get(
             "schedule", frame, self._scheduler_fingerprint(scheduler), compute
         )
+        if fallbacks and _obs_enabled():
+            for failure in fallbacks:
+                _obs_counter(
+                    "sim.effective_ii_fallbacks", 1,
+                    help="braid constituent paths that failed to "
+                         "re-schedule for the pipelined II",
+                    error=failure.error,
+                )
+        return sched, pipeline_ii
 
-    def _effective_ii(self, frame: Frame, sched, profile: PathProfile, scheduler) -> float:
-        """Initiation interval for pipelined invocations.
+    def _effective_ii(
+        self, frame: Frame, sched, profile: PathProfile, scheduler,
+    ) -> Tuple[float, Tuple[_SummaryFailure, ...]]:
+        """Initiation interval for pipelined invocations, with the
+        constituents that fell back to the whole-region II.
 
         For a braid, the whole-region recurrence is pessimistic: dataflow
         predication gates untaken arms, so an iteration flowing down the hot
@@ -343,10 +381,10 @@ class OffloadSimulator:
         """
         region = frame.region
         if region.kind != "braid" or len(region.source_paths) < 2:
-            return float(sched.initiation_interval)
+            return float(sched.initiation_interval), ()
         if (sched.recurrence_ii <= sched.resource_ii
                 and region.blocks[-1] is region.exit):
-            return float(sched.resource_ii)
+            return float(sched.resource_ii), ()
 
         with _obs_span("effective_ii"):
             live = [
@@ -360,18 +398,11 @@ class OffloadSimulator:
             )
             total_freq = 0
             weighted = 0.0
+            fallbacks = []
             for (pid, freq), summary in zip(live, summaries):
                 if isinstance(summary, _SummaryFailure):
-                    # constituent falls back to the whole-region II —
-                    # count it on every evaluation so schedule
-                    # regressions are visible, not silent
-                    if _obs_enabled():
-                        _obs_counter(
-                            "sim.effective_ii_fallbacks", 1,
-                            help="braid constituent paths that failed to "
-                                 "re-schedule for the pipelined II",
-                            error=summary.error,
-                        )
+                    # constituent falls back to the whole-region II
+                    fallbacks.append(summary)
                     logger.debug(
                         "effective-II fallback: constituent path %d of %s "
                         "failed to schedule: %s",
@@ -381,9 +412,9 @@ class OffloadSimulator:
                 weighted += freq * scheduler.recurrence_from_summary(summary)
                 total_freq += freq
             if total_freq == 0:
-                return float(sched.initiation_interval)
+                return float(sched.initiation_interval), tuple(fallbacks)
             avg_recurrence = weighted / total_freq
-            return float(max(sched.resource_ii, avg_recurrence))
+            return float(max(sched.resource_ii, avg_recurrence)), tuple(fallbacks)
 
     @staticmethod
     def _constituent_summaries(profile: PathProfile, region, pids) -> Dict[int, object]:
@@ -461,8 +492,7 @@ class OffloadSimulator:
             load_latency=effective_load,
             store_latency=max(1.0, effective_load / 3),
         )
-        sched = self._schedule(scheduler, frame)
-        pipeline_ii = self._effective_ii(frame, sched, profile, scheduler)
+        sched, pipeline_ii = self._schedule(scheduler, frame, profile)
         frame_eb = self.energy_model.frame_energy(
             n_int_ops=sched.int_ops + sched.guard_ops,
             n_fp_ops=sched.fp_ops,
@@ -485,14 +515,6 @@ class OffloadSimulator:
         total_sched_ops = max(
             1, sched.int_ops + sched.fp_ops + sched.mem_ops + sched.guard_ops
         )
-        # Dataflow predication gates tokens on untaken braid arms, so an
-        # invocation burns energy proportional to the ops its actual path
-        # touches, not the whole fabric mapping.
-        frame_ops_total = max(1, frame.region.op_count)
-        exec_fraction: Dict[int, float] = {}
-        for pid in frame.region.source_paths:
-            path_ops = count_ops(profile.decode(pid))
-            exec_fraction[pid] = min(1.0, path_ops / frame_ops_total)
         n_transfer = len(frame.live_ins) + len(frame.live_outs)
         transfer_cycles = (
             n_transfer * self.config.offload.transfer_cycles_per_value
@@ -527,9 +549,26 @@ class OffloadSimulator:
             frame_mem_pj=frame_eb.memory_pj,
             guard_frac=sched.guard_ops / total_sched_ops,
             psi_frac=psi_ops / total_sched_ops,
-            exec_fraction=exec_fraction,
+            exec_fraction=self._exec_fraction(profile, frame),
             targets=set(frame.region.source_paths),
         )
+
+    def _exec_fraction(self, profile: PathProfile, frame: Frame) -> Dict[int, float]:
+        """Each source path's share of the frame's ops, kept on the frame.
+
+        Dataflow predication gates tokens on untaken braid arms, so an
+        invocation burns energy proportional to the ops its actual path
+        touches, not the whole fabric mapping.
+        """
+
+        def compute() -> Dict[int, float]:
+            frame_ops_total = max(1, frame.region.op_count)
+            return {
+                pid: min(1.0, count_ops(profile.decode(pid)) / frame_ops_total)
+                for pid in frame.region.source_paths
+            }
+
+        return self.memo.get("exec_fraction", frame, None, compute)
 
     def _host_side_charges(
         self,
@@ -692,8 +731,13 @@ class OffloadSimulator:
 
         cal = self.calibrate(trace)
         costs = self.path_costs(profile, cal.host_load_latency)
-        base_cycles, base_energy, base_attr = self.baseline_attributed(
-            profile, costs
+        # the host-only baseline reads the path costs and the energy
+        # prices alone: kept on the profile per that slice
+        base_cycles, base_energy, base_attr = self.memo.get(
+            "baseline", profile,
+            self._host_slice(cal.host_load_latency)
+            + (self._reprs["energy"],),
+            lambda: self.baseline_attributed(profile, costs),
         )
         cm = self._cost_model(profile, frame, cal, CGRAScheduler)
         census, precision = self._census(
@@ -725,7 +769,7 @@ class OffloadSimulator:
             host_mem_levels=dict(cal.host_levels),
             accel_mem_levels=dict(cal.accel_levels),
             attribution=attribution,
-            baseline_attribution=base_attr,
+            baseline_attribution=dict(base_attr),
         )
 
     # -- simulated timeline -----------------------------------------------------

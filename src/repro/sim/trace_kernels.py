@@ -55,9 +55,12 @@ class RLETrace:
 
 def run_length_encode(trace: Sequence[int]) -> RLETrace:
     """RLE of a path trace; computed once per workload and memoized by
-    :class:`~repro.sim.memo.SimulationMemo`."""
+    :class:`~repro.sim.memo.SimulationMemo`.  Equal runs share one tuple,
+    since the view lives as long as its profile."""
+    shared: Dict[Tuple[int, int], Tuple[int, int]] = {}
     runs = tuple(
-        (pid, sum(1 for _ in group)) for pid, group in groupby(trace)
+        shared.setdefault(run, run)
+        for run in ((pid, sum(1 for _ in group)) for pid, group in groupby(trace))
     )
     return RLETrace(runs=runs, n_events=len(trace))
 

@@ -58,6 +58,23 @@ class ProfiledWorkload:
     #: config-independent content hash of (IR text, run args): the key
     #: the profile is stored under in the artifact cache
     artifact_key: "str | None" = None
+    #: the pipeline's analysis of this run, keyed ``("analysis", None)``
+    #: (:meth:`~repro.pipeline.NeedlePipeline.analyse`); never pickled or
+    #: compared, so profile artifacts keep their bytes
+    memo_table: Dict[tuple, object] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["memo_table"]
+        return state
+
+    def __setstate__(self, state):
+        # setattr interns the names as default unpickling does
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.memo_table = {}
 
 
 _PROFILE_CACHE: Dict[str, ProfiledWorkload] = {}

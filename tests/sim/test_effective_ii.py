@@ -82,15 +82,15 @@ def _count_block_builds(monkeypatch, fail=None):
 
 
 def _record_braid_iis(monkeypatch):
-    """Every braid effective-II the simulator returns, with its inputs."""
+    """Every braid effective-II the simulator computes, with its inputs."""
     calls = []
     original = OffloadSimulator._effective_ii
 
     def spy(self, frame, sched, profile, scheduler):
-        ii = original(self, frame, sched, profile, scheduler)
+        result = original(self, frame, sched, profile, scheduler)
         if frame.region.kind == "braid":
-            calls.append((ii, frame, sched, profile, scheduler))
-        return ii
+            calls.append((result[0], frame, sched, profile, scheduler))
+        return result
 
     monkeypatch.setattr(OffloadSimulator, "_effective_ii", spy)
     return calls
@@ -135,7 +135,8 @@ def test_failed_constituent_is_counted_on_every_evaluation(monkeypatch):
     assert fallbacks.value(error="FrameBuildError") == 2 * len(failed)
     assert builds[victim] == 1  # the failure is cached, not rebuilt
     assert first == second
-    assert len(iis) == 2
+    # the second evaluation reads the II from the shared frame's table
+    assert len(iis) == 1
     for ii, frame, sched, profile, scheduler in iis:
         assert ii == _scheduled_ii(frame, sched, profile, scheduler,
                                    skip=failed)
@@ -181,24 +182,30 @@ def test_bounded_braid_prices_no_constituent(monkeypatch):
 def test_summary_table_stays_out_of_the_pickled_profile(tmp_path):
     w = workloads.get(WORKLOAD)
     profiled = profile_workload(w)
-    # the decode memo pickles with the profile; fill it first, so the bytes
-    # can only move if a memo table leaks into them
-    for pid in profiled.paths.counts:
-        profiled.paths.decode(pid)
+    # put before any path is decoded: neither the decode memo nor a memo
+    # table may move the bytes
+    assert not profiled.paths._decoded
     key = profiled.artifact_key
     path = tmp_path / PROFILE_KIND / key[:2] / (key + ".pkl")
     cache = ArtifactCache(str(tmp_path))
     assert cache.put(PROFILE_KIND, key, profiled)
     before = path.read_bytes()
 
-    # two configurations fill the trace's and the profile's tables
+    # two configurations fill the trace's, the profile's and the frames'
+    # tables, and decode paths
     PipelineOptions(no_cache=True).build_pipeline().evaluate(w)
     PipelineOptions(config=SMALL, no_cache=True).build_pipeline().evaluate(w)
     assert profile_workload(w) is profiled
+    assert profiled.paths._decoded
     summaries = _summaries(profiled.paths)
     assert summaries and all(isinstance(s, tuple) for s in summaries.values())
     kinds = {kind for kind, _extra in profiled.paths.memo_table}
-    assert kinds == {"recurrence", "pathcosts", "rle", "census"}
+    assert kinds == {"recurrence", "pathcosts", "baseline", "rle", "census"}
+    assert list(profiled.memo_table) == [("analysis", None)]
+    analysis = profiled.memo_table["analysis", None]
+    assert {kind for kind, _extra in analysis.braid_frame.memo_table} == {
+        "schedule", "exec_fraction", "hls", "braid_schedule"
+    }
     # SMALL has its own memory hierarchy: one calibration each
     assert [kind for kind, _extra in profiled.trace.memo_table] == [
         "calibration", "calibration"
@@ -206,8 +213,10 @@ def test_summary_table_stays_out_of_the_pickled_profile(tmp_path):
     assert cache.put(PROFILE_KIND, key, profiled)
     assert path.read_bytes() == before
 
-    # the path profile and the trace each survive a trip through the
-    # cache byte for byte, and come back with empty tables
+    # a loaded profile comes back with an empty table; the path profile
+    # and the trace each survive a trip through the cache byte for byte,
+    # and come back with empty tables
+    assert cache.get(PROFILE_KIND, key).memo_table == {}
     for part in (profiled.paths, profiled.trace):
         assert cache.put(PROFILE_KIND, key, part)
         stored = path.read_bytes()

@@ -9,10 +9,14 @@ product its configuration slice shares.
 """
 
 import pickle
+from collections import Counter
 
 import pytest
 
+import repro.pipeline as pipeline_module
 from repro import obs, workloads
+from repro.accel.cgra import CGRAScheduler
+from repro.accel.hls import HLSEstimator
 from repro.artifacts import ArtifactCache
 from repro.frames import build_frame
 from repro.options import PipelineOptions
@@ -23,6 +27,7 @@ from repro.sim import OffloadSimulator, SimulationMemo
 from repro.sim.config import (
     CacheConfig,
     CGRAConfig,
+    EnergyConfig,
     HostConfig,
     MemoryHierarchyConfig,
     OffloadConfig,
@@ -177,11 +182,14 @@ def test_cgra_only_config_change_reuses_host_side_products(fresh_profiles):
     with obs.scoped() as reg:
         second.evaluate(w)
     misses = reg.counter("simcache.misses")
-    # the memory, host and census slices did not change: all served
-    for table in ("calibration", "pathcosts", "census"):
+    # the analysis and the memory, host, energy and census slices did not
+    # change: all served
+    for table in ("analysis", "calibration", "pathcosts", "baseline",
+                  "census", "exec_fraction", "hls"):
         assert misses.value(table=table) == 0
-    # frames are rebuilt per pipeline, and the CGRA slice changed anyway
+    # the frames are shared, but the CGRA slice changed
     assert misses.value(table="schedule") >= 1
+    assert misses.value(table="braid_schedule") == 1
     assert second.sim_memo.hits > 0
 
 
@@ -206,14 +214,17 @@ SLICE_POINTS = (
     ("eager-abort", SystemConfig(
         offload=OffloadConfig(detect_failure_at_end=False),
     )),
+    ("costly-frontend", SystemConfig(
+        energy=EnergyConfig(host_frontend_pj=40.0),
+    )),
 )
 
 
-def _slice_rows(config, memo=None):
+def _slice_rows(config, memo=None, names=SUBSET):
     pipe = PipelineOptions(config=config, no_cache=True).build_pipeline()
     if memo is not None:
         pipe.simulator.memo = memo
-    return [_flatten(pipe.evaluate(w)) for w in _suite(SUBSET)]
+    return [_flatten(pipe.evaluate(w)) for w in _suite(names)]
 
 
 def test_sharing_never_crosses_a_config_slice(fresh_profiles):
@@ -229,6 +240,73 @@ def test_sharing_never_crosses_a_config_slice(fresh_profiles):
         clear_profile_cache()
         for name, config in points:
             assert _slice_rows(config) == reference[name], name
+
+
+#: braids of several paths: 164.gzip and 186.crafty compose constituent
+#: recurrence summaries, fft-2d is bounded by its own recurrence, and
+#: swaptions has the largest braid frame
+SWEEP_SUBSET = ["164.gzip", "186.crafty", "fft-2d", "swaptions"]
+
+
+def _count_calls(monkeypatch, owner, name, key):
+    """Count calls of ``owner.name`` by ``key(*args)``."""
+    calls = Counter()
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[key(*args, **kwargs)] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_sweep_analyses_each_profile_once(fresh_profiles, monkeypatch):
+    points = [config for name, config in SLICE_POINTS
+              if name in ("default", "small-cgra", "narrow-host",
+                          "small-memory")]
+    assert len(points) == 4
+    # the reference: fresh profiles for every point, memo off
+    with monkeypatch.context() as m:
+        m.setattr(pipeline_module, "profile_workload",
+                  lambda w, artifact_cache=None:
+                  profile_workload(w, use_cache=False))
+        reference = [_slice_rows(config, RecomputeMemo(), SWEEP_SUBSET)
+                     for config in points]
+    clear_profile_cache()
+
+    frames = _count_calls(
+        monkeypatch, pipeline_module, "build_frame",
+        lambda region: (region.function.name, region.kind))
+    schedules = _count_calls(
+        monkeypatch, CGRAScheduler, "schedule",
+        lambda sched, frame, loop_carried=None: (
+            id(frame), repr(sched.config), sched.load_latency,
+            sched.store_latency, loop_carried is not None))
+    estimates = _count_calls(
+        monkeypatch, HLSEstimator, "estimate",
+        lambda hls, frame: id(frame))
+    rows = [_slice_rows(config, names=SWEEP_SUBSET) for config in points]
+    assert rows == reference
+
+    # each profile is framed once, whatever the number of points
+    suite = _suite(SWEEP_SUBSET)
+    assert frames == Counter({
+        (profile_workload(w).function.name, kind): 1
+        for w in suite for kind in ("bl-path", "braid")
+    })
+    analyses = [profile_workload(w).memo_table["analysis", None]
+                for w in suite]
+    # each frame is scheduled once per (CGRA, latency) slice: narrow-host
+    # shares the default CGRA and memory, so a frame has at most three
+    # simulator slices, and a braid frame two default-latency schedules
+    assert set(schedules.values()) == {1}
+    assert len(schedules) <= (3 * 2 + 2) * len(analyses)
+    # each braid frame is estimated once
+    assert estimates == Counter({id(a.braid_frame): 1 for a in analyses})
+    # and the slice composes constituent summaries
+    assert any(kind == "recurrence"
+               for a in analyses for kind, _pid in a.profiled.paths.memo_table)
 
 
 def test_rle_ratio_gauge_published():
