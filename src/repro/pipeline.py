@@ -42,6 +42,7 @@ import logging
 import os
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional
@@ -96,11 +97,11 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class WorkloadAnalysis:
-    """Step 1 + 2 products for one workload.
+    """Step 1 + 2 products for one workload, paired with its profile.
 
-    Kept in the profile's table (:meth:`NeedlePipeline.analyse`) and
-    shared by every pipeline over that profile, so nothing may change a
-    product after it is built.
+    The products are kept in the profile's table
+    (:meth:`NeedlePipeline.analyse`) and shared by every pipeline over that
+    profile, so nothing may change a product after it is built.
     """
 
     profiled: ProfiledWorkload
@@ -207,6 +208,39 @@ class AnalysisSummary:
         )
 
 
+class _SharedAnalysis:
+    """A profile's ``analysis`` entry: the products of steps 1 and 2 and
+    their summary, none of which reads a configuration.
+
+    Only the :class:`WorkloadAnalysis` view refers to the profile, and the
+    entry holds its view weakly, so nothing in the profile's table refers
+    back to the profile: releasing the profile frees it at once, not at
+    the next cyclic garbage collection.
+    """
+
+    def __init__(self, analysis: WorkloadAnalysis):
+        self.ranked = analysis.ranked
+        self.braids = analysis.braids
+        self.path_frame = analysis.path_frame
+        self.braid_frame = analysis.braid_frame
+        self.summary = analysis.summary
+        self._view = weakref.ref(analysis)
+
+    def view(self, profiled: ProfiledWorkload) -> WorkloadAnalysis:
+        """The products paired with ``profiled``: the same view for as
+        long as anyone holds it."""
+        analysis = self._view()
+        if analysis is None:
+            analysis = WorkloadAnalysis(
+                profiled, self.ranked, self.braids, self.path_frame,
+                self.braid_frame,
+            )
+            # the summary is shared like the products it is built from
+            analysis.__dict__["summary"] = self.summary
+            self._view = weakref.ref(analysis)
+        return analysis
+
+
 @dataclass
 class WorkloadEvaluation:
     """Step 3 products: the Fig. 9 / Fig. 10 data points.
@@ -272,14 +306,16 @@ class NeedlePipeline:
 
     def analyse(self, workload: Workload) -> WorkloadAnalysis:
         """Steps 1 and 2 of ``workload``.  They read no configuration, so
-        the analysis is kept on the profile: every pipeline over the same
-        in-memory profile gets the same ranked paths, braids and frames,
-        and with them the frames' tables."""
+        their products are kept on the profile: every pipeline over the
+        same in-memory profile gets the same ranked paths, braids and
+        frames, and with them the frames' tables."""
         with obs.span("analyse", workload=workload.name):
             profiled = profile_workload(workload, artifact_cache=self.cache)
-            return self.sim_memo.get(
-                "analysis", profiled, None, lambda: self._analyse(profiled)
+            shared = self.sim_memo.get(
+                "analysis", profiled, None,
+                lambda: _SharedAnalysis(self._analyse(profiled)),
             )
+            return shared.view(profiled)
 
     @staticmethod
     def _analyse(profiled: ProfiledWorkload) -> WorkloadAnalysis:

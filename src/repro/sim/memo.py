@@ -11,7 +11,9 @@ computation reads:
 
 * ``analysis`` on the :class:`~repro.workloads.base.ProfiledWorkload`,
   keyed by nothing: the ranked paths, braids, path and braid frames and
-  the analysis summary (:meth:`~repro.pipeline.NeedlePipeline.analyse`);
+  the analysis summary (:meth:`~repro.pipeline.NeedlePipeline.analyse`),
+  with only a weak reference to the view that pairs them with the
+  profile;
 * ``calibration`` on the :class:`~repro.interp.events.FunctionTrace`,
   keyed by the memory hierarchy;
 * ``pathcosts`` on the :class:`~repro.profiling.path_profile.PathProfile`,
@@ -33,9 +35,11 @@ computation reads:
 
 An entry lives exactly as long as its input: every simulator and every
 pipeline over the same profile shares it, and releasing the profile
-releases its tables.  An entry refers to nothing but its input and what
-was computed from it; a frame is only ever simulated against the profile
-it was built from.  Tables are never pickled and never compared, so
+releases its tables.  An entry refers only to what was computed from its
+input, never back to the input, so no table closes a reference cycle and
+a released profile is freed at once, not at the next full garbage
+collection.  A frame is only ever simulated against the profile it was
+built from.  Tables are never pickled and never compared, so
 artifacts keep their bytes.  The memo object itself only counts lookups,
 and nothing may change an entry after it is stored.
 

@@ -59,8 +59,9 @@ class ProfiledWorkload:
     #: the profile is stored under in the artifact cache
     artifact_key: "str | None" = None
     #: the pipeline's analysis of this run, keyed ``("analysis", None)``
-    #: (:meth:`~repro.pipeline.NeedlePipeline.analyse`); never pickled or
-    #: compared, so profile artifacts keep their bytes
+    #: (:meth:`~repro.pipeline.NeedlePipeline.analyse`); it never refers
+    #: back to this profile, and is never pickled or compared, so profile
+    #: artifacts keep their bytes
     memo_table: Dict[tuple, object] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )

@@ -8,7 +8,9 @@ profile that another configuration already simulated reuses every
 product its configuration slice shares.
 """
 
+import gc
 import pickle
+import weakref
 from collections import Counter
 
 import pytest
@@ -306,7 +308,36 @@ def test_sweep_analyses_each_profile_once(fresh_profiles, monkeypatch):
     assert estimates == Counter({id(a.braid_frame): 1 for a in analyses})
     # and the slice composes constituent summaries
     assert any(kind == "recurrence"
-               for a in analyses for kind, _pid in a.profiled.paths.memo_table)
+               for w in suite
+               for kind, _pid in profile_workload(w).paths.memo_table)
+
+
+def test_released_profile_is_freed_without_the_cycle_collector(
+        fresh_profiles):
+    # no table entry refers back to the object it lives on, so dropping
+    # the last reference to a profile frees it, its tables and the
+    # analysis at once, not at some later full collection
+    w = workloads.get("186.crafty")
+    gc.collect()
+    gc.disable()
+    try:
+        for config in (None, SLICE_POINTS[1][1]):
+            PipelineOptions(config=config, no_cache=True).build_pipeline(
+            ).evaluate(w)
+        pipe = NeedlePipeline(options=PipelineOptions(no_cache=True))
+        analysis = pipe.analyse(w)
+        assert pipe.analyse(w) is analysis
+        profiled = analysis.profiled
+        assert profiled.memo_table and profiled.paths.memo_table
+        assert analysis.braid_frame.memo_table
+        refs = [weakref.ref(obj) for obj in (
+            profiled, profiled.paths, profiled.trace, analysis,
+            analysis.path_frame, analysis.braid_frame)]
+        del pipe, analysis, profiled
+        clear_profile_cache()
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 def test_rle_ratio_gauge_published():
