@@ -48,8 +48,7 @@ def _compute(analyses, evaluations):
             try:
                 sb_frame = build_frame(sb)
                 outcome = sim.simulate_offload(
-                    a.name, profile, sb_frame, "oracle", a.profiled.trace,
-                    coverage=sb.coverage,
+                    a.name, profile, sb_frame, "oracle", a.profiled.trace
                 )
                 sb_improvement = outcome.performance_improvement
             except Exception:

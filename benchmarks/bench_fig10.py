@@ -3,6 +3,7 @@
 Energy falls roughly in proportion to coverage because every offloaded op
 elides the host front-end and OOO window.  Paper headline: 20% mean
 reduction; FP workloads enjoy larger per-op savings on the spatial fabric.
+``tests/claims/test_fig10.py`` asserts the claims on these rows.
 """
 
 import statistics
@@ -43,23 +44,3 @@ def test_fig10_energy_reduction(benchmark, evaluations):
         "scaffolding, which scales the net saving up accordingly)" % (mean_e * 100)
     )
     save_result("fig10", table + "\n\n" + chart + "\n\n" + summary)
-
-    # headline: a solid double-digit mean reduction
-    assert mean_e > 0.15
-    # energy tracks coverage: the low-coverage outlier saves the least
-    low_cov = min(rows, key=lambda r: r[1])
-    assert low_cov[2] <= mean_e
-    # nothing catastrophically regresses
-    assert all(e > -0.25 for _, _, e, _ in rows)
-    # reduction correlates with coverage across the suite
-    n = len(rows)
-    covs = [r[1] for r in rows]
-    ens = [r[2] for r in rows]
-    mc, me = sum(covs) / n, sum(ens) / n
-    cov_var = sum((c - mc) ** 2 for c in covs)
-    en_var = sum((e - me) ** 2 for e in ens)
-    if cov_var > 1e-12 and en_var > 1e-12:
-        corr = sum(
-            (c - mc) * (e - me) for c, e in zip(covs, ens)
-        ) / (cov_var ** 0.5 * en_var ** 0.5)
-        assert corr > 0.2

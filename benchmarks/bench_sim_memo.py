@@ -25,7 +25,7 @@ import os
 import time
 
 from repro.options import PipelineOptions
-from repro.sim import EventOracleSimulator, OffloadSimulator
+from repro.sim import EventOracleSimulator, OffloadSimulator, SimulationMemo
 from repro.workloads.base import clear_profile_cache
 
 from .conftest import load_bench_json, save_result, update_bench_json
@@ -59,19 +59,27 @@ def _three_strategies(sim_for_call, analysis):
     if analysis.braid_frame is not None:
         out.append(sim_for_call().simulate_offload(
             profiled.workload.name, profiled.paths, analysis.braid_frame,
-            "oracle", profiled.trace, coverage=analysis.top_braid.coverage,
+            "oracle", profiled.trace,
         ))
     return out
 
 
+class _ConstituentsKept(SimulationMemo):
+    """The reference arm's memo: every lookup recomputes, except the braid
+    constituents' recurrence summaries (see :func:`_empty_tables`)."""
+
+    def get(self, kind, obj, extra, compute):
+        if kind == "constituents":
+            return super().get(kind, obj, extra, compute)
+        return compute()
+
+
 def _reference_arm(analysis):
     # a fresh event-oracle simulator per strategy call, memo off: no
-    # sub-simulation is shared
-    from tests.conftest import RecomputeMemo
-
+    # sub-simulation is shared, only the braid's analysis
     def simulator():
         sim = EventOracleSimulator()
-        sim.memo = RecomputeMemo()
+        sim.memo = _ConstituentsKept()
         return sim
 
     return _three_strategies(simulator, analysis)
@@ -84,15 +92,16 @@ def _shipped_arm(analysis):
 
 def _empty_tables(analysis):
     """Drop the memo entries the trace, profile and frames carry, so the
-    next repeat computes each sub-simulation again.  The braid recurrence
-    summaries stay: they are config-independent analysis of the profile,
-    which both arms share (the memo-off reference reads them too)."""
+    next repeat computes each sub-simulation again.  The braid frame's
+    ``constituents`` entry stays: the constituents' recurrence summaries
+    are config-independent analysis of the frame, which both arms share
+    (the memo-off reference reads them too)."""
     profiled = analysis.profiled
     for obj in (profiled.trace, profiled.paths,
                 analysis.path_frame, analysis.braid_frame):
         if obj is not None:
             table = obj.memo_table
-            for key in [key for key in table if key[0] != "recurrence"]:
+            for key in [key for key in table if key[0] != "constituents"]:
                 del table[key]
 
 

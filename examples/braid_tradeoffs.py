@@ -38,8 +38,7 @@ def main(argv=None):
         top = braids[0]
         frame = build_frame(top.region)
         outcome = sim.simulate_offload(
-            w.name, profiled.paths, frame, "oracle", profiled.trace,
-            coverage=top.coverage,
+            w.name, profiled.paths, frame, "oracle", profiled.trace
         )
         rows.append(
             (

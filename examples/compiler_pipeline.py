@@ -96,8 +96,7 @@ def main():
     braid = build_braids(hot, ranked)[0]
     frame = build_frame(braid.region)
     outcome = OffloadSimulator().simulate_offload(
-        "pipeline-demo", profile, frame, "oracle", trace,
-        coverage=braid.coverage,
+        "pipeline-demo", profile, frame, "oracle", trace
     )
     print("\nbraid: %d paths, %.1f%% coverage, frame %d ops / %d guards"
           % (braid.n_paths, braid.coverage * 100, frame.op_count,

@@ -73,8 +73,7 @@ def main():
              len(frame.psis)))
 
     outcome = OffloadSimulator().simulate_offload(
-        "custom", profile, frame, "oracle", trace,
-        coverage=braid.coverage,
+        "custom", profile, frame, "oracle", trace
     )
     print("offload: %+.1f%% performance, %+.1f%% energy"
           % (outcome.performance_improvement * 100,

@@ -122,8 +122,7 @@ def main():
     # 5. simulate whole-kernel offload (Fig. 9 / Fig. 10 style numbers)
     sim = OffloadSimulator()
     outcome = sim.simulate_offload(
-        "quickstart", profile, frame, "oracle", trace,
-        coverage=braid.coverage,
+        "quickstart", profile, frame, "oracle", trace
     )
     print("\n=== offload simulation ===")
     print("baseline host cycles : %.0f" % outcome.baseline_cycles)

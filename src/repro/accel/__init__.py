@@ -7,7 +7,7 @@ from .aladdin import (
     AladdinResult,
     FU_LIBRARY,
 )
-from .cgra import CGRAScheduler, ScheduledOp, ScheduleResult, ScheduleSummary
+from .cgra import CGRAScheduler, ScheduleSummary
 from .invocation import (
     HistoryPredictor,
     OraclePredictor,
@@ -34,8 +34,6 @@ __all__ = [
     "HistoryPredictor",
     "OraclePredictor",
     "PredictorEvaluation",
-    "ScheduleResult",
     "ScheduleSummary",
-    "ScheduledOp",
     "evaluate_predictor",
 ]

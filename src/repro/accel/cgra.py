@@ -14,7 +14,7 @@ predicates and never block compute).  The Aladdin-style estimator
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..frames.frame import Frame, FrameBuildError, FrameOp, PsiOp, path_incoming
@@ -25,58 +25,14 @@ from ..sim.config import CGRAConfig
 
 
 @dataclass
-class ScheduledOp:
-    """Placement of one frame op."""
-
-    frame_op: FrameOp
-    start: int
-    finish: int
-    deps: List[int] = field(default_factory=list)
-
-
-@dataclass
-class ScheduleResult:
-    """Outcome of mapping one frame onto the fabric."""
+class ScheduleSummary:
+    """One CGRA schedule of a frame: every scalar the offload simulator
+    and the evaluation record read, and no IR reference."""
 
     cycles: int  # schedule makespan including intra-frame reconfigs
     n_configs: int  # how many fabric configurations the frame needs
-    fu_count: int = 128
     #: initiation interval for back-to-back invocations of the same frame
     #: (dataflow pipelining across loop iterations, §IV-A's motivation)
-    initiation_interval: int = 1
-    resource_ii: int = 1
-    recurrence_ii: int = 1
-    ops: List[ScheduledOp] = field(default_factory=list)
-    int_ops: int = 0
-    fp_ops: int = 0
-    mem_ops: int = 0
-    guard_ops: int = 0
-    edges: int = 0
-
-    @property
-    def total_ops(self) -> int:
-        return len(self.ops)
-
-    @property
-    def fu_utilization(self) -> float:
-        """Busy FU-cycles over available FU-cycles."""
-        if not self.ops or self.cycles == 0:
-            return 0.0
-        busy = sum(o.finish - o.start for o in self.ops)
-        return busy / float(self.cycles * self.fu_count)
-
-    @property
-    def ilp(self) -> float:
-        return self.total_ops / self.cycles if self.cycles else 0.0
-
-
-@dataclass
-class ScheduleSummary:
-    """Flat record of a CGRA schedule (no ScheduledOp/IR references):
-    every scalar the offload simulator and the evaluation record read."""
-
-    cycles: int
-    n_configs: int
     initiation_interval: int
     resource_ii: int
     recurrence_ii: int
@@ -86,26 +42,8 @@ class ScheduleSummary:
     mem_ops: int
     guard_ops: int
     edges: int
-    fu_utilization: float
+    fu_utilization: float  # busy FU-cycles over available FU-cycles
     ilp: float
-
-    @classmethod
-    def from_schedule(cls, sched: ScheduleResult) -> "ScheduleSummary":
-        return cls(
-            cycles=sched.cycles,
-            n_configs=sched.n_configs,
-            initiation_interval=sched.initiation_interval,
-            resource_ii=sched.resource_ii,
-            recurrence_ii=sched.recurrence_ii,
-            total_ops=sched.total_ops,
-            int_ops=sched.int_ops,
-            fp_ops=sched.fp_ops,
-            mem_ops=sched.mem_ops,
-            guard_ops=sched.guard_ops,
-            edges=sched.edges,
-            fu_utilization=sched.fu_utilization,
-            ilp=sched.ilp,
-        )
 
 
 #: latency of one dependence chain as (loads, stores, fixed cycles): it
@@ -450,7 +388,7 @@ class CGRAScheduler:
         self,
         frame: Frame,
         loop_carried: Optional[List[Tuple[Value, Value]]] = None,
-    ) -> ScheduleResult:
+    ) -> ScheduleSummary:
         """List-schedule ``frame`` onto the fabric.
 
         ``loop_carried`` pairs (entry φ, back-edge definition) enable the
@@ -459,63 +397,64 @@ class CGRAScheduler:
         cfg = self.config
         deps = self._build_deps(frame)
         n = len(frame.ops)
-        result = ScheduleResult(
-            cycles=0,
-            n_configs=max(1, math.ceil(n / cfg.fu_count)),
-            fu_count=cfg.fu_count,
-        )
-        if n == 0:
-            return result
-
+        n_configs = max(1, math.ceil(n / cfg.fu_count))
         issue_cap = min(cfg.fu_count, cfg.issue_width)
         is_mem = [
             fop.kind == "undo"
             or (fop.kind == "op" and fop.inst is not None and fop.inst.is_memory)
             for fop in frame.ops
         ]
-        start, finish, order = list_schedule(
+        latencies = self._latencies(frame)
+        _start, finish, _order = list_schedule(
             deps,
-            self._latencies(frame),
+            latencies,
             [("fu", "mem") if m else ("fu",) for m in is_mem],
             {"fu": issue_cap, "mem": cfg.memory_ports},
         )
+        int_ops = fp_ops = mem_ops = guard_ops = 0
         for fop, mem in zip(frame.ops, is_mem):
             if fop.kind == "guard":
-                result.guard_ops += 1
+                guard_ops += 1
             elif mem:
-                result.mem_ops += 1
+                mem_ops += 1
             elif fop.kind == "psi":
-                result.int_ops += 1
+                int_ops += 1
             elif fop.inst is not None and fop.inst.is_float:
-                result.fp_ops += 1
+                fp_ops += 1
             else:
-                result.int_ops += 1
+                int_ops += 1
 
-        result.edges = sum(len(d) for d in deps)
-        makespan = max(finish)
         # time-multiplexing over multiple fabric configurations
-        reconfig = (result.n_configs - 1) * cfg.reconfig_cycles
-        result.cycles = makespan + reconfig
-        result.ops = [
-            ScheduledOp(frame_op=frame.ops[i], start=start[i],
-                        finish=finish[i], deps=list(deps[i]))
-            for i in order
-        ]
+        cycles = max(finish, default=0) + (n_configs - 1) * cfg.reconfig_cycles
 
         # -- initiation interval for pipelined back-to-back invocations ------
-        result.resource_ii = max(
-            1,
-            math.ceil(n / issue_cap),
-            math.ceil(result.mem_ops / cfg.memory_ports),
+        resource_ii = max(
+            1, math.ceil(n / issue_cap), math.ceil(mem_ops / cfg.memory_ports)
         )
-        result.recurrence_ii = self.recurrence_from_summary(
+        recurrence_ii = self.recurrence_from_summary(
             self.recurrence_summary(frame, loop_carried or [], deps)
         )
-        # Frames larger than the fabric are modulo-scheduled: each FU rotates
-        # through ceil(ops/fu_count) operations per iteration, which is
-        # exactly what resource_ii already charges.
-        result.initiation_interval = max(result.resource_ii, result.recurrence_ii)
-        return result
+        return ScheduleSummary(
+            cycles=cycles,
+            n_configs=n_configs,
+            # Frames larger than the fabric are modulo-scheduled: each FU
+            # rotates through ceil(ops/fu_count) operations per iteration,
+            # which is exactly what resource_ii already charges.
+            initiation_interval=max(resource_ii, recurrence_ii),
+            resource_ii=resource_ii,
+            recurrence_ii=recurrence_ii,
+            total_ops=n,
+            int_ops=int_ops,
+            fp_ops=fp_ops,
+            mem_ops=mem_ops,
+            guard_ops=guard_ops,
+            edges=sum(len(d) for d in deps),
+            # an op keeps its FU busy for its whole latency
+            fu_utilization=(
+                sum(latencies) / (cycles * cfg.fu_count) if cycles else 0.0
+            ),
+            ilp=n / cycles if cycles else 0.0,
+        )
 
 
 # -- braid constituents ------------------------------------------------------------

@@ -55,8 +55,9 @@ from .resilience.faults import (
 #: 4: OffloadOutcome carries attribution/baseline_attribution charge-class
 #: decompositions, and needle totals are redefined as their canonical fold;
 #: 5: PathProfile pickles without its decode memo, and ScheduleSummary
-#: moved to repro.accel.cgra)
-CACHE_FORMAT_VERSION = 5
+#: moved to repro.accel.cgra; 6: ProfiledWorkload pickles without its
+#: edge profile, which it derives from the trace on first read)
+CACHE_FORMAT_VERSION = 6
 
 #: environment variable overriding the default cache root
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

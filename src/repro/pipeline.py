@@ -42,9 +42,7 @@ import logging
 import os
 import threading
 import time
-import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Optional
 
 from . import obs
@@ -109,6 +107,8 @@ class WorkloadAnalysis:
     braids: List[Braid]
     path_frame: Optional[Frame]
     braid_frame: Optional[Frame]
+    #: the flat record every evaluation of this analysis carries
+    summary: "AnalysisSummary"
 
     @property
     def name(self) -> str:
@@ -121,11 +121,6 @@ class WorkloadAnalysis:
     @property
     def top_braid(self) -> Optional[Braid]:
         return self.braids[0] if self.braids else None
-
-    @cached_property
-    def summary(self) -> "AnalysisSummary":
-        """The flat record every evaluation of this analysis carries."""
-        return AnalysisSummary.from_analysis(self)
 
 
 @dataclass
@@ -175,70 +170,44 @@ class AnalysisSummary:
     memory_events: int = 0
 
     @classmethod
-    def from_analysis(cls, analysis: WorkloadAnalysis) -> "AnalysisSummary":
-        w = analysis.profiled.workload
-        top = analysis.top_path
-        braid = analysis.top_braid
+    def from_products(
+        cls,
+        profiled: ProfiledWorkload,
+        ranked: List[RankedPath],
+        braids: List[Braid],
+        path_frame: Optional[Frame],
+        braid_frame: Optional[Frame],
+    ) -> "AnalysisSummary":
+        w = profiled.workload
+        top = ranked[0] if ranked else None
+        braid = braids[0] if braids else None
         return cls(
             name=w.name,
             suite=w.suite,
             flavor=w.flavor,
-            executed_paths=analysis.profiled.paths.executed_paths,
-            total_executions=analysis.profiled.paths.total_executions,
-            # from the post-pass block counts, not a re-sum of the stream
+            executed_paths=profiled.paths.executed_paths,
+            total_executions=profiled.paths.total_executions,
+            # counted per executed block, not per recorded event
             dynamic_instructions=sum(
                 len(block) * n
-                for block, n in analysis.profiled.edges.block_counts.items()
+                for block, n in profiled.trace.block_counts().items()
             ),
-            memory_events=len(analysis.profiled.trace.memory),
+            memory_events=len(profiled.trace.memory),
             top_path_coverage=top.coverage if top else 0.0,
             top_path_ops=top.ops if top else 0,
             braid_n_paths=braid.n_paths if braid else 0,
             braid_coverage=braid.coverage if braid else 0.0,
             path_frame=(
-                FrameSummary.from_frame(analysis.path_frame)
-                if analysis.path_frame is not None
+                FrameSummary.from_frame(path_frame)
+                if path_frame is not None
                 else None
             ),
             braid_frame=(
-                FrameSummary.from_frame(analysis.braid_frame)
-                if analysis.braid_frame is not None
+                FrameSummary.from_frame(braid_frame)
+                if braid_frame is not None
                 else None
             ),
         )
-
-
-class _SharedAnalysis:
-    """A profile's ``analysis`` entry: the products of steps 1 and 2 and
-    their summary, none of which reads a configuration.
-
-    Only the :class:`WorkloadAnalysis` view refers to the profile, and the
-    entry holds its view weakly, so nothing in the profile's table refers
-    back to the profile: releasing the profile frees it at once, not at
-    the next cyclic garbage collection.
-    """
-
-    def __init__(self, analysis: WorkloadAnalysis):
-        self.ranked = analysis.ranked
-        self.braids = analysis.braids
-        self.path_frame = analysis.path_frame
-        self.braid_frame = analysis.braid_frame
-        self.summary = analysis.summary
-        self._view = weakref.ref(analysis)
-
-    def view(self, profiled: ProfiledWorkload) -> WorkloadAnalysis:
-        """The products paired with ``profiled``: the same view for as
-        long as anyone holds it."""
-        analysis = self._view()
-        if analysis is None:
-            analysis = WorkloadAnalysis(
-                profiled, self.ranked, self.braids, self.path_frame,
-                self.braid_frame,
-            )
-            # the summary is shared like the products it is built from
-            analysis.__dict__["summary"] = self.summary
-            self._view = weakref.ref(analysis)
-        return analysis
 
 
 @dataclass
@@ -311,14 +280,16 @@ class NeedlePipeline:
         frames, and with them the frames' tables."""
         with obs.span("analyse", workload=workload.name):
             profiled = profile_workload(workload, artifact_cache=self.cache)
-            shared = self.sim_memo.get(
-                "analysis", profiled, None,
-                lambda: _SharedAnalysis(self._analyse(profiled)),
+            products = self.sim_memo.get(
+                "analysis", profiled, None, lambda: self._analyse(profiled)
             )
-            return shared.view(profiled)
+            return WorkloadAnalysis(profiled, *products)
 
     @staticmethod
-    def _analyse(profiled: ProfiledWorkload) -> WorkloadAnalysis:
+    def _analyse(profiled: ProfiledWorkload) -> tuple:
+        """``(ranked, braids, path_frame, braid_frame, summary)`` of
+        ``profiled``; none of them refers back to the profile, so the
+        profile's table closes no reference cycle."""
         ranked = rank_paths(profiled.paths)
         # offload braids merge hot same-entry/exit paths only (cold
         # siblings would waste fabric area and energy under predication)
@@ -329,13 +300,10 @@ class NeedlePipeline:
         braid_frame = None
         if braids:
             braid_frame = build_frame(braids[0].region)
-        return WorkloadAnalysis(
-            profiled=profiled,
-            ranked=ranked,
-            braids=braids,
-            path_frame=path_frame,
-            braid_frame=braid_frame,
+        summary = AnalysisSummary.from_products(
+            profiled, ranked, braids, path_frame, braid_frame
         )
+        return ranked, braids, path_frame, braid_frame, summary
 
     # -- step 3 ---------------------------------------------------------------------
 
@@ -411,8 +379,7 @@ class NeedlePipeline:
             )
             braid_sched = self.sim_memo.get(
                 "braid_schedule", frame, repr(cgra),
-                lambda: ScheduleSummary.from_schedule(
-                    CGRAScheduler(cgra).schedule(frame)),
+                lambda: CGRAScheduler(cgra).schedule(frame),
             )
 
         return WorkloadEvaluation(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..ir.block import BasicBlock
 from ..ir.function import Function
@@ -34,10 +34,9 @@ class PathProfile:
     _decoded: Dict[int, List[BasicBlock]] = field(
         default_factory=dict, compare=False, repr=False
     )
-    #: products computed from this profile, keyed ``(kind, extra)``: the
-    #: per-path recurrence summaries (``("recurrence", path id)``) and the
-    #: :class:`~repro.sim.memo.SimulationMemo` entries (host path costs
-    #: and baseline, run-length view, predictor census); never pickled or
+    #: the :class:`~repro.sim.memo.SimulationMemo` entries computed from
+    #: this profile (host path costs and baseline, run-length view,
+    #: predictor census), keyed ``(kind, extra)``; never pickled or
     #: compared, so profile artifacts keep their bytes
     memo_table: Dict[tuple, object] = field(
         default_factory=dict, init=False, compare=False, repr=False
@@ -127,23 +126,6 @@ class PathProfile:
                          help="Ball-Larus path decodes served by the memo",
                          function=self.function.name)
         return blocks
-
-    def recurrence_summaries(
-        self,
-        path_ids: List[int],
-        build: Callable[[List[int]], Dict[int, object]],
-    ) -> List[object]:
-        """The recurrence summaries of the ``path_ids``' frames, in order:
-        ``build(missing)`` maps the ids not yet summarised to theirs, and
-        the profile keeps them for its lifetime, so every grid point of a
-        sweep over an in-memory profile shares them.  A summary reads no
-        configuration, so its key is the path id alone."""
-        table = self.memo_table
-        missing = [pid for pid in path_ids if ("recurrence", pid) not in table]
-        if missing:
-            for pid, summary in build(missing).items():
-                table["recurrence", pid] = summary
-        return [table["recurrence", pid] for pid in path_ids]
 
 
 __all__ = ["PathProfile"]

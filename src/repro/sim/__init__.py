@@ -22,12 +22,7 @@ from .cache import (
 from .core_ooo import OOOModel, OOOResult
 from .energy import EnergyBreakdown, EnergyModel
 from .memo import Calibration, SimulationMemo
-from .offload import (
-    EventOracleSimulator,
-    OffloadOutcome,
-    OffloadSimulator,
-    PathCost,
-)
+from .offload import EventOracleSimulator, OffloadOutcome, OffloadSimulator
 from .trace_kernels import (
     ChargeCensus,
     RLETrace,
@@ -56,7 +51,6 @@ __all__ = [
     "OffloadSimulator",
     "OOOModel",
     "OOOResult",
-    "PathCost",
     "RLETrace",
     "SimulationMemo",
     "StreamProfile",

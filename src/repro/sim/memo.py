@@ -11,14 +11,12 @@ computation reads:
 
 * ``analysis`` on the :class:`~repro.workloads.base.ProfiledWorkload`,
   keyed by nothing: the ranked paths, braids, path and braid frames and
-  the analysis summary (:meth:`~repro.pipeline.NeedlePipeline.analyse`),
-  with only a weak reference to the view that pairs them with the
-  profile;
+  the analysis summary (:meth:`~repro.pipeline.NeedlePipeline.analyse`
+  pairs them with the profile on each call);
 * ``calibration`` on the :class:`~repro.interp.events.FunctionTrace`,
   keyed by the memory hierarchy;
 * ``pathcosts`` on the :class:`~repro.profiling.path_profile.PathProfile`,
-  keyed by the host core, the rounded host load latency and the
-  amortisation depth;
+  keyed by the host core and the rounded host load latency;
 * ``baseline`` on the profile, keyed by the path-cost slice and the
   energy prices;
 * ``rle`` on the profile, keyed by nothing;
@@ -28,6 +26,8 @@ computation reads:
   CGRA and the scheduler's latencies: the
   :class:`~repro.accel.cgra.ScheduleSummary` the simulator reads, with
   the braid effective-II and the constituents that fell back;
+* ``constituents`` on the braid frame, keyed by nothing: the live
+  constituent paths' recurrence summaries the braid effective-II prices;
 * ``exec_fraction`` on the frame, keyed by nothing;
 * ``hls`` and ``braid_schedule`` on the braid frame, keyed by nothing
   and by the CGRA: the evaluation's HLS estimate and its default-latency

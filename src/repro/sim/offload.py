@@ -79,12 +79,9 @@ from .trace_kernels import (
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class PathCost:
-    """Amortised host cost of executing one path once."""
-
-    cycles: float
-    census: OOOResult  # per-execution averages stored as totals / reps
+#: back-to-back executions a repeating path's host cost is averaged over,
+#: so the OOO window can overlap iterations (loop pipelining)
+AMORTISE_REPS = 4
 
 
 @dataclass
@@ -252,57 +249,47 @@ class OffloadSimulator:
     # -- host path costs ---------------------------------------------------------------
 
     def path_costs(
-        self,
-        profile: PathProfile,
-        host_load_latency: float,
-        amortise_reps: int = 4,
-    ) -> Dict[int, PathCost]:
-        """Per-execution host cost of each profiled path.
+        self, profile: PathProfile, host_load_latency: float,
+    ) -> Dict[int, OOOResult]:
+        """Per-execution host cost of each profiled path: its OOO census
+        divided by the executions simulated.
 
-        Paths that repeat are simulated ``amortise_reps`` times back-to-back
-        so the OOO window can overlap iterations (loop pipelining), then
-        averaged.  Memoized on the profile per :meth:`_host_slice` — the
-        OOO model only sees the rounded integer latency, so latencies that
-        round alike share one table, and no CGRA setting reaches it.
+        Paths that repeat are simulated :data:`AMORTISE_REPS` times
+        back-to-back, then averaged.  Memoized on the profile per
+        :meth:`_host_slice` — the OOO model only sees the rounded integer
+        latency, so latencies that round alike share one table, and no
+        CGRA setting reaches it.
         """
-        key = self._host_slice(host_load_latency, amortise_reps)
-        fixed_latency = key[1]
+        key = self._host_slice(host_load_latency)
 
-        def compute() -> Dict[int, PathCost]:
-            model = OOOModel(self.config.host, fixed_load_latency=fixed_latency)
-            costs: Dict[int, PathCost] = {}
+        def compute() -> Dict[int, OOOResult]:
+            model = OOOModel(self.config.host, fixed_load_latency=key[1])
+            costs: Dict[int, OOOResult] = {}
             # a sweep keeps one table per host slice for the profile's
             # lifetime, and per-execution counts repeat across paths:
             # equal values share one float (never -0.0, as the counts
             # are non-negative)
             shared: Dict[float, float] = {}
             for pid, count in profile.counts.items():
-                reps = amortise_reps if count >= amortise_reps else 1
+                reps = AMORTISE_REPS if count >= AMORTISE_REPS else 1
                 res = model.simulate(list(profile.decode(pid)) * reps)
-                per_exec = OOOResult()
+                per_exec = costs[pid] = OOOResult()
                 for name in vars(per_exec):
                     value = getattr(res, name) / reps
                     setattr(per_exec, name, shared.setdefault(value, value))
-                costs[pid] = PathCost(cycles=per_exec.cycles, census=per_exec)
             return costs
 
         return self.memo.get("pathcosts", profile, key, compute)
 
-    def _host_slice(self, host_load_latency: float,
-                    amortise_reps: int = 4) -> tuple:
+    def _host_slice(self, host_load_latency: float) -> tuple:
         """The config slice host path costs read (memo key part): the
-        host core, the load latency rounded as the OOO model sees it, and
-        the amortisation depth."""
-        return (
-            self._reprs["host"],
-            max(1, int(round(host_load_latency))),
-            amortise_reps,
-        )
+        host core and the load latency rounded as the OOO model sees it."""
+        return (self._reprs["host"], max(1, int(round(host_load_latency))))
 
     # -- baseline --------------------------------------------------------------------------
 
     def baseline_attributed(
-        self, profile: PathProfile, costs: Dict[int, PathCost]
+        self, profile: PathProfile, costs: Dict[int, OOOResult]
     ) -> Tuple[float, float, Dict[str, Tuple[float, float]]]:
         """Baseline totals plus their charge-class decomposition.
 
@@ -330,16 +317,14 @@ class OffloadSimulator:
 
     def _schedule(self, scheduler, frame: Frame, profile: PathProfile):
         """``(ScheduleSummary, pipelined II)`` of ``frame`` under this
-        configuration, memoized on the frame: the simulator reads only
-        the schedule's scalars, so the full schedule is not kept.  Every
-        braid constituent whose summary failed is counted on each lookup,
-        so schedule regressions stay visible on every evaluation."""
-        from ..accel.cgra import ScheduleSummary
+        configuration, memoized on the frame.  Every braid constituent
+        whose summary failed is counted on each lookup, so schedule
+        regressions stay visible on every evaluation."""
 
         def compute():
-            sched = ScheduleSummary.from_schedule(scheduler.schedule(
+            sched = scheduler.schedule(
                 frame, loop_carried=self._loop_carried(frame)
-            ))
+            )
             return (sched,) + self._effective_ii(frame, sched, profile, scheduler)
 
         sched, pipeline_ii, fallbacks = self.memo.get(
@@ -375,9 +360,10 @@ class OffloadSimulator:
         resource II prices no constituent.
 
         A constituent's recurrence depends on the configuration only
-        through the rounded load/store latencies, so its latency-symbolic
-        summary is composed once per (profile, path) and kept on the
-        profile; each configuration only evaluates the summaries.
+        through the rounded load/store latencies, so the live
+        constituents' latency-symbolic summaries are composed once per
+        braid frame and kept in its table; each configuration only
+        evaluates them.
         """
         region = frame.region
         if region.kind != "braid" or len(region.source_paths) < 2:
@@ -391,15 +377,16 @@ class OffloadSimulator:
                 (pid, profile.counts.get(pid, 0)) for pid in region.source_paths
             ]
             live = [(pid, freq) for pid, freq in live if freq > 0]
-            summaries = profile.recurrence_summaries(
-                [pid for pid, _freq in live],
-                lambda missing: self._constituent_summaries(
-                    profile, region, missing),
+            summaries = self.memo.get(
+                "constituents", frame, None,
+                lambda: self._constituent_summaries(
+                    profile, region, [pid for pid, _freq in live]),
             )
             total_freq = 0
             weighted = 0.0
             fallbacks = []
-            for (pid, freq), summary in zip(live, summaries):
+            for pid, freq in live:
+                summary = summaries[pid]
                 if isinstance(summary, _SummaryFailure):
                     # constituent falls back to the whole-region II
                     fallbacks.append(summary)
@@ -575,12 +562,12 @@ class OffloadSimulator:
         attr: Dict[str, List[float]],
         compute_class: str,
         n: int,
-        cost: PathCost,
+        cost: OOOResult,
     ) -> None:
         """Charge ``n`` host executions of a path: OOO front-end/window/FU
         cycles+energy to ``compute_class``, memory energy per level."""
-        eb = self.energy_model.host_energy(cost.census)
-        levels = self.energy_model.host_memory_energy_levels(cost.census)
+        eb = self.energy_model.host_energy(cost)
+        levels = self.energy_model.host_memory_energy_levels(cost)
         _charge(attr, compute_class,
                 cycles=n * cost.cycles,
                 energy=n * (eb.frontend_pj + eb.window_pj + eb.fu_pj))
@@ -589,7 +576,7 @@ class OffloadSimulator:
         _charge(attr, CHARGE_HOST_MEM_DRAM, energy=n * levels["dram"])
 
     def _attribute(self, census, cm: _FrameCostModel,
-                   costs: Dict[int, PathCost]) -> Dict[str, Tuple[float, float]]:
+                   costs: Dict[int, OOOResult]) -> Dict[str, Tuple[float, float]]:
         """Fold a :class:`ChargeCensus` into the charge-class attribution.
 
         This is the *only* place simulated floats accumulate: the
@@ -704,7 +691,6 @@ class OffloadSimulator:
         frame: Frame,
         predictor_kind: str = "oracle",
         trace: Optional[FunctionTrace] = None,
-        coverage: Optional[float] = None,
     ) -> OffloadOutcome:
         """Simulate offloading ``frame`` with the given invocation predictor.
 
@@ -713,7 +699,7 @@ class OffloadSimulator:
         with _obs_span("simulate_offload", workload=workload,
                        kind=frame.region.kind, predictor=predictor_kind):
             return self._simulate_offload(
-                workload, profile, frame, predictor_kind, trace, coverage,
+                workload, profile, frame, predictor_kind, trace,
             )
 
     def _simulate_offload(
@@ -723,7 +709,6 @@ class OffloadSimulator:
         frame: Frame,
         predictor_kind: str,
         trace: Optional[FunctionTrace],
-        coverage: Optional[float],
     ) -> OffloadOutcome:
         # local import: repro.accel depends on repro.sim.config, so the
         # accel package cannot be imported at sim module-load time
@@ -760,7 +745,7 @@ class OffloadSimulator:
             needle_cycles=needle_cycles,
             baseline_energy_pj=base_energy,
             needle_energy_pj=needle_energy,
-            coverage=coverage if coverage is not None else frame.region.coverage,
+            coverage=frame.region.coverage,
             invocations=census.invocations,
             failures=census.failed,
             predictor_precision=precision,
@@ -871,5 +856,4 @@ __all__ = [
     "EventOracleSimulator",
     "OffloadOutcome",
     "OffloadSimulator",
-    "PathCost",
 ]

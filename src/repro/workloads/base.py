@@ -3,14 +3,15 @@
 A :class:`Workload` names one of the paper's 29 benchmarks and knows how to
 build its synthetic hot-function stand-in.  :func:`profile_workload` runs
 the interpreter once, recording the hot function's block and memory
-streams, and derives the path and edge profiles from that trace; it
-returns both profiles, the trace and the hot function.  Profiles are
-cached per workload because several tables/figures reuse them.
+streams, and derives the path profile from that trace; the edge profile
+is derived on first read.  Profiles are cached per workload because
+several tables/figures reuse them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Tuple
 
 from ..interp.events import FunctionTrace
@@ -52,23 +53,29 @@ class ProfiledWorkload:
     module: Module
     function: Function
     paths: PathProfile
-    edges: EdgeProfile
     trace: FunctionTrace
     result: object  # the run's return value (useful as a sanity check)
     #: config-independent content hash of (IR text, run args): the key
     #: the profile is stored under in the artifact cache
     artifact_key: "str | None" = None
-    #: the pipeline's analysis of this run, keyed ``("analysis", None)``
-    #: (:meth:`~repro.pipeline.NeedlePipeline.analyse`); it never refers
-    #: back to this profile, and is never pickled or compared, so profile
-    #: artifacts keep their bytes
+    #: the products of the pipeline's analysis of this run, keyed
+    #: ``("analysis", None)`` (:meth:`~repro.pipeline.NeedlePipeline.analyse`);
+    #: none refers back to this profile, and the table is never pickled
+    #: or compared, so profile artifacts keep their bytes
     memo_table: Dict[tuple, object] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
+    @cached_property
+    def edges(self) -> EdgeProfile:
+        """The edge profile, derived from the trace on first read; only
+        the baselines and the branch-bias figures read it."""
+        return EdgeProfile.from_trace(self.trace)
+
     def __getstate__(self):
         state = dict(self.__dict__)
         del state["memo_table"]
+        state.pop("edges", None)
         return state
 
     def __setstate__(self, state):
@@ -129,7 +136,6 @@ def profile_workload(
             module=module,
             function=fn,
             paths=PathProfile.from_trace(trace),
-            edges=EdgeProfile.from_trace(trace),
             trace=trace,
             result=result,
             artifact_key=key,

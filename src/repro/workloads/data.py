@@ -76,20 +76,3 @@ def smooth_floats(
             x = 2 * hi - x
         out.append(x)
     return out
-
-
-def run_structured_values(
-    seed: int,
-    n: int,
-    choices: List[int],
-    mean_run: int = 16,
-) -> List[int]:
-    """Values drawn from ``choices`` held constant over geometric runs."""
-    rng = random.Random(seed)
-    out: List[int] = []
-    cur = rng.choice(choices)
-    for _ in range(n):
-        if rng.random() < 1.0 / mean_run:
-            cur = rng.choice(choices)
-        out.append(cur)
-    return out

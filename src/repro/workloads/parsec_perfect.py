@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .base import Workload
-from .data import correlated_bits, smooth_floats
+from .data import correlated_bits, iid_floats, iid_ints, smooth_floats
 from .builders import (
     Arith,
     ArraySpec,
@@ -24,16 +24,6 @@ from .builders import (
     StoreVal,
     build_loop_kernel,
 )
-
-
-def _floats(seed: int, n: int, lo: float = 0.0, hi: float = 4.0):
-    rng = random.Random(seed)
-    return [lo + rng.random() * (hi - lo) for _ in range(n)]
-
-
-def _ints(seed: int, n: int, lo: int = 0, hi: int = 255):
-    rng = random.Random(seed)
-    return [rng.randrange(lo, hi) for _ in range(n)]
 
 
 def _biased_bits(seed: int, n: int, bit: int, p_set: float):
@@ -142,7 +132,7 @@ def _build_bodytrack():
         segments,
         arrays=[
             ArraySpec("edges", 1024, init=_biased_bits(901, 1024, 3, 0.6)),
-            ArraySpec("proj", 512, fp=True, init=_floats(902, 512)),
+            ArraySpec("proj", 512, fp=True, init=iid_floats(902, 512)),
             ArraySpec("weights", 256, fp=True),
         ],
         fp_accs=("lik",),
@@ -185,7 +175,7 @@ def _build_dwt53():
         "dwt53_row_transpose",
         segments,
         arrays=[
-            ArraySpec("row", 2048, init=_ints(903, 2048)),
+            ArraySpec("row", 2048, init=iid_ints(903, 2048)),
             ArraySpec("lo", 1024),
             ArraySpec("hi", 1024),
         ],
@@ -231,7 +221,7 @@ def _build_ferret():
         "ferret",
         "emd_rank",
         segments,
-        arrays=[ArraySpec("feat", 1024, init=_ints(904, 1024)), ArraySpec("rank", 256)],
+        arrays=[ArraySpec("feat", 1024, init=iid_ints(904, 1024)), ArraySpec("rank", 256)],
     )
     return m, fn, [1000]
 
@@ -272,8 +262,8 @@ def _build_fft2d():
         "fft_butterfly_rows",
         segments,
         arrays=[
-            ArraySpec("re", 1024, fp=True, init=_floats(905, 1024, -1.0, 1.0)),
-            ArraySpec("im", 1024, fp=True, init=_floats(906, 1024, -1.0, 1.0)),
+            ArraySpec("re", 1024, fp=True, init=iid_floats(905, 1024, -1.0, 1.0)),
+            ArraySpec("im", 1024, fp=True, init=iid_floats(906, 1024, -1.0, 1.0)),
         ],
         fp_accs=("sum_r", "sum_i"),
         return_var="sum_r",
@@ -371,7 +361,7 @@ def _build_freqmine():
         "fp_growth_walk",
         segments,
         arrays=[
-            ArraySpec("tree", 1024, init=_ints(909, 1024)),
+            ArraySpec("tree", 1024, init=iid_ints(909, 1024)),
             ArraySpec("counts", 1024, init=_biased_bits(910, 1024, 7, 0.3)),
             ArraySpec("freq", 256),
         ],
@@ -411,7 +401,7 @@ def _build_sar_backprojection():
         "backproject_pixel",
         segments,
         arrays=[
-            ArraySpec("pulse", 2048, fp=True, init=_floats(911, 2048, 0.0, 4.0)),
+            ArraySpec("pulse", 2048, fp=True, init=iid_floats(911, 2048, 0.0, 4.0)),
             ArraySpec("image", 512, fp=True),
         ],
         fp_accs=("pix",),
@@ -467,8 +457,8 @@ def _build_sar_pfa_interp1():
         "pfa_interp_range",
         segments,
         arrays=[
-            ArraySpec("range", 2048, fp=True, init=_floats(912, 2048)),
-            ArraySpec("win", 1024, fp=True, init=_floats(913, 1024)),
+            ArraySpec("range", 2048, fp=True, init=iid_floats(912, 2048)),
+            ArraySpec("win", 1024, fp=True, init=iid_floats(913, 1024)),
             ArraySpec("out", 1024, fp=True),
         ],
         fp_accs=("interp",),
@@ -518,8 +508,8 @@ def _build_streamcluster():
         "pgain_dist",
         segments,
         arrays=[
-            ArraySpec("points", 1024, fp=True, init=_floats(914, 1024)),
-            ArraySpec("centers", 64, fp=True, init=_floats(915, 64)),
+            ArraySpec("points", 1024, fp=True, init=iid_floats(914, 1024)),
+            ArraySpec("centers", 64, fp=True, init=iid_floats(915, 64)),
             ArraySpec("assign", 512, fp=True),
         ],
         fp_accs=("dist",),
@@ -597,8 +587,8 @@ def _build_swaptions():
         "hjm_simulate_path",
         segments,
         arrays=[
-            ArraySpec("fwd", 2048, fp=True, init=_floats(916, 2048)),
-            ArraySpec("vol", 1024, fp=True, init=_floats(917, 1024)),
+            ArraySpec("fwd", 2048, fp=True, init=iid_floats(916, 2048)),
+            ArraySpec("vol", 1024, fp=True, init=iid_floats(917, 1024)),
             ArraySpec("out", 1024, fp=True),
             ArraySpec(
                 "steps",

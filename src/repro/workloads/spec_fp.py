@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .base import Workload
-from .data import correlated_bits
+from .data import correlated_bits, iid_floats, iid_ints
 from .builders import (
     Arith,
     ArraySpec,
@@ -20,16 +20,6 @@ from .builders import (
     StoreVal,
     build_loop_kernel,
 )
-
-
-def _floats(seed: int, n: int, lo: float = 0.0, hi: float = 4.0):
-    rng = random.Random(seed)
-    return [lo + rng.random() * (hi - lo) for _ in range(n)]
-
-
-def _ints(seed: int, n: int, lo: int = 0, hi: int = 255):
-    rng = random.Random(seed)
-    return [rng.randrange(lo, hi) for _ in range(n)]
 
 
 # -- 183.equake ---------------------------------------------------------------
@@ -76,8 +66,8 @@ def _build_equake():
         "smvp",
         segments,
         arrays=[
-            ArraySpec("K", 4096, fp=True, init=_floats(183, 4096)),
-            ArraySpec("disp", 1024, fp=True, init=_floats(184, 1024)),
+            ArraySpec("K", 4096, fp=True, init=iid_floats(183, 4096)),
+            ArraySpec("disp", 1024, fp=True, init=iid_floats(184, 1024)),
             ArraySpec("force", 1024, fp=True),
         ],
         int_accs=("acc",),
@@ -129,8 +119,8 @@ def _build_namd():
         "calc_pair_energy_fullelect",
         segments,
         arrays=[
-            ArraySpec("pos", 2048, fp=True, init=_floats(444, 2048)),
-            ArraySpec("charge", 1024, fp=True, init=_floats(445, 1024)),
+            ArraySpec("pos", 2048, fp=True, init=iid_floats(444, 2048)),
+            ArraySpec("charge", 1024, fp=True, init=iid_floats(445, 1024)),
             ArraySpec("forces", 1024, fp=True),
         ],
         fp_accs=("fx", "fy", "fe"),
@@ -221,8 +211,8 @@ def _build_povray():
         "intersect_sphere",
         segments,
         arrays=[
-            ArraySpec("ray", 2048, fp=True, init=_floats(453, 2048, 0.21, 1.0)),
-            ArraySpec("obj", 1024, fp=True, init=_floats(454, 1024, 0.26, 3.0)),
+            ArraySpec("ray", 2048, fp=True, init=iid_floats(453, 2048, 0.21, 1.0)),
+            ArraySpec("obj", 1024, fp=True, init=iid_floats(454, 1024, 0.26, 3.0)),
             ArraySpec("hits", 256, fp=True),
         ],
         fp_accs=("facc",),
@@ -282,12 +272,12 @@ def _build_hmmer():
         "p7_viterbi_row",
         segments,
         arrays=[
-            ArraySpec("mmx", 1024, init=_ints(456, 1024)),
-            ArraySpec("imx", 1024, init=_ints(457, 1024)),
-            ArraySpec("dmx", 1024, init=_ints(458, 1024)),
-            ArraySpec("tsc", 1024, init=_ints(459, 1024)),
-            ArraySpec("msc", 1024, init=_ints(460, 1024)),
-            ArraySpec("isc", 1024, init=_ints(461, 1024)),
+            ArraySpec("mmx", 1024, init=iid_ints(456, 1024)),
+            ArraySpec("imx", 1024, init=iid_ints(457, 1024)),
+            ArraySpec("dmx", 1024, init=iid_ints(458, 1024)),
+            ArraySpec("tsc", 1024, init=iid_ints(459, 1024)),
+            ArraySpec("msc", 1024, init=iid_ints(460, 1024)),
+            ArraySpec("isc", 1024, init=iid_ints(461, 1024)),
             ArraySpec("xmx", 256),
         ],
     )
@@ -344,7 +334,7 @@ def _build_lbm():
         "stream_collide",
         segments,
         arrays=[
-            ArraySpec("grid", 8192, fp=True, init=_floats(470, 8192, 0.1, 1.1)),
+            ArraySpec("grid", 8192, fp=True, init=iid_floats(470, 8192, 0.1, 1.1)),
             ArraySpec("next", 8192, fp=True),
         ],
         fp_accs=("rho", "ux", "uy"),
@@ -381,8 +371,8 @@ def _build_sphinx3():
         "mgau_eval",
         segments,
         arrays=[
-            ArraySpec("mean", 1024, fp=True, init=_floats(482, 1024)),
-            ArraySpec("feat", 1024, fp=True, init=_floats(483, 1024)),
+            ArraySpec("mean", 1024, fp=True, init=iid_floats(482, 1024)),
+            ArraySpec("feat", 1024, fp=True, init=iid_floats(483, 1024)),
             ArraySpec("score", 256, fp=True),
         ],
         fp_accs=("facc",),

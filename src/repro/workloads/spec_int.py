@@ -9,10 +9,8 @@ shaped after; absolute path counts are scaled down with the inputs.
 
 from __future__ import annotations
 
-import random
-
 from .base import Workload
-from .data import correlated_bits
+from .data import correlated_bits, iid_ints
 from .builders import (
     Arith,
     ArraySpec,
@@ -23,11 +21,6 @@ from .builders import (
     StoreVal,
     build_loop_kernel,
 )
-
-
-def _ints(seed: int, n: int, lo: int = 0, hi: int = 255):
-    rng = random.Random(seed)
-    return [rng.randrange(lo, hi) for _ in range(n)]
 
 
 # -- 164.gzip -----------------------------------------------------------------
@@ -114,7 +107,7 @@ def _build_vpr():
         segments,
         arrays=[
             ArraySpec("nets", 512, init=nets),
-            ArraySpec("coords", 1024, init=_ints(176, 1024)),
+            ArraySpec("coords", 1024, init=iid_ints(176, 1024)),
             ArraySpec("cost", 256),
         ],
     )
@@ -189,7 +182,7 @@ def _build_mcf_2000():
         segments,
         arrays=[
             ArraySpec("arcs", 1024, init=arcs),
-            ArraySpec("nodes", 1024, init=_ints(182, 1024)),
+            ArraySpec("nodes", 1024, init=iid_ints(182, 1024)),
             ArraySpec("flow", 512),
         ],
     )
@@ -228,8 +221,8 @@ def _build_crafty():
         "evaluate_position",
         segments,
         arrays=[
-            ArraySpec("board", 2048, init=_ints(186, 2048)),
-            ArraySpec("attack", 512, init=_ints(187, 512)),
+            ArraySpec("board", 2048, init=iid_ints(186, 2048)),
+            ArraySpec("attack", 512, init=iid_ints(187, 512)),
             ArraySpec("scores", 256),
         ],
     )
@@ -314,7 +307,7 @@ def _build_bzip2():
         "main_sort_inner",
         segments,
         arrays=[
-            ArraySpec("block", 2048, init=_ints(401, 2048)),
+            ArraySpec("block", 2048, init=iid_ints(401, 2048)),
             ArraySpec("quadrant", 512),
             ArraySpec("ptrs", 256),
         ],
@@ -356,7 +349,7 @@ def _build_gcc():
         segments,
         arrays=[
             ArraySpec("insn", 1024, init=regs),
-            ArraySpec("defs", 1024, init=_ints(404, 1024)),
+            ArraySpec("defs", 1024, init=iid_ints(404, 1024)),
             ArraySpec("live", 256),
         ],
     )
@@ -395,7 +388,7 @@ def _build_mcf_2006():
         segments,
         arrays=[
             ArraySpec("tree", 1024, init=nodes),
-            ArraySpec("basket", 1024, init=_ints(430, 1024)),
+            ArraySpec("basket", 1024, init=iid_ints(430, 1024)),
             ArraySpec("perm", 256),
         ],
     )
@@ -435,8 +428,8 @@ def _build_sjeng():
         "std_eval",
         segments,
         arrays=[
-            ArraySpec("pieces", 2048, init=_ints(458, 2048)),
-            ArraySpec("threat", 512, init=_ints(459, 512)),
+            ArraySpec("pieces", 2048, init=iid_ints(458, 2048)),
+            ArraySpec("threat", 512, init=iid_ints(459, 512)),
             ArraySpec("hist", 256),
         ],
     )
@@ -479,7 +472,7 @@ def _build_h264ref():
         segments,
         arrays=[
             ArraySpec("ref", 2048, init=ref),
-            ArraySpec("cur", 2048, init=_ints(465, 2048)),
+            ArraySpec("cur", 2048, init=iid_ints(465, 2048)),
             ArraySpec("sad", 256),
         ],
     )

@@ -1,3 +1,5 @@
+import dataclasses
+
 from repro.accel import (
     CGRAScheduler,
     HLSEstimator,
@@ -5,10 +7,11 @@ from repro.accel import (
     OraclePredictor,
     evaluate_predictor,
 )
+from repro.accel.cgra import list_schedule
 from repro.frames import build_frame
 from repro.profiling import rank_paths
 from repro.regions import build_braids, path_to_region
-from repro.sim import CGRAConfig
+from repro.sim import CGRAConfig, OffloadSimulator
 
 
 def _path_frame(profiled):
@@ -28,14 +31,41 @@ def _braid_frame(profiled):
 
 def test_schedule_respects_dependences(profiled_loop_with_branch):
     frame, _ = _path_frame(profiled_loop_with_branch)
-    sched = CGRAScheduler().schedule(frame)
-    start = {id(o.frame_op): o.start for o in sched.ops}
-    finish = {id(o.frame_op): o.finish for o in sched.ops}
-    index = {i: o for i, o in enumerate(frame.ops)}
-    for op in sched.ops:
-        for dep in op.deps:
-            dep_op = index[dep]
-            assert finish[id(dep_op)] <= op.start, "dep must finish first"
+    scheduler = CGRAScheduler()
+    cfg = scheduler.config
+    deps = scheduler._build_deps(frame)
+    # the placement schedule() makes: memory ops and undo reads take a
+    # memory port as well as an FU
+    uses = [
+        ("fu", "mem")
+        if fop.kind == "undo" or (fop.kind == "op" and fop.inst.is_memory)
+        else ("fu",)
+        for fop in frame.ops
+    ]
+    caps = {"fu": min(cfg.fu_count, cfg.issue_width), "mem": cfg.memory_ports}
+    start, finish, _order = list_schedule(
+        deps, scheduler._latencies(frame), uses, caps
+    )
+    assert any(deps)
+    for i, op_deps in enumerate(deps):
+        for j in op_deps:
+            assert finish[j] <= start[i], "dep must finish first"
+    sched = scheduler.schedule(frame)
+    # one fabric configuration: the makespan is the schedule's length
+    assert max(finish) == sched.cycles
+    busy = sum(f - s for s, f in zip(start, finish))
+    assert sched.fu_utilization == busy / (sched.cycles * cfg.fu_count)
+
+
+def test_empty_frame_schedules_to_zeros(profiled_loop_with_branch):
+    frame, _ = _path_frame(profiled_loop_with_branch)
+    empty = dataclasses.replace(frame, ops=[], guards=[], psis=[],
+                                store_count=0)
+    sched = CGRAScheduler().schedule(
+        empty, loop_carried=OffloadSimulator._loop_carried(empty))
+    assert (sched.cycles, sched.total_ops, sched.edges) == (0, 0, 0)
+    assert (sched.n_configs, sched.initiation_interval) == (1, 1)
+    assert sched.fu_utilization == sched.ilp == 0.0
 
 
 def test_schedule_counts_ops(profiled_loop_with_branch):
@@ -83,9 +113,11 @@ def test_memory_port_limit(array_sum):
 def test_braid_schedule_includes_psis(profiled_anticorrelated):
     frame, _ = _braid_frame(profiled_anticorrelated)
     sched = CGRAScheduler().schedule(frame)
-    kinds = {o.frame_op.kind for o in sched.ops}
-    assert "psi" in kinds
+    psis = sum(fop.kind == "psi" for fop in frame.ops)
+    assert psis > 0
     assert sched.total_ops == frame.op_count
+    # a ψ merge is scheduled as an integer select
+    assert sched.int_ops >= psis
 
 
 def test_load_latency_knob(profiled_loop_with_branch):

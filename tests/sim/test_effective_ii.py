@@ -1,9 +1,9 @@
-"""Braid effective-II: per-profile recurrence summaries and their fallbacks.
+"""Braid effective-II: per-braid recurrence summaries and their fallbacks.
 
-A braid constituent's recurrence summary is composed once per (profile,
-path id), from one frame per braid block, and kept on the
-:class:`PathProfile`; every configuration afterwards only prices the
-summary.  A constituent whose block cannot be framed is cached as a
+The live constituents' recurrence summaries of a braid are composed once,
+from one frame per braid block, and kept in the braid frame's table under
+``("constituents", None)``; every configuration afterwards only prices
+them.  A constituent whose block cannot be framed is cached as a
 failure and still counted in ``sim.effective_ii_fallbacks`` on every
 evaluation that meets it.  A braid whose own recurrence II is within its
 resource II prices no constituent.
@@ -52,10 +52,10 @@ def _fresh_profiles():
     clear_profile_cache()
 
 
-def _summaries(profile):
-    """The recurrence summaries the profile keeps, by path id."""
-    return {pid: summary for (kind, pid), summary in profile.memo_table.items()
-            if kind == "recurrence"}
+def _summaries(frame):
+    """The constituent recurrence summaries the braid frame keeps, by
+    path id."""
+    return frame.memo_table.get(("constituents", None), {})
 
 
 def _analysis(name=WORKLOAD):
@@ -155,7 +155,7 @@ def test_summaries_are_built_once_across_configs(monkeypatch):
     assert len(live) >= 2
     # one frame per braid block, not one per constituent path
     assert builds == Counter({block: 1 for block in region.blocks})
-    assert sorted(_summaries(profile)) == sorted(live)
+    assert sorted(_summaries(iis[0][1])) == sorted(live)
     default_ii, small_ii = iis
     assert default_ii[4].load_latency != small_ii[4].load_latency
     for ii, frame, sched, prof, scheduler in iis:
@@ -170,8 +170,8 @@ def test_bounded_braid_prices_no_constituent(monkeypatch):
     PipelineOptions(no_cache=True).build_pipeline().evaluate(w)
     PipelineOptions(config=SMALL, no_cache=True).build_pipeline().evaluate(w)
     assert not builds
-    assert _summaries(profile_workload(w).paths) == {}
     assert len(iis) == 2
+    assert _summaries(iis[0][1]) == {}
     for ii, frame, sched, profile, scheduler in iis:
         assert len(frame.region.source_paths) >= 2
         assert sched.recurrence_ii <= sched.resource_ii
@@ -197,14 +197,14 @@ def test_summary_table_stays_out_of_the_pickled_profile(tmp_path):
     PipelineOptions(config=SMALL, no_cache=True).build_pipeline().evaluate(w)
     assert profile_workload(w) is profiled
     assert profiled.paths._decoded
-    summaries = _summaries(profiled.paths)
-    assert summaries and all(isinstance(s, tuple) for s in summaries.values())
     kinds = {kind for kind, _extra in profiled.paths.memo_table}
-    assert kinds == {"recurrence", "pathcosts", "baseline", "rle", "census"}
+    assert kinds == {"pathcosts", "baseline", "rle", "census"}
     assert list(profiled.memo_table) == [("analysis", None)]
-    analysis = profiled.memo_table["analysis", None]
-    assert {kind for kind, _extra in analysis.braid_frame.memo_table} == {
-        "schedule", "exec_fraction", "hls", "braid_schedule"
+    braid_frame = profiled.memo_table["analysis", None][3]
+    summaries = _summaries(braid_frame)
+    assert summaries and all(isinstance(s, tuple) for s in summaries.values())
+    assert {kind for kind, _extra in braid_frame.memo_table} == {
+        "schedule", "constituents", "exec_fraction", "hls", "braid_schedule"
     }
     # SMALL has its own memory hierarchy: one calibration each
     assert [kind for kind, _extra in profiled.trace.memo_table] == [

@@ -88,7 +88,7 @@ def test_braid_covers_more_than_path(profiled_anticorrelated):
     braid_frame = build_frame(braid.region)
     sim = OffloadSimulator()
     p = sim.simulate_offload("anticorr", pp, path_frame, "oracle")
-    br = sim.simulate_offload("anticorr", pp, braid_frame, "oracle", coverage=braid.coverage)
+    br = sim.simulate_offload("anticorr", pp, braid_frame, "oracle")
     # the braid absorbs both alternating paths -> strictly more invocations
     assert br.invocations > p.invocations
     assert br.coverage > p.coverage

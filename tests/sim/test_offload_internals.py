@@ -4,7 +4,7 @@ accounting, loop-carried pair derivation and executed-fraction energy."""
 from repro.frames import build_frame
 from repro.profiling import PathProfile, rank_paths
 from repro.regions import build_braids, path_to_region
-from repro.sim import OffloadSimulator
+from repro.sim import OffloadSimulator, OOOModel
 
 from tests.conftest import build_counted_loop, record_function
 
@@ -22,15 +22,15 @@ def test_path_costs_cover_every_path():
     assert set(costs) == set(profile.counts)
     for pid, cost in costs.items():
         assert cost.cycles > 0
-        assert cost.census.instructions > 0
+        assert cost.instructions > 0
 
 
 def test_amortisation_reduces_per_execution_cost():
     m, fn, profile, trace = _profiled(build_counted_loop, [30])
-    sim = OffloadSimulator()
-    hot = max(profile.counts, key=profile.counts.get)
-    amortised = sim.path_costs(profile, 2, amortise_reps=8)[hot].cycles
-    standalone = sim.path_costs(profile, 2, amortise_reps=1)[hot].cycles
+    model = OOOModel(fixed_load_latency=2)
+    hot = list(profile.decode(max(profile.counts, key=profile.counts.get)))
+    amortised = model.simulate(hot * 8).cycles / 8
+    standalone = model.simulate(hot).cycles
     # overlapped iterations cost less per execution than isolated ones
     assert amortised <= standalone
 

@@ -297,19 +297,18 @@ def test_sweep_analyses_each_profile_once(fresh_profiles, monkeypatch):
         (profile_workload(w).function.name, kind): 1
         for w in suite for kind in ("bl-path", "braid")
     })
-    analyses = [profile_workload(w).memo_table["analysis", None]
-                for w in suite]
+    braid_frames = [profile_workload(w).memo_table["analysis", None][3]
+                    for w in suite]
     # each frame is scheduled once per (CGRA, latency) slice: narrow-host
     # shares the default CGRA and memory, so a frame has at most three
     # simulator slices, and a braid frame two default-latency schedules
     assert set(schedules.values()) == {1}
-    assert len(schedules) <= (3 * 2 + 2) * len(analyses)
+    assert len(schedules) <= (3 * 2 + 2) * len(braid_frames)
     # each braid frame is estimated once
-    assert estimates == Counter({id(a.braid_frame): 1 for a in analyses})
+    assert estimates == Counter({id(frame): 1 for frame in braid_frames})
     # and the slice composes constituent summaries
-    assert any(kind == "recurrence"
-               for w in suite
-               for kind, _pid in profile_workload(w).paths.memo_table)
+    assert any(("constituents", None) in frame.memo_table
+               for frame in braid_frames)
 
 
 def test_released_profile_is_freed_without_the_cycle_collector(
@@ -326,7 +325,8 @@ def test_released_profile_is_freed_without_the_cycle_collector(
             ).evaluate(w)
         pipe = NeedlePipeline(options=PipelineOptions(no_cache=True))
         analysis = pipe.analyse(w)
-        assert pipe.analyse(w) is analysis
+        # every analysis of the profile shares its frames
+        assert pipe.analyse(w).braid_frame is analysis.braid_frame
         profiled = analysis.profiled
         assert profiled.memo_table and profiled.paths.memo_table
         assert analysis.braid_frame.memo_table

@@ -1,5 +1,4 @@
 from repro import NeedlePipeline, workloads
-from repro.pipeline import AnalysisSummary
 
 
 def test_analyse_produces_all_artifacts():
@@ -13,11 +12,11 @@ def test_analyse_produces_all_artifacts():
 
 
 def test_summary_counts_every_recorded_instruction():
-    # the count comes from the edge profile's block counts, not the stream
+    # the count comes from the trace's block counts, not a sum per event
     p = NeedlePipeline()
     for name in workloads.all_names():
         a = p.analyse(workloads.get(name))
-        assert AnalysisSummary.from_analysis(a).dynamic_instructions == (
+        assert a.summary.dynamic_instructions == (
             a.profiled.trace.dynamic_instructions
         ), name
 
@@ -25,7 +24,10 @@ def test_summary_counts_every_recorded_instruction():
 def test_analyse_is_cached():
     p = NeedlePipeline()
     w = workloads.get("482.sphinx3")
-    assert p.analyse(w) is p.analyse(w)
+    first, second = p.analyse(w), p.analyse(w)
+    for product in ("profiled", "ranked", "braids", "path_frame",
+                    "braid_frame", "summary"):
+        assert getattr(first, product) is getattr(second, product), product
     assert p.evaluate(w) is p.evaluate(w)
 
 

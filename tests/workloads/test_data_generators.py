@@ -7,7 +7,6 @@ from repro.workloads.data import (
     correlated_bits,
     iid_floats,
     iid_ints,
-    run_structured_values,
     smooth_floats,
 )
 
@@ -60,12 +59,6 @@ def test_smooth_floats_bounded_and_smooth():
     iid = iid_floats(3, 10_000, 1.0, 2.0)
     iid_deltas = [abs(a - b) for a, b in zip(iid, iid[1:])]
     assert statistics.mean(deltas) < statistics.mean(iid_deltas) / 3
-
-
-def test_run_structured_values_choices_and_runs():
-    vals = run_structured_values(5, 5_000, [1, 2, 3], mean_run=20)
-    assert set(vals) <= {1, 2, 3}
-    assert statistics.mean(_runs(vals)) > 8
 
 
 def test_generators_are_deterministic():
